@@ -1,9 +1,10 @@
 """Command-line surface: analyze, dispersion, compare, builtins.
 
 Exit codes: 0 when every applicable check passes, 1 for input problems,
-2 when a verified inequality is violated (a bug or a tolerance issue, never
-silent).  Reports are byte-deterministic for fixed inputs, grid and
-tolerances, independent of the --jobs level.
+2 when a verified inequality is violated or the eigensolver fails (a bug or a
+tolerance problem, never silent).  Reports are byte-deterministic for fixed
+inputs, grid and tolerances.  --jobs is accepted and ignored: the LAPACK
+eigensolver runs serially, and the option will be removed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .spectrum import (
 )
 
 GRID_ENV_VAR = "GRAPHBANDS_GRID"
+JOBS_HELP = "ignored (no-op, kept for compatibility; will be removed)"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("laplacian", "schrodinger", "normalized"),
             default="schrodinger",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel grid chunks")
+        p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
         p.add_argument("--out", help="output path (default: stdout)")
 
     analyze = sub.add_parser("analyze", help="band structure plus all applicable checks")
@@ -88,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--q-a", help="potentials override for the first graph")
     compare.add_argument("--q-b", help="potentials override for the second graph")
     compare.add_argument("--grid", type=int, help="points per torus axis")
-    compare.add_argument("--jobs", type=int, default=1)
+    compare.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     compare.add_argument("--check-tol", type=float, default=CHECK_TOL)
     compare.add_argument("--out", help="output path (default: stdout)")
 
@@ -212,7 +214,6 @@ def _cmd_analyze(args) -> int:
         spec,
         kind=args.kind,
         grid=grid,
-        jobs=args.jobs,
         check_tol=args.check_tol,
         flat_tol=args.flat_tol,
         refine=args.refine,
@@ -273,7 +274,7 @@ def _cmd_dispersion(args) -> int:
         thetas = _path_points(args.path, spec.dimension, args.samples)
     else:
         thetas = _resolve_grid(spec, args.grid).points()
-    values = grid_eigenvalues(spec, thetas, args.kind, jobs=args.jobs)
+    values = grid_eigenvalues(spec, thetas, args.kind)
     lines = [
         "# "
         + "\t".join(
@@ -299,7 +300,6 @@ def _cmd_compare(args) -> int:
         spec_b,
         grid_a=grid_a,
         grid_b=grid_b,
-        jobs=args.jobs,
         check_tol=args.check_tol,
     )
     params = {}

@@ -1,11 +1,9 @@
-"""Dense Hermitian eigensolver plus small exact-arithmetic helpers.
+"""Batched Hermitian eigensolver plus small exact-arithmetic helpers.
 
-The eigensolver is a cyclic Jacobi iteration with complex Givens rotations.
-Fiber matrices in this package are tiny (a handful of rows), so O(n^3) sweeps
-are cheap, and Jacobi is fully deterministic: the rotation sequence applied to
-a matrix depends only on that matrix's own entries, never on what else sits in
-the same batch.  The integer-lattice and GF(2) routines work on exact Python
-integers.
+Eigenvalues come from LAPACK through `np.linalg.eigvalsh` / `np.linalg.eigh`,
+which solve every matrix of a stack on its own, so a matrix's result does not
+depend on what else sits in the same batch.  The integer-lattice and GF(2)
+routines work on exact Python integers.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 50
 POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 100_000
 
@@ -30,109 +26,32 @@ class EigenResult:
     vectors: np.ndarray | None = None
 
 
-def _offdiag_norms(stack: np.ndarray) -> np.ndarray:
-    off = stack.copy()
-    idx = np.arange(stack.shape[-1])
-    off[:, idx, idx] = 0.0
-    return np.sqrt((np.abs(off) ** 2).sum(axis=(1, 2)))
-
-
-def _apply_rotation(mats: np.ndarray, vecs: np.ndarray | None, p: int, q: int) -> None:
-    """Zero the (p, q) entries of a stack of Hermitian matrices in place.
-
-    The unitary acts as the identity except on rows/columns p and q, where it
-    is the 2x2 rotation diag-phased so the pivot entry becomes real before
-    the classic symmetric Jacobi angle is applied.
-    """
-    apq = mats[:, p, q].copy()
-    r = np.abs(apq)
-    rotate = r > 0.0
-    if not rotate.any():
-        return
-    app = mats[:, p, p].real.copy()
-    aqq = mats[:, q, q].real.copy()
-    safe_r = np.where(rotate, r, 1.0)
-    phase = np.where(rotate, apq / safe_r, 1.0)
-    # cot(2*theta); smaller-angle root keeps the iteration contracting.
-    w = 0.5 * (app - aqq) / safe_r
-    t = np.sign(w) / (np.abs(w) + np.sqrt(1.0 + w * w))
-    t = np.where(w == 0.0, 1.0, t)
-    t = np.where(rotate, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    cs = c[:, None]
-    ss = s[:, None]
-    ph = phase[:, None]
-
-    col_p = mats[:, :, p].copy()
-    col_q = mats[:, :, q].copy()
-    mats[:, :, p] = cs * col_p + ss * np.conj(ph) * col_q
-    mats[:, :, q] = -ss * ph * col_p + cs * col_q
-    row_p = mats[:, p, :].copy()
-    row_q = mats[:, q, :].copy()
-    mats[:, p, :] = cs * row_p + ss * ph * row_q
-    mats[:, q, :] = -ss * np.conj(ph) * row_p + cs * row_q
-
-    # Closed forms keep the pivot exactly zero and the diagonal exactly real.
-    mats[:, p, p] = np.where(rotate, app + t * r, mats[:, p, p])
-    mats[:, q, q] = np.where(rotate, aqq - t * r, mats[:, q, q])
-    mats[:, p, q] = np.where(rotate, 0.0, mats[:, p, q])
-    mats[:, q, p] = np.where(rotate, 0.0, mats[:, q, p])
-
-    if vecs is not None:
-        vcol_p = vecs[:, :, p].copy()
-        vcol_q = vecs[:, :, q].copy()
-        vecs[:, :, p] = cs * vcol_p + ss * np.conj(ph) * vcol_q
-        vecs[:, :, q] = -ss * ph * vcol_p + cs * vcol_q
-
-
 def eigh_stack(stack: np.ndarray, want_vectors: bool = False):
     """Eigen-decompose a stack of Hermitian matrices, shape (..., n, n).
 
     Returns (values, vectors): values shape (batch, n) ascending per matrix,
     vectors shape (batch, n, n) with columns matching values, or None.
 
-    Matrices that have individually converged are frozen and never touched
-    again, so each matrix's result is bit-identical no matter how the stack
-    is chunked.
+    LAPACK reads only the lower triangle of each matrix, so the input must be
+    Hermitian: the upper triangle is ignored, not checked.  A LAPACK failure
+    or a non-finite output value raises NumericError.
     """
-    mats = np.array(stack, dtype=complex, order="C")
+    mats = np.asarray(stack, dtype=complex)
     if mats.ndim == 2:
         mats = mats[None]
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
         raise ParameterError("expected a square matrix or a stack of them")
-    if not (np.isfinite(mats.real).all() and np.isfinite(mats.imag).all()):
+    if not np.isfinite(mats).all():
         raise NumericError("non-finite entries in eigensolver input")
-    batch, n, _ = mats.shape
-
-    vecs = None
-    if want_vectors:
-        vecs = np.broadcast_to(np.eye(n, dtype=complex), (batch, n, n)).copy()
-
-    if n > 1:
-        fro = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
-        thresh = JACOBI_OFFDIAG_TOL * np.maximum(fro, np.finfo(float).tiny)
-        active = _offdiag_norms(mats) > thresh
-        for _ in range(JACOBI_MAX_SWEEPS):
-            if not active.any():
-                break
-            live = np.flatnonzero(active)
-            sub = mats[live]
-            subv = vecs[live] if want_vectors else None
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _apply_rotation(sub, subv, p, q)
-            mats[live] = sub
-            if want_vectors:
-                vecs[live] = subv
-            active[live] = _offdiag_norms(sub) > thresh[live]
-
-    values = np.diagonal(mats, axis1=1, axis2=2).real.copy()
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    if want_vectors:
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    try:
+        if want_vectors:
+            values, vecs = np.linalg.eigh(mats)
+        else:
+            values, vecs = np.linalg.eigvalsh(mats), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from None
+    if not np.isfinite(values).all() or (vecs is not None and not np.isfinite(vecs).all()):
+        raise NumericError("eigensolver returned non-finite values")
     return values, vecs
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +68,16 @@ class TorusGrid:
         axis = TWO_PI * (np.arange(self.points_per_axis) / self.points_per_axis)
         mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        have = set(map(tuple, pts.tolist()))
+        if self.points_per_axis % 2 == 0:
+            # TWO_PI * 0.5 == math.pi exactly, so every corner is a grid point.
+            return pts
+        # Odd m: pi is not an axis value, so append each corner holding a pi.
         extras = [
             corner
             for corner in itertools.product((0.0, math.pi), repeat=self.dimension)
-            if corner not in have
+            if math.pi in corner
         ]
-        if extras:
-            pts = np.vstack([pts, np.asarray(extras)])
-        return pts
+        return np.vstack([pts, np.asarray(extras)])
 
 
 @dataclass(frozen=True)
@@ -160,22 +160,9 @@ def _deviation(name: str, deviation: float, tol: float) -> InequalityCheck:
     return InequalityCheck(name, dev, 0.0, -dev, dev <= tol)
 
 
-def grid_eigenvalues(
-    spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str, jobs: int = 1
-) -> np.ndarray:
-    """Sorted fiber eigenvalues at every torus point, shape (P, nu).
-
-    With jobs > 1 the stack is split into contiguous chunks evaluated on a
-    thread pool; per-matrix convergence makes the result bit-identical to the
-    single-job run.
-    """
-    stack = fiber_stack(spec, thetas, kind)
-    if jobs <= 1 or stack.shape[0] < 2 * jobs:
-        return eigh_stack(stack)[0]
-    chunks = np.array_split(stack, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda chunk: eigh_stack(chunk)[0], chunks))
-    return np.concatenate(parts, axis=0)
+def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
+    """Sorted fiber eigenvalues at every torus point, shape (P, nu)."""
+    return eigh_stack(fiber_stack(spec, thetas, kind))[0]
 
 
 def fiber_eigenvalues(spec: PeriodicGraphSpec, theta, kind: str = "schrodinger") -> np.ndarray:
@@ -283,7 +270,6 @@ def compute_band_structure(
     flat_tol: float | None = None,
     merge_tol: float = FLAT_MERGE_TOL,
     refine: bool = False,
-    jobs: int = 1,
 ) -> BandStructure:
     """Sample the fiber over the torus grid and extract bands, flats and gaps."""
     if not is_connected_periodic(spec):
@@ -293,7 +279,7 @@ def compute_band_structure(
     elif grid.dimension != spec.dimension:
         raise ParameterError("grid dimension does not match the graph")
     thetas = grid.points()
-    values = grid_eigenvalues(spec, thetas, kind, jobs=jobs)
+    values = grid_eigenvalues(spec, thetas, kind)
     low_idx = values.argmin(axis=0)
     high_idx = values.argmax(axis=0)
     lows = values.min(axis=0)
@@ -314,12 +300,12 @@ def verify_total_band_bound(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     check_tol: float = CHECK_TOL,
     band_structure: BandStructure | None = None,
 ) -> EstimateReport:
     """Spectrum measure <= total band length <= twice the oriented bridge count."""
-    bs = band_structure or compute_band_structure(spec, kind, grid, jobs=jobs)
+    bs = band_structure or compute_band_structure(spec, kind, grid)
     count, _ = bridge_count(spec)
     band_sum = bs.band_length_sum
     checks = (
@@ -341,18 +327,18 @@ def verify_total_band_bound(
 def verify_gap_bound(
     spec: PeriodicGraphSpec,
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     check_tol: float = CHECK_TOL,
     band_structure: BandStructure | None = None,
     laplacian_structure: BandStructure | None = None,
 ) -> EstimateReport:
     """Total gap length dominates the hull length minus twice the bridge count."""
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid, jobs=jobs)
+    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
     if laplacian_structure is None:
         if all(q == 0.0 for q in spec.potentials()):
             laplacian_structure = bs
         else:
-            laplacian_structure = compute_band_structure(spec, "laplacian", grid, jobs=jobs)
+            laplacian_structure = compute_band_structure(spec, "laplacian", grid)
     count, _ = bridge_count(spec)
     potentials = spec.potentials()
     spread = max(potentials) - min(potentials)
@@ -380,7 +366,7 @@ def verify_gap_bound(
 def check_first_band_nondegenerate(
     spec: PeriodicGraphSpec,
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     band_structure: BandStructure | None = None,
 ):
     """(entry-modulus variation found, first band open).
@@ -394,7 +380,7 @@ def check_first_band_nondegenerate(
     moduli = np.abs(fiber_stack(spec, thetas, "laplacian"))
     variation = moduli.max(axis=0) - moduli.min(axis=0)
     condition = bool((variation > ENTRY_VARIATION_TOL).any())
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid, jobs=jobs)
+    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
     nondegenerate = bool(bs.bands[0].width > ENTRY_VARIATION_TOL)
     if condition and not nondegenerate:
         raise InvariantViolation(
@@ -406,7 +392,7 @@ def check_first_band_nondegenerate(
 def loop_band_endpoints(
     spec: PeriodicGraphSpec,
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     flat_tol: float | None = None,
     merge_tol: float = FLAT_MERGE_TOL,
 ) -> BandStructure:
@@ -431,7 +417,7 @@ def loop_band_endpoints(
         if grid is None:
             grid = TorusGrid.default_for(d)
         thetas = grid.points()
-        values = grid_eigenvalues(spec, thetas, "schrodinger", jobs=jobs)
+        values = grid_eigenvalues(spec, thetas, "schrodinger")
         highs = values.max(axis=0)
         argmaxs = [tuple(float(x) for x in thetas[i]) for i in values.argmax(axis=0)]
     return _assemble_structure(
@@ -483,7 +469,6 @@ def large_coupling_analysis(
     spec: PeriodicGraphSpec,
     t: float,
     grid: TorusGrid | None = None,
-    jobs: int = 1,
 ) -> LargeCouplingReport:
     """Compare exact bands of the operator with potential scaled by t against
     the expansion t*q_n + diag_n(theta) - (1/t) * sum_j |offdiag_jn|^2 / (q_j - q_n).
@@ -500,7 +485,7 @@ def large_coupling_analysis(
     idx = np.arange(spec.num_vertices)
     coupled = lap.copy()
     coupled[:, idx, idx] += t * potentials
-    values = eigh_stack(coupled)[0] if jobs <= 1 else _chunked_eigs(coupled, jobs)
+    values = eigh_stack(coupled)[0]
 
     order = np.argsort(potentials, kind="stable")
     expansion = np.empty_like(values)
@@ -534,7 +519,7 @@ def find_uniform_extremizers(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     tol: float = UNIFORM_EXTREMIZER_TOL,
     band_structure: BandStructure | None = None,
 ):
@@ -542,7 +527,7 @@ def find_uniform_extremizers(
 
     Scans {0, pi}^d; either entry is None when no corner works.
     """
-    bs = band_structure or compute_band_structure(spec, kind, grid, jobs=jobs)
+    bs = band_structure or compute_band_structure(spec, kind, grid)
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
     theta_minus = None
@@ -556,8 +541,8 @@ def find_uniform_extremizers(
     return theta_minus, theta_plus
 
 
-def _uniform_extremizers_or_raise(spec, label, grid, jobs, band_structure=None):
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid, jobs=jobs)
+def _uniform_extremizers_or_raise(spec, label, grid, band_structure=None):
+    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
     theta_minus, theta_plus = find_uniform_extremizers(spec, band_structure=bs)
     for side, theta in (("lower", theta_minus), ("upper", theta_plus)):
         if theta is None:
@@ -589,7 +574,7 @@ def stability_constants(
     spec_b: PeriodicGraphSpec,
     grid_a: TorusGrid | None = None,
     grid_b: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     check_tol: float = CHECK_TOL,
 ) -> EstimateReport:
     """Band-edge and gap-length variation between two graphs, bounded by the
@@ -603,8 +588,8 @@ def stability_constants(
         raise PreconditionError(
             f"vertex count mismatch: {spec_a.num_vertices} != {spec_b.num_vertices}"
         )
-    bs_a, minus_a, plus_a = _uniform_extremizers_or_raise(spec_a, "A", grid_a, jobs)
-    bs_b, minus_b, plus_b = _uniform_extremizers_or_raise(spec_b, "B", grid_b, jobs)
+    bs_a, minus_a, plus_a = _uniform_extremizers_or_raise(spec_a, "A", grid_a)
+    bs_b, minus_b, plus_b = _uniform_extremizers_or_raise(spec_b, "B", grid_b)
 
     def fiber(spec, theta):
         return fiber_stack(spec, np.atleast_2d(np.asarray(theta)), "schrodinger")[0]
@@ -761,7 +746,7 @@ def check_flat_band_block(
     split,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     band_structure: BandStructure | None = None,
 ):
     """Constant eigenvalues of the fiber block on `split` force flat bands.
@@ -782,7 +767,7 @@ def check_flat_band_block(
     thetas = grid.points()
     stack = fiber_stack(spec, thetas, kind)
     block = stack[:, split, :][:, :, split]
-    values = eigh_stack(block)[0] if jobs <= 1 else _chunked_eigs(block, jobs)
+    values = eigh_stack(block)[0]
     lows = values.min(axis=0)
     highs = values.max(axis=0)
     scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
@@ -802,7 +787,7 @@ def check_flat_band_block(
     found = [
         (float(sum(g) / len(g)), len(g)) for g in groups if len(g) >= 2
     ]
-    bs = band_structure or compute_band_structure(spec, kind, grid, jobs=jobs)
+    bs = band_structure or compute_band_structure(spec, kind, grid)
     for value, mult in found:
         matched = any(
             abs(fb.value - value) <= 1e-6 and fb.multiplicity >= mult - 1
@@ -816,18 +801,11 @@ def check_flat_band_block(
     return tuple(found)
 
 
-def _chunked_eigs(stack: np.ndarray, jobs: int) -> np.ndarray:
-    chunks = np.array_split(stack, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda chunk: eigh_stack(chunk)[0], chunks))
-    return np.concatenate(parts, axis=0)
-
-
 def estimate_suite(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    jobs: int = 1,
+    *,
     check_tol: float = CHECK_TOL,
     flat_tol: float | None = None,
     refine: bool = False,
@@ -841,9 +819,7 @@ def estimate_suite(
         raise PreconditionError("periodic cover is disconnected")
     if grid is None:
         grid = TorusGrid.default_for(spec.dimension)
-    bs = compute_band_structure(
-        spec, kind, grid, flat_tol=flat_tol, refine=refine, jobs=jobs
-    )
+    bs = compute_band_structure(spec, kind, grid, flat_tol=flat_tol, refine=refine)
     zero = (0.0,) * spec.dimension
     reports = []
 
@@ -863,15 +839,15 @@ def estimate_suite(
         bs0 = bs
     else:
         bs0 = compute_band_structure(
-            spec, "laplacian", grid, flat_tol=flat_tol, refine=refine, jobs=jobs
+            spec, "laplacian", grid, flat_tol=flat_tol, refine=refine
         )
 
     reports.append(
-        verify_total_band_bound(spec, kind, grid, jobs, check_tol, band_structure=bs)
+        verify_total_band_bound(spec, kind, grid, check_tol=check_tol, band_structure=bs)
     )
     reports.append(
         verify_gap_bound(
-            spec, grid, jobs, check_tol, band_structure=bs, laplacian_structure=bs0
+            spec, grid, check_tol=check_tol, band_structure=bs, laplacian_structure=bs0
         )
     )
 

@@ -2,8 +2,9 @@
 
 The eigenvalue oracle tridiagonalizes with Householder reflectors and then
 locates eigenvalues by bisection on the Sturm sign count, sharing no code
-path with the Jacobi solver under test.  The closed-form characteristic
-polynomials are hand-derived for the built-in lattices.
+path with the LAPACK solver under test (`np.linalg.eigvalsh`).  The
+closed-form characteristic polynomials are hand-derived for the built-in
+lattices.
 """
 
 from __future__ import annotations

@@ -147,6 +147,18 @@ def test_cli_reports_byte_identical_across_jobs(tmp_path, capsys):
     assert all(data == outputs[0] for data in outputs)
 
 
+def test_cli_analyze_subdivided_3_3_is_finite(capsys):
+    def reject(token):
+        raise AssertionError(f"non-finite number {token} in report")
+
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "subdivided(3,3)")
+    assert code == 0, err
+    report = json.loads(out, parse_constant=reject)
+    numbers = [band[key] for band in report["bands"] for key in ("low", "high")]
+    numbers += [row[key] for row in report["checks"] for key in ("lhs", "rhs", "slack")]
+    assert all(math.isfinite(x) for x in numbers)
+
+
 def test_cli_grid_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRAPHBANDS_GRID", "12")
     code, out, _ = run_cli(capsys, "analyze", "--builtin", "hexagonal")

@@ -3,6 +3,7 @@ import pytest
 
 from graphbands import (
     NumericError,
+    TorusGrid,
     ParameterError,
     block_determinant,
     gf2_solve,
@@ -11,8 +12,10 @@ from graphbands import (
     is_irreducible,
     spectral_radius_nonneg,
 )
-from graphbands.lattices import cubic, hexagonal
-from graphbands.floquet import adjacency_floquet, schrodinger_floquet
+from graphbands.cli import main as cli_main
+from graphbands.lattices import cubic, hexagonal, subdivided
+from graphbands.floquet import adjacency_floquet, fiber_stack, schrodinger_floquet
+from graphbands.linalg import eigh_stack
 
 from oracles import random_hermitian, sturm_eigenvalues
 
@@ -58,6 +61,41 @@ def test_determinism_bitwise():
     first = hermitian_eigs(mat).values
     second = hermitian_eigs(mat.copy()).values
     assert first.tolist() == second.tolist()
+
+
+def test_chunking_is_bitwise_invariant():
+    # The subdivided(3,3) fibers at grid 12 include matrices whose tiny
+    # off-diagonal entries once overflowed a rotation-based solver to NaN.
+    spec = subdivided(3, 3)
+    stack = fiber_stack(spec, TorusGrid(3, 12).points(), "schrodinger")
+    whole = eigh_stack(stack)[0]
+    assert np.isfinite(whole).all()
+    for parts in (4, 64):
+        chunked = np.concatenate(
+            [eigh_stack(chunk)[0] for chunk in np.array_split(stack, parts)]
+        )
+        assert chunked.tobytes() == whole.tobytes()
+
+
+def _failing_eigvalsh(mats):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _nan_eigvalsh(mats):
+    values = np.zeros(mats.shape[:-1])
+    values[0, 0] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("fake", [_failing_eigvalsh, _nan_eigvalsh])
+def test_solver_failure_raises_numeric_error(monkeypatch, capsys, fake):
+    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+    with pytest.raises(NumericError):
+        eigh_stack(np.eye(3)[None])
+    assert cli_main(["analyze", "--builtin", "hexagonal", "--grid", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eigensolver" in captured.err
 
 
 def test_nonfinite_input_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,33 @@ def test_grid_contains_corners():
         assert corner in pts
     with pytest.raises(ParameterError):
         TorusGrid(2, 1)
+
+
+def _points_with_corner_set(grid):
+    # Reference: the uniform grid plus every {0, pi}^d corner not already in
+    # it, found by exact set membership.
+    m = grid.points_per_axis
+    axis = 2.0 * math.pi * (np.arange(m) / m)
+    mesh = np.meshgrid(*([axis] * grid.dimension), indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    have = set(map(tuple, pts.tolist()))
+    extras = [
+        corner
+        for corner in itertools.product((0.0, math.pi), repeat=grid.dimension)
+        if corner not in have
+    ]
+    if extras:
+        pts = np.vstack([pts, np.asarray(extras)])
+    return pts
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_points_match_corner_set_reference(d, m):
+    pts = TorusGrid(d, m).points()
+    ref = _points_with_corner_set(TorusGrid(d, m))
+    assert pts.dtype == ref.dtype and pts.shape == ref.shape
+    assert pts.tobytes() == ref.tobytes()
 
 
 def test_default_grid_sizes():
@@ -145,12 +173,13 @@ def test_grid_refinement_containment():
         assert a.high <= b.high + 1e-12
 
 
-def test_jobs_do_not_change_results():
-    grid = TorusGrid(2, 24)
-    ref = compute_band_structure(star(2, 3), grid=grid, jobs=1)
-    for jobs in (2, 3, 4):
-        par = compute_band_structure(star(2, 3), grid=grid, jobs=jobs)
-        assert band_tuples(par) == band_tuples(ref)
+def test_positional_argument_after_grid_is_rejected():
+    # A stale positional argument in the slot `jobs` used to hold must fail
+    # loudly, not bind to a tolerance.
+    with pytest.raises(TypeError):
+        stability_constants(star(2, 3), star(2, 3), None, None, 4)
+    with pytest.raises(TypeError):
+        loop_band_endpoints(star(2, 3), None, 4)
 
 
 def test_refine_improves_off_grid_extrema():
