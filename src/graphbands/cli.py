@@ -227,7 +227,7 @@ def _cmd_analyze(args) -> int:
         "grid": {
             "dimension": grid.dimension,
             "points_per_axis": grid.points_per_axis,
-            "total_points": int(grid.points().shape[0]),
+            "total_points": grid.size,
         },
         "classification": _classification_doc(cls),
         "bands": [_band_doc(b) for b in bs.bands],
@@ -282,11 +282,9 @@ def _cmd_dispersion(args) -> int:
             + [f"lambda_{n + 1}" for n in range(spec.num_vertices)]
         )
     ]
-    for row, vals in zip(thetas, values):
-        cells = [graphio.format_float(float(x)) for x in row]
-        cells += [graphio.format_float(float(x)) for x in vals]
-        lines.append("\t".join(cells))
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines += graphio.format_rows(np.hstack([thetas, values]))
+    lines.append("")  # the trailing newline, without copying the joined text
+    _write_output("\n".join(lines), args.out)
     return 0
 
 

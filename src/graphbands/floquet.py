@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .graph import PeriodicGraphSpec, degrees, oriented_edges
+from .graph import PeriodicGraphSpec, degrees
 
 MATRIX_KINDS = ("adjacency", "laplacian", "schrodinger", "normalized", "fluctuation")
 
@@ -71,22 +71,28 @@ def _theta_rows(spec: PeriodicGraphSpec, theta) -> np.ndarray:
     return arr
 
 
-def _hermitize(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+def _edge_phase_sum(nv: int, edges, thetas: np.ndarray) -> np.ndarray:
+    """Sum over `edges` of exp(i <index, theta>) at (tail, head) and its
+    conjugate at (head, tail), shape (P, nu, nu).
+
+    Each edge is filled once, in one orientation, so the result is exactly
+    Hermitian; a loop gets both terms on its diagonal entry.
+    """
+    out = np.zeros((thetas.shape[0], nv, nv), dtype=complex)
+    for e in edges:
+        if any(e.index):
+            phases = np.exp(1j * (thetas @ np.asarray(e.index, dtype=float)))
+            out[:, e.tail, e.head] += phases
+            out[:, e.head, e.tail] += np.conj(phases)
+        else:
+            out[:, e.tail, e.head] += 1.0
+            out[:, e.head, e.tail] += 1.0
+    return out
 
 
 def adjacency_stack(spec: PeriodicGraphSpec, thetas: np.ndarray) -> np.ndarray:
     """Phase-summed adjacency matrices for a batch of torus points, (P, nu, nu)."""
-    npoints = thetas.shape[0]
-    nv = spec.num_vertices
-    out = np.zeros((npoints, nv, nv), dtype=complex)
-    for e in oriented_edges(spec):
-        if any(e.index):
-            phases = np.exp(1j * (thetas @ np.asarray(e.index, dtype=float)))
-            out[:, e.tail, e.head] += phases
-        else:
-            out[:, e.tail, e.head] += 1.0
-    return _hermitize(out)
+    return _edge_phase_sum(spec.num_vertices, spec.edges, thetas)
 
 
 def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
@@ -148,20 +154,12 @@ def fluctuation_split(spec: PeriodicGraphSpec, theta):
     the fiber exactly.
     """
     nv = spec.num_vertices
-    thetas = _theta_rows(spec, theta)
-    mean = np.zeros((nv, nv), dtype=complex)
-    fluct = np.zeros((nv, nv), dtype=complex)
-    for e in oriented_edges(spec):
-        if any(e.index):
-            fluct[e.tail, e.head] -= np.exp(
-                1j * float(thetas[0] @ np.asarray(e.index, dtype=float))
-            )
-        else:
-            mean[e.tail, e.head] -= 1.0
+    thetas = _theta_rows(spec, theta)[:1]
+    local = [e for e in spec.edges if not any(e.index)]
+    bridges = [e for e in spec.edges if any(e.index)]
+    mean = -_edge_phase_sum(nv, local, thetas)[0]
+    fluct = -_edge_phase_sum(nv, bridges, thetas)[0]
     idx = np.arange(nv)
     mean[idx, idx] += np.asarray(degrees(spec), dtype=float)
     mean[idx, idx] += np.asarray(spec.potentials())
-    return (
-        FloquetMatrix("schrodinger", _hermitize(mean[None])[0]),
-        FloquetMatrix("fluctuation", _hermitize(fluct[None])[0]),
-    )
+    return FloquetMatrix("schrodinger", mean), FloquetMatrix("fluctuation", fluct)

@@ -11,17 +11,36 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 from .graph import EdgeRecord, PeriodicGraphSpec, VertexInfo
 
 GRAPH_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
+ROW_BLOCK = 4096
 
 
 def format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValidationError("cannot serialize a non-finite number")
     return "%.17g" % value
+
+
+def format_rows(table) -> list[str]:
+    """Tab-separated rows of a 2-D float table, each cell as `format_float`."""
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise ValidationError("cannot serialize a non-finite number")
+    template = "\t".join(["%.17g"] * table.shape[1])
+    rows: list[str] = []
+    # Converting the whole table to Python floats at once would hold every
+    # cell as an object at the same time; a block at a time keeps peak
+    # memory near that of the formatted rows alone.
+    for start in range(0, table.shape[0], ROW_BLOCK):
+        block = table[start : start + ROW_BLOCK].tolist()
+        rows += [template % tuple(row) for row in block]
+    return rows
 
 
 def dumps(document) -> str:

@@ -1,10 +1,17 @@
 """Band structures over the torus and the quantitative spectral checks.
 
 A band structure samples the fiber matrix on a uniform grid (always extended
-by the 2^d corner points with components in {0, pi}), sorts eigenvalues at
-every point, and takes per-branch envelopes.  Branches of numerically zero
-width are flat bands; gaps are the maximal open intervals missing from the
-union of the open bands.
+by the 2^d corner points with components in {0, pi}), sorts the eigenvalues
+at each sampled point, and takes per-branch envelopes.  Potentials are real
+and edges carry unit weight, so H(-theta) = conj(H(theta)) has the spectrum
+of H(theta): every grid consumer here solves only the time-reversal
+representatives of the grid (`TorusGrid.representatives`), about half of
+its points.  Envelopes are the exact minima and maxima; the extremizer
+reported for a branch is the first grid point, in grid order, within
+EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so ties between
+symmetry-equivalent points do not depend on the last bits of the eigensolver.
+Branches of numerically zero width are flat bands; gaps are the maximal open
+intervals missing from the union of the open bands.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ FLAT_TOL_COEFF = 1e-9
 FLAT_MERGE_TOL = 1e-7
 CHECK_TOL = 1e-8
 UNIFORM_EXTREMIZER_TOL = 1e-8
+EXTREMIZER_TIE_TOL = 1e-12
 ENTRY_VARIATION_TOL = 1e-9
 REFINE_ITERATIONS = 40
 
@@ -78,6 +86,33 @@ class TorusGrid:
             if math.pi in corner
         ]
         return np.vstack([pts, np.asarray(extras)])
+
+    @property
+    def size(self) -> int:
+        """Number of rows of `points()`, without building them."""
+        m, d = self.points_per_axis, self.dimension
+        return m**d + (2**d - 1 if m % 2 else 0)
+
+    def representatives(self) -> np.ndarray:
+        """The time-reversal representatives of `points()`, in grid order.
+
+        A uniform point k is kept when its linear index is at most that of
+        (-k) mod m, so of each pair k, -k the one first in grid order is
+        kept; the pi corners appended to an odd grid are their own negations
+        and are all kept.  H(-theta) = conj(H(theta)) has the spectrum of
+        H(theta), so these points, (m^d + 2^d)/2 of them for even m, carry
+        every eigenvalue the full grid samples.
+        """
+        pts = self.points()
+        m, d = self.points_per_axis, self.dimension
+        shape = (m,) * d
+        index = np.arange(m**d)
+        negated = np.ravel_multi_index(
+            tuple((-k) % m for k in np.unravel_index(index, shape)), shape
+        )
+        keep = np.ones(pts.shape[0], dtype=bool)
+        keep[: m**d] = index <= negated
+        return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -165,6 +200,24 @@ def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> 
     return eigh_stack(fiber_stack(spec, thetas, kind))[0]
 
 
+def _envelopes(thetas: np.ndarray, values: np.ndarray):
+    """Per-branch (lows, highs, argmins, argmaxs) over sampled points.
+
+    lows and highs are the exact minima and maxima; each extremizer is the
+    first point, in row order, within EXTREMIZER_TIE_TOL * (1 + scale) of
+    its envelope.
+    """
+    lows = values.min(axis=0)
+    highs = values.max(axis=0)
+    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
+    tie = EXTREMIZER_TIE_TOL * (1.0 + scale)
+    low_idx = (values <= lows + tie).argmax(axis=0)
+    high_idx = (values >= highs - tie).argmax(axis=0)
+    argmins = [tuple(float(x) for x in thetas[i]) for i in low_idx]
+    argmaxs = [tuple(float(x) for x in thetas[i]) for i in high_idx]
+    return lows, highs, argmins, argmaxs
+
+
 def fiber_eigenvalues(spec: PeriodicGraphSpec, theta, kind: str = "schrodinger") -> np.ndarray:
     """Sorted eigenvalues of one fiber matrix."""
     arr = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -187,6 +240,30 @@ def _interval_union(opens, min_gap: float):
             cur_hi = max(cur_hi, hi)
     measure += cur_hi - cur_lo
     return float(measure), tuple(gaps)
+
+
+def _flat_groups(lows, highs, tol: float, merge_tol: float):
+    """(indices of open branches, [(value, multiplicity)] of flat bands).
+
+    A branch is flat when its width is at most tol; adjacent flat branches
+    whose midpoints differ by at most merge_tol form one flat band valued at
+    the mean of their midpoints.
+    """
+    opens = []
+    groups: list[list[float]] = []
+    previous_flat = False
+    for n, (low, high) in enumerate(zip(lows, highs)):
+        if high - low <= tol:
+            value = 0.5 * (low + high)
+            if previous_flat and abs(groups[-1][-1] - value) <= merge_tol:
+                groups[-1].append(value)
+            else:
+                groups.append([value])
+            previous_flat = True
+        else:
+            opens.append(n)
+            previous_flat = False
+    return opens, [(float(sum(g) / len(g)), len(g)) for g in groups]
 
 
 def _assemble_structure(
@@ -212,23 +289,11 @@ def _assemble_structure(
         )
         for n in range(nu)
     )
-    open_bands = []
-    flat_groups: list[list[float]] = []
-    previous_flat = False
-    for band in bands:
-        if band.width <= tol:
-            value = 0.5 * (band.low + band.high)
-            if previous_flat and abs(flat_groups[-1][-1] - value) <= merge_tol:
-                flat_groups[-1].append(value)
-            else:
-                flat_groups.append([value])
-            previous_flat = True
-        else:
-            open_bands.append(band)
-            previous_flat = False
-    flats = tuple(
-        FlatBand(float(sum(group) / len(group)), len(group)) for group in flat_groups
+    opens, groups = _flat_groups(
+        [b.low for b in bands], [b.high for b in bands], tol, merge_tol
     )
+    open_bands = [bands[n] for n in opens]
+    flats = tuple(FlatBand(value, mult) for value, mult in groups)
     measure, gaps = _interval_union([(b.low, b.high) for b in open_bands], tol)
     return BandStructure(
         kind=kind,
@@ -278,17 +343,11 @@ def compute_band_structure(
         grid = TorusGrid.default_for(spec.dimension)
     elif grid.dimension != spec.dimension:
         raise ParameterError("grid dimension does not match the graph")
-    thetas = grid.points()
-    values = grid_eigenvalues(spec, thetas, kind)
-    low_idx = values.argmin(axis=0)
-    high_idx = values.argmax(axis=0)
-    lows = values.min(axis=0)
-    highs = values.max(axis=0)
-    argmins = [tuple(float(x) for x in thetas[i]) for i in low_idx]
-    argmaxs = [tuple(float(x) for x in thetas[i]) for i in high_idx]
+    thetas = grid.representatives()
+    lows, highs, argmins, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, kind))
     if refine:
         step = TWO_PI / grid.points_per_axis
-        for n in range(values.shape[1]):
+        for n in range(len(lows)):
             lo, arg_lo = _refine_extremum(spec, kind, n, argmins[n], step, False)
             hi, arg_hi = _refine_extremum(spec, kind, n, argmaxs[n], step, True)
             lows[n], argmins[n] = lo, arg_lo
@@ -376,8 +435,7 @@ def check_first_band_nondegenerate(
     """
     if grid is None:
         grid = TorusGrid.default_for(spec.dimension)
-    thetas = grid.points()
-    moduli = np.abs(fiber_stack(spec, thetas, "laplacian"))
+    moduli = np.abs(fiber_stack(spec, grid.representatives(), "laplacian"))
     variation = moduli.max(axis=0) - moduli.min(axis=0)
     condition = bool((variation > ENTRY_VARIATION_TOL).any())
     bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
@@ -416,10 +474,8 @@ def loop_band_endpoints(
     else:
         if grid is None:
             grid = TorusGrid.default_for(d)
-        thetas = grid.points()
-        values = grid_eigenvalues(spec, thetas, "schrodinger")
-        highs = values.max(axis=0)
-        argmaxs = [tuple(float(x) for x in thetas[i]) for i in values.argmax(axis=0)]
+        thetas = grid.representatives()
+        _, highs, _, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, "schrodinger"))
     return _assemble_structure(
         "schrodinger", grid, np.asarray(lows), np.asarray(highs), argmins, argmaxs, flat_tol, merge_tol
     )
@@ -480,7 +536,7 @@ def large_coupling_analysis(
         raise ParameterError("coupling constant t must be nonzero")
     if grid is None:
         grid = TorusGrid.default_for(spec.dimension)
-    thetas = grid.points()
+    thetas = grid.representatives()
     lap = fiber_stack(spec, thetas, "laplacian")
     idx = np.arange(spec.num_vertices)
     coupled = lap.copy()
@@ -515,6 +571,24 @@ def large_coupling_analysis(
     return LargeCouplingReport(float(t), limit, measure, measure - limit, deviation)
 
 
+def _corner_deviations(spec, kind, bs):
+    """The 2^d corners of {0, pi}^d and, for the lower then the upper band
+    edges, each corner's |eigenvalue - edge| per band, shape (2^d, nu).
+
+    All corners are solved in one batch.
+    """
+    corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
+    values = eigh_stack(fiber_stack(spec, np.asarray(corners), kind))[0]
+    lows = np.asarray([b.low for b in bs.bands])
+    highs = np.asarray([b.high for b in bs.bands])
+    return corners, (np.abs(values - lows), np.abs(values - highs))
+
+
+def _first_corner_within(corners, deviation, tol):
+    hits = np.flatnonzero(deviation.max(axis=1) <= tol)
+    return corners[hits[0]] if hits.size else None
+
+
 def find_uniform_extremizers(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
@@ -528,41 +602,26 @@ def find_uniform_extremizers(
     Scans {0, pi}^d; either entry is None when no corner works.
     """
     bs = band_structure or compute_band_structure(spec, kind, grid)
-    lows = np.asarray([b.low for b in bs.bands])
-    highs = np.asarray([b.high for b in bs.bands])
-    theta_minus = None
-    theta_plus = None
-    for corner in itertools.product((0.0, math.pi), repeat=spec.dimension):
-        values = fiber_eigenvalues(spec, corner, kind)
-        if theta_minus is None and np.abs(values - lows).max() <= tol:
-            theta_minus = corner
-        if theta_plus is None and np.abs(values - highs).max() <= tol:
-            theta_plus = corner
-    return theta_minus, theta_plus
+    corners, deviations = _corner_deviations(spec, kind, bs)
+    return tuple(_first_corner_within(corners, dev, tol) for dev in deviations)
 
 
 def _uniform_extremizers_or_raise(spec, label, grid, band_structure=None):
     bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
-    theta_minus, theta_plus = find_uniform_extremizers(spec, band_structure=bs)
-    for side, theta in (("lower", theta_minus), ("upper", theta_plus)):
+    corners, deviations = _corner_deviations(spec, "schrodinger", bs)
+    found = []
+    for side, deviation in zip(("lower", "upper"), deviations):
+        theta = _first_corner_within(corners, deviation, UNIFORM_EXTREMIZER_TOL)
         if theta is None:
-            extrema = (
-                np.asarray([b.low for b in bs.bands])
-                if side == "lower"
-                else np.asarray([b.high for b in bs.bands])
-            )
-            best_corner, best_dev, best_band = None, math.inf, -1
-            for corner in itertools.product((0.0, math.pi), repeat=spec.dimension):
-                deltas = np.abs(fiber_eigenvalues(spec, corner, "schrodinger") - extrema)
-                if deltas.max() < best_dev:
-                    best_dev = float(deltas.max())
-                    best_corner = corner
-                    best_band = int(deltas.argmax())
+            worst = deviation.max(axis=1)
+            best = int(worst.argmin())
             raise PreconditionError(
                 f"graph {label}: no corner point attains every {side} band endpoint "
-                f"(best corner {best_corner} misses band {best_band + 1} by {best_dev:.3e})"
+                f"(best corner {corners[best]} misses band "
+                f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
             )
-    return bs, theta_minus, theta_plus
+        found.append(theta)
+    return bs, found[0], found[1]
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -764,29 +823,15 @@ def check_flat_band_block(
         raise ParameterError("split references an invalid vertex index")
     if grid is None:
         grid = TorusGrid.default_for(spec.dimension)
-    thetas = grid.points()
-    stack = fiber_stack(spec, thetas, kind)
+    stack = fiber_stack(spec, grid.representatives(), kind)
     block = stack[:, split, :][:, :, split]
     values = eigh_stack(block)[0]
     lows = values.min(axis=0)
     highs = values.max(axis=0)
     scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
     tol = FLAT_TOL_COEFF * (1.0 + scale)
-    groups: list[list[float]] = []
-    previous = False
-    for n in range(nv - 1):
-        if highs[n] - lows[n] <= tol:
-            value = 0.5 * (lows[n] + highs[n])
-            if previous and abs(groups[-1][-1] - value) <= FLAT_MERGE_TOL:
-                groups[-1].append(value)
-            else:
-                groups.append([value])
-            previous = True
-        else:
-            previous = False
-    found = [
-        (float(sum(g) / len(g)), len(g)) for g in groups if len(g) >= 2
-    ]
+    _, groups = _flat_groups(lows.tolist(), highs.tolist(), tol, FLAT_MERGE_TOL)
+    found = [(value, mult) for value, mult in groups if mult >= 2]
     bs = band_structure or compute_band_structure(spec, kind, grid)
     for value, mult in found:
         matched = any(

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from graphbands import (
+    EdgeRecord,
+    PeriodicGraphSpec,
     Quasimomentum,
+    VertexInfo,
     adjacency_floquet,
     degrees,
     fluctuation_split,
     laplacian_floquet,
     normalized_floquet,
+    oriented_edges,
     schrodinger_floquet,
     shift_origin,
 )
-from graphbands.floquet import fiber_stack
+from graphbands.floquet import adjacency_stack, fiber_stack
 from graphbands.linalg import hermitian_eigs
 from graphbands.lattices import (
     bcc,
@@ -179,6 +183,62 @@ def test_fibers_are_hermitian_everywhere():
             stack = fiber_stack(spec, theta, kind)
             scale = max(np.abs(stack).max(), 1.0)
             assert np.abs(stack - np.conj(np.swapaxes(stack, 1, 2))).max() < 1e-12 * scale
+
+
+def _two_orientation_adjacency(spec, thetas):
+    # Reference: fill both orientations of every edge, then average with the
+    # conjugate transpose.
+    out = np.zeros((thetas.shape[0], spec.num_vertices, spec.num_vertices), dtype=complex)
+    for e in oriented_edges(spec):
+        if any(e.index):
+            out[:, e.tail, e.head] += np.exp(1j * (thetas @ np.asarray(e.index, dtype=float)))
+        else:
+            out[:, e.tail, e.head] += 1.0
+    return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
+
+
+# Zero-index and crossing loops, parallel edges, and a loop crossing on two
+# axes at once.
+LOOPY_SPECS = [
+    PeriodicGraphSpec(
+        2,
+        (VertexInfo("a", 0.5), VertexInfo("b", -1.0), VertexInfo("c", 2.0)),
+        (
+            EdgeRecord(0, 0, (0, 0)),
+            EdgeRecord(0, 0, (1, 0)),
+            EdgeRecord(0, 0, (1, 0)),
+            EdgeRecord(1, 1, (1, -2)),
+            EdgeRecord(0, 1, (0, 0)),
+            EdgeRecord(0, 1, (0, 0)),
+            EdgeRecord(1, 0, (0, 1)),
+            EdgeRecord(0, 1, (0, -1)),
+            EdgeRecord(1, 2, (3, 1)),
+            EdgeRecord(2, 1, (-3, -1)),
+            EdgeRecord(2, 2, (0, 1)),
+        ),
+    ),
+    PeriodicGraphSpec(
+        1,
+        (VertexInfo("a", 0.0),),
+        (EdgeRecord(0, 0, (1,)), EdgeRecord(0, 0, (2,)), EdgeRecord(0, 0, (0,))),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", LOOPY_SPECS + ALL_SPECS)
+def test_one_orientation_fill_matches_two_orientation_reference(spec):
+    rng = np.random.default_rng(14)
+    thetas = np.vstack(
+        [rng.uniform(0.0, 2 * PI, size=(16, spec.dimension)), np.zeros((1, spec.dimension))]
+    )
+    stack = adjacency_stack(spec, thetas)
+    assert np.abs(stack - _two_orientation_adjacency(spec, thetas)).max() <= 1e-15
+    assert np.array_equal(stack, np.conj(np.swapaxes(stack, 1, 2)))
+    mean, fluct = fluctuation_split(spec, thetas[0])
+    assert np.array_equal(mean.entries, np.conj(mean.entries.T))
+    assert np.array_equal(fluct.entries, np.conj(fluct.entries.T))
+    ham = schrodinger_floquet(spec, thetas[0]).entries
+    assert np.abs(mean.entries + fluct.entries - ham).max() < 1e-14
 
 
 def test_periodicity_after_canonicalization():

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from graphbands import ValidationError
+from graphbands import ValidationError, cli
 from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
+    format_float,
     load_graph,
     parse_graph,
     save_graph,
@@ -211,6 +212,53 @@ def test_cli_dispersion_flat_row_for_subdivided(capsys):
         if np.abs(columns[:, c] - 2.0).max() < 1e-9
     ]
     assert len(flat_columns) == 1
+
+
+def _capture_grid_eigenvalues(monkeypatch, transform=lambda values: values):
+    seen = {}
+    solve = cli.grid_eigenvalues
+
+    def capture(spec, thetas, kind):
+        seen["thetas"] = thetas
+        seen["values"] = transform(solve(spec, thetas, kind))
+        return seen["values"]
+
+    monkeypatch.setattr(cli, "grid_eigenvalues", capture)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dispersion", "--builtin", "fcc", "--grid", "7"),
+        # 65^2 + 3 rows: more than one block of graphio.ROW_BLOCK rows.
+        ("dispersion", "--builtin", "hexagonal", "--grid", "65"),
+        ("dispersion", "--builtin", "hexagonal", "--path", "0,0:2pi/3,-2pi/3:pi,pi",
+         "--samples", "9"),
+    ],
+)
+def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv):
+    seen = _capture_grid_eigenvalues(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = [
+        "\t".join(format_float(float(x)) for x in list(theta) + list(vals))
+        for theta, vals in zip(seen["thetas"], seen["values"])
+    ]
+    assert out.split("\n", 1)[1] == "\n".join(rows) + "\n"
+
+
+def test_cli_dispersion_non_finite_value_exits_one(capsys, monkeypatch):
+    def poison(values):
+        values = values.copy()
+        values[3, 1] = np.nan
+        return values
+
+    _capture_grid_eigenvalues(monkeypatch, poison)
+    code, out, err = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--grid", "6")
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
 
 
 def test_cli_compare_same_file(tmp_path, capsys):

@@ -24,6 +24,9 @@ from graphbands import (
     with_potentials,
 )
 from graphbands import EdgeRecord, PeriodicGraphSpec, VertexInfo
+from graphbands.floquet import fiber_stack
+from graphbands.linalg import eigh_stack
+from graphbands.spectrum import EXTREMIZER_TIE_TOL
 from graphbands.lattices import (
     FiniteGraph,
     bcc,
@@ -78,6 +81,29 @@ def test_grid_points_match_corner_set_reference(d, m):
     ref = _points_with_corner_set(TorusGrid(d, m))
     assert pts.dtype == ref.dtype and pts.shape == ref.shape
     assert pts.tobytes() == ref.tobytes()
+    assert TorusGrid(d, m).size == len(pts)
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_representatives_cover_the_grid_up_to_negation(d, m):
+    grid = TorusGrid(d, m)
+    pts = grid.points()
+    reps = grid.representatives()
+    expected = (m**d + 2**d) // 2 if m % 2 == 0 else (m**d + 1) // 2 + 2**d - 1
+    assert len(reps) == expected
+    # Coordinates in units of pi/m are integers for grid points and pi
+    # corners alike; negation mod 2*pi is negation mod 2m.
+    units = np.rint(pts * m / math.pi).astype(int) % (2 * m)
+    rep_units = np.rint(reps * m / math.pi).astype(int) % (2 * m)
+    kept = set(map(tuple, rep_units.tolist()))
+    for point in units.tolist():
+        negated = tuple((-c) % (2 * m) for c in point)
+        assert tuple(point) in kept or negated in kept
+    # Representatives keep grid order: they are a subsequence of points().
+    rows = {row: i for i, row in enumerate(map(tuple, pts.tolist()))}
+    order = [rows[row] for row in map(tuple, reps.tolist())]
+    assert order == sorted(order)
 
 
 def test_default_grid_sizes():
@@ -85,6 +111,44 @@ def test_default_grid_sizes():
     assert TorusGrid.default_for(2).points_per_axis == 96
     assert TorusGrid.default_for(3).points_per_axis == 24
     assert TorusGrid.default_for(4).points_per_axis == 12
+
+
+def _full_grid_envelopes(spec, kind, grid):
+    # Reference: solve every grid point and take, per branch, the first point
+    # within the tie tolerance of the exact minimum or maximum.
+    thetas = grid.points()
+    values = eigh_stack(fiber_stack(spec, thetas, kind))[0]
+    lows, highs = values.min(axis=0), values.max(axis=0)
+    tie = EXTREMIZER_TIE_TOL * (1.0 + max(np.abs(lows).max(), np.abs(highs).max()))
+    argmins, argmaxs = [], []
+    for n in range(values.shape[1]):
+        argmins.append(tuple(thetas[np.flatnonzero(values[:, n] <= lows[n] + tie)[0]]))
+        argmaxs.append(tuple(thetas[np.flatnonzero(values[:, n] >= highs[n] - tie)[0]]))
+    return lows, highs, argmins, argmaxs
+
+
+@pytest.mark.parametrize("m", [12, 13])
+@pytest.mark.parametrize(
+    "spec",
+    [hexagonal(), hexagonal(q=(1.0, -1.0)), fcc(), star(2, 6), subdivided(2, 4),
+     subdivided(3, 3), triangular(), cubic(3), bcc()],
+)
+def test_half_torus_matches_full_grid_reference(spec, m):
+    grid = TorusGrid(spec.dimension, m)
+    bs = compute_band_structure(spec, "schrodinger", grid)
+    lows, highs, argmins, argmaxs = _full_grid_envelopes(spec, "schrodinger", grid)
+    assert np.abs(np.array([b.low for b in bs.bands]) - lows).max() <= 1e-12
+    assert np.abs(np.array([b.high for b in bs.bands]) - highs).max() <= 1e-12
+    assert [b.argmin for b in bs.bands] == argmins
+    assert [b.argmax for b in bs.bands] == argmaxs
+
+
+def test_flat_band_extremizers_are_the_first_grid_point():
+    # Every point ties on a flat branch, so the tie rule reports theta = 0
+    # whatever the last bits of the eigenvalues are.
+    bs = compute_band_structure(fcc(), "laplacian")
+    for band in bs.bands[1:3]:
+        assert band.argmin == band.argmax == (0.0, 0.0, 0.0)
 
 
 def test_hexagonal_band_structure():
