@@ -71,7 +71,11 @@ def spectral_radius_nonneg(matrix) -> float:
     """Dominant eigenvalue of an entrywise nonnegative matrix.
 
     Power iteration from the all-ones vector; for an irreducible matrix this
-    converges to the simple dominant (Perron) root.
+    converges to the simple dominant (Perron) root.  Once an iterate comes
+    back bit for bit to an earlier one while the ratio still moves, the
+    iteration cycles forever (a periodic support oscillates with period 2,
+    or a multiple of it at the last bit), so that raises NumericError at once
+    instead of after POWER_ITER_MAX steps.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -80,14 +84,22 @@ def spectral_radius_nonneg(matrix) -> float:
         raise ParameterError("negative entry: spectral_radius_nonneg needs entries >= 0")
     x = np.ones(mat.shape[0])
     estimate = -1.0
-    for _ in range(POWER_ITER_MAX):
+    # Brent's cycle detection: compare each iterate with the one saved at the
+    # last power-of-two step.
+    saved, next_save = None, 1
+    for step in range(1, POWER_ITER_MAX + 1):
         y = mat @ x
         top = np.abs(y).max()
         if top == 0.0:
             return 0.0
-        x = y / top
         if abs(top - estimate) <= POWER_ITER_TOL * top:
             return float(top)
+        # From a recurring x, every later step repeats a test that failed.
+        if saved is not None and np.array_equal(x, saved):
+            raise NumericError("power iteration cycles without converging (matrix may be periodic)")
+        if step == next_save:
+            saved, next_save = x, 2 * next_save
+        x = y / top
         estimate = top
     raise NumericError("power iteration did not converge (matrix may be reducible)")
 

@@ -307,25 +307,34 @@ def _assemble_structure(
     )
 
 
-def _refine_extremum(spec, kind, branch, theta, step, want_max):
-    """Coordinate descent from a grid point, halving the step on stalls."""
-    theta = np.asarray(theta, dtype=float).copy()
-    sign = -1.0 if want_max else 1.0
-    best = sign * fiber_eigenvalues(spec, theta, kind)[branch]
+def _refine_extrema(spec, kind, starts, branches, signs, step):
+    """Coordinate descents from grid points, halving each step on a stall.
+
+    Descent j minimizes signs[j] * lambda_{branches[j]} from starts[j].  The
+    descents run in lockstep: the trials of one (sweep, axis, direction) are
+    solved in one batch.  Returns the extrema and the points attaining them.
+    """
+    thetas = np.array(starts, dtype=float)
+    rows = np.arange(len(thetas))
+
+    def objective(points):
+        return signs * eigh_stack(fiber_stack(spec, points, kind))[0][rows, branches]
+
+    best = objective(thetas)
+    steps = np.full(len(thetas), step)
     for _ in range(REFINE_ITERATIONS):
-        moved = False
-        for axis in range(theta.shape[0]):
-            for delta in (step, -step):
-                trial = theta.copy()
-                trial[axis] += delta
-                value = sign * fiber_eigenvalues(spec, trial, kind)[branch]
-                if value < best:
-                    best = value
-                    theta = trial
-                    moved = True
-        if not moved:
-            step *= 0.5
-    return sign * best, tuple(float(x) for x in theta)
+        moved = np.zeros(len(thetas), dtype=bool)
+        for axis in range(thetas.shape[1]):
+            for delta in (steps, -steps):
+                trials = thetas.copy()
+                trials[:, axis] += delta
+                values = objective(trials)
+                better = values < best
+                best[better] = values[better]
+                thetas[better] = trials[better]
+                moved |= better
+        steps[~moved] *= 0.5
+    return signs * best, [tuple(float(x) for x in theta) for theta in thetas]
 
 
 def compute_band_structure(
@@ -346,12 +355,17 @@ def compute_band_structure(
     thetas = grid.representatives()
     lows, highs, argmins, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, kind))
     if refine:
-        step = TWO_PI / grid.points_per_axis
-        for n in range(len(lows)):
-            lo, arg_lo = _refine_extremum(spec, kind, n, argmins[n], step, False)
-            hi, arg_hi = _refine_extremum(spec, kind, n, argmaxs[n], step, True)
-            lows[n], argmins[n] = lo, arg_lo
-            highs[n], argmaxs[n] = hi, arg_hi
+        nu = len(lows)
+        extrema, points = _refine_extrema(
+            spec,
+            kind,
+            argmins + argmaxs,
+            np.tile(np.arange(nu), 2),
+            np.repeat([1.0, -1.0], nu),
+            TWO_PI / grid.points_per_axis,
+        )
+        lows, highs = extrema[:nu], extrema[nu:]
+        argmins, argmaxs = points[:nu], points[nu:]
     return _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
 
 
@@ -897,7 +911,7 @@ def estimate_suite(
     )
 
     zero_vals0 = fiber_eigenvalues(spec, zero, "laplacian")
-    zero_vals = fiber_eigenvalues(spec, zero, kind)
+    zero_vals = zero_vals0 if kind == "laplacian" else fiber_eigenvalues(spec, zero, kind)
     containment = (
         _check("0<=laplacian-min", 0.0, bs0.bands[0].low, check_tol),
         _check("laplacian-max<=2*max-degree", bs0.bands[-1].high, 2.0 * cls.max_degree, check_tol),

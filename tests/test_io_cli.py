@@ -9,6 +9,7 @@ from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
     format_float,
+    format_rows,
     load_graph,
     parse_graph,
     save_graph,
@@ -227,11 +228,15 @@ def _capture_grid_eigenvalues(monkeypatch, transform=lambda values: values):
     return seen
 
 
+def _per_cell_rows(table):
+    return ["\t".join(format_float(float(x)) for x in row) for row in table]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("dispersion", "--builtin", "fcc", "--grid", "7"),
-        # 65^2 + 3 rows: more than one block of graphio.ROW_BLOCK rows.
+        # 65^2 + 3 rows, with the pi corners appended to the odd grid.
         ("dispersion", "--builtin", "hexagonal", "--grid", "65"),
         ("dispersion", "--builtin", "hexagonal", "--path", "0,0:2pi/3,-2pi/3:pi,pi",
          "--samples", "9"),
@@ -241,11 +246,33 @@ def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv
     seen = _capture_grid_eigenvalues(monkeypatch)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    rows = [
-        "\t".join(format_float(float(x)) for x in list(theta) + list(vals))
-        for theta, vals in zip(seen["thetas"], seen["values"])
-    ]
+    rows = _per_cell_rows(np.hstack([seen["thetas"], seen["values"]]))
     assert out.split("\n", 1)[1] == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0], [0.0, -0.0]]),
+        np.array([[5e-324, -5e-324], [2.225073858507201e-308, 5e-324], [1e-310, 1e-310]]),
+        np.column_stack([np.full(40, 2.0 / 3.0), np.arange(40.0)]),
+        np.random.default_rng(7).standard_normal((200, 3)),
+        np.empty((0, 3)),
+        np.array([[1.5], [-0.0], [1.5], [1e300], [0.0]]),
+    ],
+    ids=["signed-zeros", "subnormals", "one-value-column", "no-repeats", "no-rows", "one-column"],
+)
+def test_format_rows_matches_per_cell_formatting(table):
+    assert format_rows(table) == _per_cell_rows(table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 2)])
+def test_format_rows_rejects_non_finite(bad, cell):
+    table = np.ones((5, 3))
+    table[cell] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        format_rows(table)
 
 
 def test_cli_dispersion_non_finite_value_exits_one(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from graphbands import (
 from graphbands.cli import main as cli_main
 from graphbands.lattices import cubic, hexagonal, subdivided
 from graphbands.floquet import adjacency_floquet, fiber_stack, schrodinger_floquet
-from graphbands.linalg import eigh_stack
+from graphbands.linalg import POWER_ITER_MAX, POWER_ITER_TOL, eigh_stack
 
 from oracles import random_hermitian, sturm_eigenvalues
 
@@ -138,6 +138,53 @@ def test_spectral_radius_nonconvergence_reported():
     mat = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(NumericError):
         spectral_radius_nonneg(mat)
+
+
+def _bipartite(rng, a, b):
+    block = rng.uniform(0.01, 1.0, size=(a, b))
+    return np.block([[np.zeros((a, a)), block], [block.T, np.zeros((b, b))]])
+
+
+def _power_iteration_reference(mat):
+    # The loop without the cycle check; None where it runs out.
+    x = np.ones(mat.shape[0])
+    estimate = -1.0
+    for _ in range(POWER_ITER_MAX):
+        y = mat @ x
+        top = np.abs(y).max()
+        if top == 0.0:
+            return 0.0
+        x = y / top
+        if abs(top - estimate) <= POWER_ITER_TOL * top:
+            return float(top)
+        estimate = top
+    return None
+
+
+def test_spectral_radius_cycle_detected():
+    # Bipartite support: the iterate settles into an exact cycle (period 2,
+    # or 4 at the last bit for the 3 x 3 block), reported at once instead of
+    # after POWER_ITER_MAX steps.
+    rng = np.random.default_rng(27)
+    for a, b in [(1, 2), (2, 3), (3, 3), (4, 2), (5, 4)]:
+        with pytest.raises(NumericError, match="cycles"):
+            spectral_radius_nonneg(_bipartite(rng, a, b))
+
+
+def test_spectral_radius_matches_plain_power_iteration():
+    # A small diagonal makes a bipartite matrix converge slowly through a
+    # near 2-cycle, which must not be mistaken for one.
+    rng = np.random.default_rng(28)
+    mats = [
+        _bipartite(rng, 3, 4) + 1e-2 * np.eye(7),
+        rng.uniform(0.0, 1.0, size=(5, 5)),
+        adjacency_floquet(hexagonal(), (0.0, 0.0)).entries.real + np.eye(2),
+        np.zeros((3, 3)),
+    ]
+    for mat in mats:
+        expected = _power_iteration_reference(mat)
+        assert expected is not None
+        assert spectral_radius_nonneg(mat) == expected
 
 
 def test_irreducibility_cases():

@@ -26,7 +26,8 @@ from graphbands import (
 from graphbands import EdgeRecord, PeriodicGraphSpec, VertexInfo
 from graphbands.floquet import fiber_stack
 from graphbands.linalg import eigh_stack
-from graphbands.spectrum import EXTREMIZER_TIE_TOL
+from graphbands import spectrum
+from graphbands.spectrum import EXTREMIZER_TIE_TOL, REFINE_ITERATIONS
 from graphbands.lattices import (
     FiniteGraph,
     bcc,
@@ -255,6 +256,65 @@ def test_refine_improves_off_grid_extrema():
     assert plain.bands[0].high < 9.0 - 1e-6
     assert refined.bands[0].high == pytest.approx(9.0, abs=1e-6)
     assert refined.bands[0].high <= 9.0 + 1e-9
+
+
+def _refine_extremum_reference(spec, kind, branch, theta, step, want_max):
+    # The one-trial-per-solve coordinate descent that the lockstep batch
+    # replaced; it must give the same bits.
+    theta = np.asarray(theta, dtype=float).copy()
+    sign = -1.0 if want_max else 1.0
+    best = sign * fiber_eigenvalues(spec, theta, kind)[branch]
+    for _ in range(REFINE_ITERATIONS):
+        moved = False
+        for axis in range(theta.shape[0]):
+            for delta in (step, -step):
+                trial = theta.copy()
+                trial[axis] += delta
+                value = sign * fiber_eigenvalues(spec, trial, kind)[branch]
+                if value < best:
+                    best = value
+                    theta = trial
+                    moved = True
+        if not moved:
+            step *= 0.5
+    return sign * best, tuple(float(x) for x in theta)
+
+
+def _bits(low, high, argmin, argmax):
+    return [float(x).hex() for x in (low, high, *argmin, *argmax)]
+
+
+@pytest.mark.parametrize(
+    "spec, kind, grid",
+    [
+        (with_potentials(hexagonal(), (1.0, -1.0)), "schrodinger", None),
+        (star(2, 3), "schrodinger", None),
+        (triangular(), "laplacian", TorusGrid(2, 16)),
+        (fcc(), "schrodinger", TorusGrid(3, 6)),
+    ],
+    ids=["hexagonal-q", "star-2-3", "triangular-16", "fcc-6"],
+)
+def test_batched_refine_matches_one_trial_per_solve(monkeypatch, spec, kind, grid):
+    plain = compute_band_structure(spec, kind, grid)
+    step = 2.0 * PI / plain.grid.points_per_axis
+    expected = []
+    for n, band in enumerate(plain.bands):
+        low, argmin = _refine_extremum_reference(spec, kind, n, band.argmin, step, False)
+        high, argmax = _refine_extremum_reference(spec, kind, n, band.argmax, step, True)
+        expected.append(_bits(low, high, argmin, argmax))
+
+    solves = []
+    solve = spectrum.eigh_stack
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    refined = compute_band_structure(spec, kind, grid, refine=True)
+    assert [_bits(b.low, b.high, b.argmin, b.argmax) for b in refined.bands] == expected
+    # One solve for the grid, one for the start points, one per trial batch.
+    assert len(solves) - 1 <= 1 + REFINE_ITERATIONS * 2 * spec.dimension
 
 
 def test_total_band_bound_reports():
