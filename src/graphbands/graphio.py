@@ -40,12 +40,10 @@ def format_rows(table) -> list[str]:
     columns = []
     for column in table.T:
         distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if len(distinct) == len(column):
-            # No repeats: formatting in row order skips the gather.
-            columns.append(list(map("%.17g".__mod__, column.tolist())))
-        else:
-            texts = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
-            columns.append(np.array(texts, dtype=object)[inverse].tolist())
+        values = distinct.view(np.float64).tolist()
+        # One %-format over every distinct value, split back into their texts.
+        texts = ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+        columns.append(np.array(texts, dtype=object)[inverse].tolist())
     return list(map("\t".join, zip(*columns)))
 
 

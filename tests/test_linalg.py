@@ -12,6 +12,7 @@ from graphbands import (
     is_irreducible,
     spectral_radius_nonneg,
 )
+from graphbands import linalg
 from graphbands.cli import main as cli_main
 from graphbands.lattices import cubic, hexagonal, subdivided
 from graphbands.floquet import adjacency_floquet, fiber_stack, schrodinger_floquet
@@ -185,6 +186,15 @@ def test_spectral_radius_matches_plain_power_iteration():
         expected = _power_iteration_reference(mat)
         assert expected is not None
         assert spectral_radius_nonneg(mat) == expected
+
+
+def test_spectral_radius_iteration_limit_reported(monkeypatch):
+    # The near-bipartite matrix converges only after about 3,100 steps and
+    # never recurs exactly, so a small limit is reached without a cycle.
+    mat = _bipartite(np.random.default_rng(28), 3, 4) + 1e-2 * np.eye(7)
+    monkeypatch.setattr(linalg, "POWER_ITER_MAX", 50)
+    with pytest.raises(NumericError, match="did not converge"):
+        spectral_radius_nonneg(mat)
 
 
 def test_irreducibility_cases():
