@@ -3,8 +3,7 @@
 Exit codes: 0 when every applicable check passes, 1 for input problems,
 2 when a verified inequality is violated or the eigensolver fails (a bug or a
 tolerance problem, never silent).  Reports are byte-deterministic for fixed
-inputs, grid and tolerances.  --jobs is accepted and ignored: the LAPACK
-eigensolver runs serially, and the option will be removed.
+inputs, grid and tolerances.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .spectrum import (
 )
 
 GRID_ENV_VAR = "GRAPHBANDS_GRID"
-JOBS_HELP = "ignored (no-op, kept for compatibility; will be removed)"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -58,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("laplacian", "schrodinger", "normalized"),
             default="schrodinger",
         )
-        p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
         p.add_argument("--out", help="output path (default: stdout)")
 
     analyze = sub.add_parser("analyze", help="band structure plus all applicable checks")
@@ -90,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--q-a", help="potentials override for the first graph")
     compare.add_argument("--q-b", help="potentials override for the second graph")
     compare.add_argument("--grid", type=int, help="points per torus axis")
-    compare.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     compare.add_argument("--check-tol", type=float, default=CHECK_TOL)
     compare.add_argument("--out", help="output path (default: stdout)")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,6 +196,21 @@ def _deviation(name: str, deviation: float, tol: float) -> InequalityCheck:
     return InequalityCheck(name, dev, 0.0, -dev, dev <= tol)
 
 
+def _grid_for(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
+    """`grid`, or the default grid of the graph's dimension when it is None."""
+    if grid is None:
+        return TorusGrid.default_for(spec.dimension)
+    if grid.dimension != spec.dimension:
+        raise ParameterError("grid dimension does not match the graph")
+    return grid
+
+
+def _default_flat_tol(lows, highs) -> float:
+    """Flat-band width tolerance relative to the largest band-edge magnitude."""
+    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
+    return FLAT_TOL_COEFF * (1.0 + scale)
+
+
 def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
     """Sorted fiber eigenvalues at every torus point, shape (P, nu)."""
     return eigh_stack(fiber_stack(spec, thetas, kind))[0]
@@ -220,8 +236,7 @@ def _envelopes(thetas: np.ndarray, values: np.ndarray):
 
 def fiber_eigenvalues(spec: PeriodicGraphSpec, theta, kind: str = "schrodinger") -> np.ndarray:
     """Sorted eigenvalues of one fiber matrix."""
-    arr = np.atleast_2d(np.asarray(theta, dtype=float))
-    return eigh_stack(fiber_stack(spec, arr, kind))[0][0]
+    return grid_eigenvalues(spec, np.atleast_2d(np.asarray(theta, dtype=float)), kind)[0]
 
 
 def _interval_union(opens, min_gap: float):
@@ -277,8 +292,7 @@ def _assemble_structure(
     merge_tol: float,
 ) -> BandStructure:
     nu = len(lows)
-    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
-    tol = flat_tol if flat_tol is not None else FLAT_TOL_COEFF * (1.0 + scale)
+    tol = flat_tol if flat_tol is not None else _default_flat_tol(lows, highs)
     bands = tuple(
         BandInterval(
             n + 1,
@@ -318,7 +332,7 @@ def _refine_extrema(spec, kind, starts, branches, signs, step):
     rows = np.arange(len(thetas))
 
     def objective(points):
-        return signs * eigh_stack(fiber_stack(spec, points, kind))[0][rows, branches]
+        return signs * grid_eigenvalues(spec, points, kind)[rows, branches]
 
     best = objective(thetas)
     steps = np.full(len(thetas), step)
@@ -348,10 +362,7 @@ def compute_band_structure(
     """Sample the fiber over the torus grid and extract bands, flats and gaps."""
     if not is_connected_periodic(spec):
         raise PreconditionError("periodic cover is disconnected")
-    if grid is None:
-        grid = TorusGrid.default_for(spec.dimension)
-    elif grid.dimension != spec.dimension:
-        raise ParameterError("grid dimension does not match the graph")
+    grid = _grid_for(spec, grid)
     thetas = grid.representatives()
     lows, highs, argmins, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, kind))
     if refine:
@@ -447,8 +458,7 @@ def check_first_band_nondegenerate(
     A varying entry modulus forces an open first band; the converse can fail,
     so both flags are reported.  The implication itself is enforced.
     """
-    if grid is None:
-        grid = TorusGrid.default_for(spec.dimension)
+    grid = _grid_for(spec, grid)
     moduli = np.abs(fiber_stack(spec, grid.representatives(), "laplacian"))
     variation = moduli.max(axis=0) - moduli.min(axis=0)
     condition = bool((variation > ENTRY_VARIATION_TOL).any())
@@ -477,21 +487,20 @@ def loop_band_endpoints(
     cls = classify(spec)
     if not cls.is_loop_graph:
         raise PreconditionError("not a loop graph: a cell-crossing edge is not a loop")
-    d = spec.dimension
-    zero = (0.0,) * d
-    lows = fiber_eigenvalues(spec, zero, "schrodinger")
+    sampled = _grid_for(spec, grid)  # checked even when the flip corner leaves it unused
+    zero = (0.0,) * spec.dimension
     argmins = [zero] * spec.num_vertices
-    if cls.precise_quasimomentum is not None:
-        flip = cls.precise_quasimomentum
-        highs = fiber_eigenvalues(spec, flip, "schrodinger")
+    flip = cls.precise_quasimomentum
+    if flip is not None:
+        lows, highs = grid_eigenvalues(spec, np.array([zero, flip]), "schrodinger")
         argmaxs = [flip] * spec.num_vertices
     else:
-        if grid is None:
-            grid = TorusGrid.default_for(d)
+        grid = sampled
+        lows = fiber_eigenvalues(spec, zero, "schrodinger")
         thetas = grid.representatives()
         _, highs, _, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, "schrodinger"))
     return _assemble_structure(
-        "schrodinger", grid, np.asarray(lows), np.asarray(highs), argmins, argmaxs, flat_tol, merge_tol
+        "schrodinger", grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol
     )
 
 
@@ -548,9 +557,7 @@ def large_coupling_analysis(
         raise PreconditionError("potentials must be pairwise distinct")
     if t == 0.0:
         raise ParameterError("coupling constant t must be nonzero")
-    if grid is None:
-        grid = TorusGrid.default_for(spec.dimension)
-    thetas = grid.representatives()
+    thetas = _grid_for(spec, grid).representatives()
     lap = fiber_stack(spec, thetas, "laplacian")
     idx = np.arange(spec.num_vertices)
     coupled = lap.copy()
@@ -578,29 +585,52 @@ def large_coupling_analysis(
     limit = float(sum(diag_ranges))
     lows = values.min(axis=0)
     highs = values.max(axis=0)
-    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
-    measure, _ = _interval_union(
-        list(zip(lows.tolist(), highs.tolist())), FLAT_TOL_COEFF * (1.0 + scale)
-    )
+    tol = _default_flat_tol(lows, highs)
+    measure, _ = _interval_union(list(zip(lows.tolist(), highs.tolist())), tol)
     return LargeCouplingReport(float(t), limit, measure, measure - limit, deviation)
 
 
-def _corner_deviations(spec, kind, bs):
-    """The 2^d corners of {0, pi}^d and, for the lower then the upper band
-    edges, each corner's |eigenvalue - edge| per band, shape (2^d, nu).
+class _CornerScan(NamedTuple):
+    """The {0, pi}^d corners, their fibers and sorted eigenvalue rows, and the
+    indices of the chosen lower and upper extremizing corners (or None)."""
 
-    All corners are solved in one batch.
+    corners: list[tuple[float, ...]]
+    fibers: np.ndarray
+    values: np.ndarray
+    lower: int | None
+    upper: int | None
+
+
+def _scan_corners(spec, kind, bs, tol, label=None) -> _CornerScan:
+    """Solve the 2^d corners in one batch and find the uniform extremizers.
+
+    The chosen lower (resp. upper) corner is the first one at which every
+    branch is within tol of its lower (resp. upper) band edge.  With a
+    `label`, a side without such a corner raises PreconditionError naming the
+    graph and the corner that comes closest.
     """
     corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
-    values = eigh_stack(fiber_stack(spec, np.asarray(corners), kind))[0]
+    fibers = fiber_stack(spec, np.asarray(corners), kind)
+    values = eigh_stack(fibers)[0]
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
-    return corners, (np.abs(values - lows), np.abs(values - highs))
-
-
-def _first_corner_within(corners, deviation, tol):
-    hits = np.flatnonzero(deviation.max(axis=1) <= tol)
-    return corners[hits[0]] if hits.size else None
+    chosen = []
+    for side, edges in (("lower", lows), ("upper", highs)):
+        deviation = np.abs(values - edges)
+        worst = deviation.max(axis=1)
+        hits = np.flatnonzero(worst <= tol)
+        if hits.size:
+            chosen.append(int(hits[0]))
+        elif label is None:
+            chosen.append(None)
+        else:
+            best = int(worst.argmin())
+            raise PreconditionError(
+                f"graph {label}: no corner point attains every {side} band endpoint "
+                f"(best corner {corners[best]} misses band "
+                f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
+            )
+    return _CornerScan(corners, fibers, values, *chosen)
 
 
 def find_uniform_extremizers(
@@ -616,26 +646,8 @@ def find_uniform_extremizers(
     Scans {0, pi}^d; either entry is None when no corner works.
     """
     bs = band_structure or compute_band_structure(spec, kind, grid)
-    corners, deviations = _corner_deviations(spec, kind, bs)
-    return tuple(_first_corner_within(corners, dev, tol) for dev in deviations)
-
-
-def _uniform_extremizers_or_raise(spec, label, grid, band_structure=None):
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
-    corners, deviations = _corner_deviations(spec, "schrodinger", bs)
-    found = []
-    for side, deviation in zip(("lower", "upper"), deviations):
-        theta = _first_corner_within(corners, deviation, UNIFORM_EXTREMIZER_TOL)
-        if theta is None:
-            worst = deviation.max(axis=1)
-            best = int(worst.argmin())
-            raise PreconditionError(
-                f"graph {label}: no corner point attains every {side} band endpoint "
-                f"(best corner {corners[best]} misses band "
-                f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
-            )
-        found.append(theta)
-    return bs, found[0], found[1]
+    scan = _scan_corners(spec, kind, bs, tol)
+    return tuple(None if i is None else scan.corners[i] for i in (scan.lower, scan.upper))
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -656,23 +668,22 @@ def stability_constants(
     Both graphs must admit uniform lower and upper extremizing corners.  When
     the pair is additionally bipartite-regular (potential-free) or
     precise-vs-bipartite, the specialized two-sided bounds are checked too.
+    The band edges and fibers at the extremizers are those of the corner scan.
     """
     if spec_a.num_vertices != spec_b.num_vertices:
         raise PreconditionError(
             f"vertex count mismatch: {spec_a.num_vertices} != {spec_b.num_vertices}"
         )
-    bs_a, minus_a, plus_a = _uniform_extremizers_or_raise(spec_a, "A", grid_a)
-    bs_b, minus_b, plus_b = _uniform_extremizers_or_raise(spec_b, "B", grid_b)
 
-    def fiber(spec, theta):
-        return fiber_stack(spec, np.atleast_2d(np.asarray(theta)), "schrodinger")[0]
+    def scan(spec, grid, label):
+        bs = compute_band_structure(spec, "schrodinger", grid)
+        return _scan_corners(spec, "schrodinger", bs, UNIFORM_EXTREMIZER_TOL, label)
 
-    lows_a = fiber_eigenvalues(spec_a, minus_a, "schrodinger")
-    highs_a = fiber_eigenvalues(spec_a, plus_a, "schrodinger")
-    lows_b = fiber_eigenvalues(spec_b, minus_b, "schrodinger")
-    highs_b = fiber_eigenvalues(spec_b, plus_b, "schrodinger")
-    c_total = _entry_l1(fiber(spec_a, minus_a), fiber(spec_b, minus_b)) + _entry_l1(
-        fiber(spec_a, plus_a), fiber(spec_b, plus_b)
+    scan_a, scan_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
+    lows_a, highs_a = scan_a.values[scan_a.lower], scan_a.values[scan_a.upper]
+    lows_b, highs_b = scan_b.values[scan_b.lower], scan_b.values[scan_b.upper]
+    c_total = _entry_l1(scan_a.fibers[scan_a.lower], scan_b.fibers[scan_b.lower]) + _entry_l1(
+        scan_a.fibers[scan_a.upper], scan_b.fibers[scan_b.upper]
     )
 
     gaps_a = lows_a[1:] - highs_a[:-1]
@@ -691,10 +702,10 @@ def stability_constants(
     ]
     params = {
         "c_total": c_total,
-        "theta_minus_a": minus_a,
-        "theta_plus_a": plus_a,
-        "theta_minus_b": minus_b,
-        "theta_plus_b": plus_b,
+        "theta_minus_a": scan_a.corners[scan_a.lower],
+        "theta_plus_a": scan_a.corners[scan_a.upper],
+        "theta_minus_b": scan_b.corners[scan_b.lower],
+        "theta_plus_b": scan_b.corners[scan_b.upper],
     }
 
     cls_a = classify(spec_a)
@@ -702,14 +713,13 @@ def stability_constants(
     zero_a = all(q == 0.0 for q in spec_a.potentials())
     zero_b = all(q == 0.0 for q in spec_b.potentials())
 
-    def zero_fiber(spec, kind):
-        theta = (0.0,) * spec.dimension
-        return fiber_stack(spec, np.atleast_2d(np.asarray(theta)), kind)[0]
+    def laplacian_zero_fiber(spec):
+        return fiber_stack(spec, np.zeros((1, spec.dimension)), "laplacian")[0]
 
     bip_a = cls_a.periodic_bipartite and cls_a.is_regular and cls_a.is_loop_graph and zero_a
     bip_b = cls_b.periodic_bipartite and cls_b.is_regular and cls_b.is_loop_graph and zero_b
     if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
-        c_pair = _entry_l1(zero_fiber(spec_a, "laplacian"), zero_fiber(spec_b, "laplacian"))
+        c_pair = _entry_l1(laplacian_zero_fiber(spec_a), laplacian_zero_fiber(spec_b))
         checks.append(
             _check(
                 "bipartite-pair-gap-variation<=4C0",
@@ -728,13 +738,14 @@ def stability_constants(
         )
         params["c_bipartite_pair"] = c_pair
 
-    def mixed_case(precise_spec, precise_cls, lows_p, highs_p, gaps_p, bip_spec, bip_cls, gaps_q):
+    def mixed_case(precise_scan, precise_cls, lows_p, highs_p, gaps_p, bip_spec, bip_cls, gaps_q):
         kappa = bip_cls.regular_degree
-        flip = precise_cls.precise_quasimomentum
-        base = zero_fiber(bip_spec, "laplacian")
-        c_mixed = _entry_l1(zero_fiber(precise_spec, "schrodinger"), base) + _entry_l1(
-            fiber(precise_spec, flip) + base,
-            2.0 * kappa * np.eye(precise_spec.num_vertices),
+        # The zero point is corner 0; the flip point is a corner too.
+        flip = precise_scan.corners.index(precise_cls.precise_quasimomentum)
+        base = laplacian_zero_fiber(bip_spec)
+        c_mixed = _entry_l1(precise_scan.fibers[0], base) + _entry_l1(
+            precise_scan.fibers[flip] + base,
+            2.0 * kappa * np.eye(bip_spec.num_vertices),
         )
         lhs_edges = (
             abs(lows_p[0])
@@ -750,9 +761,9 @@ def stability_constants(
         params["c_precise_vs_bipartite"] = c_mixed
 
     if cls_a.precise_quasimomentum is not None and bip_b:
-        mixed_case(spec_a, cls_a, lows_a, highs_a, gaps_a, spec_b, cls_b, gaps_b)
+        mixed_case(scan_a, cls_a, lows_a, highs_a, gaps_a, spec_b, cls_b, gaps_b)
     elif cls_b.precise_quasimomentum is not None and bip_a:
-        mixed_case(spec_b, cls_b, lows_b, highs_b, gaps_b, spec_a, cls_a, gaps_a)
+        mixed_case(scan_b, cls_b, lows_b, highs_b, gaps_b, spec_a, cls_a, gaps_a)
 
     return EstimateReport("stability-bounds", tuple(checks), params)
 
@@ -785,26 +796,21 @@ def dirac_expansion_check(q1: float, radius: float, samples: int = 64) -> DiracC
 
     root3 = math.sqrt(3.0)
 
-    def remainder(t1: float, t2: float) -> float:
+    def ring_max(r: float) -> float:
+        angles = TWO_PI * np.arange(samples) / samples
+        t1 = r * np.cos(angles)
+        t2 = r * np.sin(angles)
         # Inverse of t1 = sqrt(3)(s1 - s2)/2, t2 = -(s1 + s2)/2, the linear
         # momentum map under which the off-diagonal entry is t1 - i*t2 up to
         # quadratic terms.
-        s1 = t1 / root3 - t2
-        s2 = -t1 / root3 - t2
-        theta = cone + np.array([s1, s2])
-        fiber = fiber_stack(spec, theta[None], "schrodinger")[0]
-        dirac = np.array(
-            [[q1, t1 - 1j * t2], [t1 + 1j * t2, -q1]], dtype=complex
-        )
-        delta = fiber - 3.0 * np.eye(2) - dirac
-        return float(np.sqrt((np.abs(delta) ** 2).sum()))
-
-    def ring_max(r: float) -> float:
-        worst = 0.0
-        for k in range(samples):
-            angle = TWO_PI * k / samples
-            worst = max(worst, remainder(r * math.cos(angle), r * math.sin(angle)))
-        return worst
+        thetas = cone + np.stack([t1 / root3 - t2, -t1 / root3 - t2], axis=-1)
+        dirac = np.empty((angles.size, 2, 2), dtype=complex)
+        dirac[:, 0, 0] = q1
+        dirac[:, 0, 1] = t1 - 1j * t2
+        dirac[:, 1, 0] = t1 + 1j * t2
+        dirac[:, 1, 1] = -q1
+        delta = fiber_stack(spec, thetas, "schrodinger") - 3.0 * np.eye(2) - dirac
+        return float(np.sqrt((np.abs(delta) ** 2).sum(axis=(1, 2))).max(initial=0.0))
 
     max_error = ring_max(radius)
     max_error_half = ring_max(radius / 2.0)
@@ -835,15 +841,13 @@ def check_flat_band_block(
         raise ParameterError("split must isolate exactly one border vertex")
     if not all(0 <= i < nv for i in split):
         raise ParameterError("split references an invalid vertex index")
-    if grid is None:
-        grid = TorusGrid.default_for(spec.dimension)
+    grid = _grid_for(spec, grid)
     stack = fiber_stack(spec, grid.representatives(), kind)
     block = stack[:, split, :][:, :, split]
     values = eigh_stack(block)[0]
     lows = values.min(axis=0)
     highs = values.max(axis=0)
-    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
-    tol = FLAT_TOL_COEFF * (1.0 + scale)
+    tol = _default_flat_tol(lows, highs)
     _, groups = _flat_groups(lows.tolist(), highs.tolist(), tol, FLAT_MERGE_TOL)
     found = [(value, mult) for value, mult in groups if mult >= 2]
     bs = band_structure or compute_band_structure(spec, kind, grid)
@@ -876,8 +880,7 @@ def estimate_suite(
     cls = classify(spec)
     if not cls.is_connected:
         raise PreconditionError("periodic cover is disconnected")
-    if grid is None:
-        grid = TorusGrid.default_for(spec.dimension)
+    grid = _grid_for(spec, grid)
     bs = compute_band_structure(spec, kind, grid, flat_tol=flat_tol, refine=refine)
     zero = (0.0,) * spec.dimension
     reports = []

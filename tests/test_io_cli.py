@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,25 +131,38 @@ def test_cli_exit_two_when_tolerance_squeezed(capsys):
     assert report["all_checks_pass"] is False
 
 
-def test_cli_reports_byte_identical_across_jobs(tmp_path, capsys):
+def test_cli_reports_byte_identical_across_interpreters():
+    # Fresh interpreters with different string-hash seeds must print the
+    # same bytes: no set or dict iteration order may reach the report.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["analyze", "--builtin", "star(2,3)", "--grid", "24"]
     outputs = []
-    for jobs in (1, 2, 3, 4):
-        path = tmp_path / f"report{jobs}.json"
-        code, _, _ = run_cli(
-            capsys,
-            "analyze",
-            "--builtin",
-            "star(2,3)",
-            "--grid",
-            "24",
-            "--jobs",
-            str(jobs),
-            "--out",
-            str(path),
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop(cli.GRID_ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "graphbands.cli", *argv],
+            env=env,
+            capture_output=True,
+            check=False,
+            timeout=120,
         )
-        assert code == 0
-        outputs.append(path.read_bytes())
-    assert all(data == outputs[0] for data in outputs)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["grid"]["points_per_axis"] == 24
+
+
+def test_cli_rejects_removed_jobs_option(capsys):
+    for argv in (
+        ("analyze", "--builtin", "star(2,3)", "--jobs", "2"),
+        ("compare", "star(2,3)", "star(2,3)", "--jobs", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --jobs" in err
 
 
 def test_cli_analyze_subdivided_3_3_is_finite(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from graphbands import (
     classify,
     compute_band_structure,
     dirac_expansion_check,
+    estimate_suite,
     fiber_eigenvalues,
     find_uniform_extremizers,
     large_coupling_analysis,
@@ -228,6 +230,44 @@ def test_disconnected_cover_rejected():
     )
     with pytest.raises(PreconditionError):
         compute_band_structure(spec)
+
+
+# Each public spectrum function that takes a grid, called on star(2, 3).
+GRID_CALLS = {
+    "compute_band_structure": lambda g: compute_band_structure(star(2, 3), grid=g),
+    "verify_total_band_bound": lambda g: verify_total_band_bound(star(2, 3), grid=g),
+    "verify_gap_bound": lambda g: verify_gap_bound(star(2, 3), g),
+    "check_first_band_nondegenerate": lambda g: check_first_band_nondegenerate(star(2, 3), g),
+    "loop_band_endpoints": lambda g: loop_band_endpoints(star(2, 3), g),
+    "large_coupling_analysis": lambda g: large_coupling_analysis(
+        star(2, 3, q=(2.0, 4.0, 0.0)), 100.0, g
+    ),
+    "find_uniform_extremizers": lambda g: find_uniform_extremizers(star(2, 3), grid=g),
+    "stability_constants": lambda g: stability_constants(star(2, 3), star(2, 3), grid_a=g),
+    "stability_constants:grid_b": lambda g: stability_constants(
+        star(2, 3), star(2, 3), grid_b=g
+    ),
+    "check_flat_band_block": lambda g: check_flat_band_block(star(2, 3), (0, 2), grid=g),
+    "estimate_suite": lambda g: estimate_suite(star(2, 3), grid=g),
+}
+
+
+def test_grid_calls_cover_every_public_grid_function():
+    takes_grid = {
+        name
+        for name, fn in inspect.getmembers(spectrum, inspect.isfunction)
+        if fn.__module__ == spectrum.__name__
+        and not name.startswith("_")
+        and any(p.startswith("grid") for p in inspect.signature(fn).parameters)
+    }
+    assert takes_grid == {name.split(":")[0] for name in GRID_CALLS}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CALLS))
+@pytest.mark.parametrize("wrong", [TorusGrid(3, 12), TorusGrid(1, 12)], ids=["3d", "1d"])
+def test_grid_of_the_wrong_dimension_rejected(name, wrong):
+    with pytest.raises(ParameterError, match="grid dimension does not match the graph"):
+        GRID_CALLS[name](wrong)
 
 
 def test_grid_refinement_containment():
@@ -495,6 +535,128 @@ def test_stability_vertex_count_mismatch():
 def test_stability_requires_uniform_extremizers():
     with pytest.raises(PreconditionError, match="band"):
         stability_constants(hexagonal(), hexagonal())
+
+
+def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
+    # The chosen corners re-solved one at a time, each fiber built on its
+    # own, as before the corner scan's batch was reused.
+    def fiber(spec, theta, kind="schrodinger"):
+        return fiber_stack(spec, np.asarray([theta], dtype=float), kind)[0]
+
+    def l1(x, y):
+        return float(np.abs(x - y).sum())
+
+    minus_a, plus_a = find_uniform_extremizers(spec_a)
+    minus_b, plus_b = find_uniform_extremizers(spec_b)
+    lows_a, highs_a = fiber_eigenvalues(spec_a, minus_a), fiber_eigenvalues(spec_a, plus_a)
+    lows_b, highs_b = fiber_eigenvalues(spec_b, minus_b), fiber_eigenvalues(spec_b, plus_b)
+    c_total = l1(fiber(spec_a, minus_a), fiber(spec_b, minus_b)) + l1(
+        fiber(spec_a, plus_a), fiber(spec_b, plus_b)
+    )
+    gaps_a = lows_a[1:] - highs_a[:-1]
+    gaps_b = lows_b[1:] - highs_b[:-1]
+    edge_gap = (
+        abs(lows_a[0] - lows_b[0])
+        + abs(highs_a[-1] - highs_b[-1])
+        + float(np.abs(gaps_a - gaps_b).sum())
+    )
+    length = float(np.abs((highs_a - lows_a) - (highs_b - lows_b)).sum())
+    checks = [
+        ("edge-and-gap-variation<=2C", edge_gap, 2.0 * c_total),
+        ("band-length-variation<=2C", length, 2.0 * c_total),
+    ]
+    params = {
+        "c_total": c_total,
+        "theta_minus_a": minus_a,
+        "theta_plus_a": plus_a,
+        "theta_minus_b": minus_b,
+        "theta_plus_b": plus_b,
+    }
+    if precise_vs_bipartite:
+        kappa = classify(spec_b).regular_degree
+        zero = (0.0,) * spec_a.dimension
+        base = fiber(spec_b, zero, "laplacian")
+        c_mixed = l1(fiber(spec_a, zero), base) + l1(
+            fiber(spec_a, classify(spec_a).precise_quasimomentum) + base,
+            2.0 * kappa * np.eye(spec_a.num_vertices),
+        )
+        lhs = abs(lows_a[0]) + abs(2.0 * kappa - highs_a[-1]) + float(np.abs(gaps_a - gaps_b).sum())
+        checks.append(("precise-vs-bipartite-gap-variation<=2C1", lhs, 2.0 * c_mixed))
+        checks.append(("precise-vs-bipartite-band-variation<=2C1", length, 2.0 * c_mixed))
+        params["c_precise_vs_bipartite"] = c_mixed
+    return checks, params
+
+
+def _hex_params(params):
+    return {
+        key: tuple(x.hex() for x in value) if isinstance(value, tuple) else float(value).hex()
+        for key, value in params.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "spec_a, spec_b, precise_vs_bipartite",
+    [
+        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False),
+        (star(2, 3), bipartite_chain(2, 3), True),
+    ],
+    ids=["star-q-vs-star", "star-vs-bipartite-chain"],
+)
+def test_stability_reuses_the_corner_solves(monkeypatch, spec_a, spec_b, precise_vs_bipartite):
+    checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite)
+    solves = []
+    solve = spectrum.eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        solves.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    report = stability_constants(spec_a, spec_b)
+    # One grid and one batch of the four corners per graph.
+    grid_points = len(TorusGrid.default_for(2).representatives())
+    assert solves == [grid_points, 4, grid_points, 4]
+    assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
+        (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
+    ]
+    assert _hex_params(report.params) == _hex_params(params)
+
+
+def _dirac_ring_max_reference(q1, r, samples):
+    # One fiber per sample point, as before the rings were batched.
+    spec = hexagonal(q=(q1, -q1))
+    cone = np.array([2.0 * PI / 3.0, -2.0 * PI / 3.0])
+    worst = 0.0
+    for k in range(samples):
+        angle = 2.0 * PI * k / samples
+        t1, t2 = r * math.cos(angle), r * math.sin(angle)
+        theta = cone + np.array([t1 / math.sqrt(3.0) - t2, -t1 / math.sqrt(3.0) - t2])
+        fiber = fiber_stack(spec, theta[None], "schrodinger")[0]
+        dirac = np.array([[q1, t1 - 1j * t2], [t1 + 1j * t2, -q1]], dtype=complex)
+        delta = fiber - 3.0 * np.eye(2) - dirac
+        worst = max(worst, float(np.sqrt((np.abs(delta) ** 2).sum())))
+    return worst
+
+
+@pytest.mark.parametrize("q1, radius, samples", [(0.5, 1e-2, 64), (0.0, 1e-3, 64), (0.25, 0.3, 7)])
+def test_dirac_rings_batched_match_per_point_reference(monkeypatch, q1, radius, samples):
+    built = []
+    build = spectrum.fiber_stack
+
+    def counting(spec, thetas, kind):
+        built.append(len(thetas))
+        return build(spec, thetas, kind)
+
+    monkeypatch.setattr(spectrum, "fiber_stack", counting)
+    report = dirac_expansion_check(q1, radius, samples)
+    # The touching point, then one stack per ring.
+    assert built == [1, samples, samples]
+    assert report.max_error == pytest.approx(
+        _dirac_ring_max_reference(q1, radius, samples), abs=1e-12
+    )
+    assert report.max_error_half == pytest.approx(
+        _dirac_ring_max_reference(q1, radius / 2.0, samples), abs=1e-12
+    )
 
 
 def test_dirac_cone_report():
