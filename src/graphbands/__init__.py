@@ -15,15 +15,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .floquet import (
-    FloquetMatrix,
-    Quasimomentum,
-    adjacency_floquet,
-    fluctuation_split,
-    laplacian_floquet,
-    normalized_floquet,
-    schrodinger_floquet,
-)
+from .floquet import fluctuation_split
 from .graph import (
     EdgeRecord,
     GraphClassification,
@@ -41,15 +33,7 @@ from .graph import (
     shift_origin,
     with_potentials,
 )
-from .linalg import (
-    EigenResult,
-    block_determinant,
-    gf2_solve,
-    hermitian_eigs,
-    integer_lattice_full,
-    is_irreducible,
-    spectral_radius_nonneg,
-)
+from .linalg import gf2_solve, integer_lattice_full
 from .spectrum import (
     BandInterval,
     BandStructure,
@@ -82,10 +66,8 @@ __all__ = [
     "BandStructure",
     "DiracConeReport",
     "EdgeRecord",
-    "EigenResult",
     "EstimateReport",
     "FlatBand",
-    "FloquetMatrix",
     "GraphClassification",
     "GraphbandsError",
     "InequalityCheck",
@@ -96,13 +78,10 @@ __all__ = [
     "ParameterError",
     "PeriodicGraphSpec",
     "PreconditionError",
-    "Quasimomentum",
     "TorusGrid",
     "ValidationError",
     "VertexInfo",
-    "adjacency_floquet",
     "bipartite_loop_endpoints",
-    "block_determinant",
     "bridge_count",
     "check_first_band_nondegenerate",
     "check_flat_band_block",
@@ -116,21 +95,15 @@ __all__ = [
     "fluctuation_split",
     "fundamental_bipartite",
     "gf2_solve",
-    "hermitian_eigs",
     "integer_lattice_full",
     "is_connected_periodic",
-    "is_irreducible",
-    "laplacian_floquet",
     "large_coupling_analysis",
     "lattices",
     "loop_band_endpoints",
     "minimize_bridges",
-    "normalized_floquet",
     "oriented_edges",
     "periodic_bipartite",
-    "schrodinger_floquet",
     "shift_origin",
-    "spectral_radius_nonneg",
     "stability_constants",
     "verify_gap_bound",
     "verify_total_band_bound",

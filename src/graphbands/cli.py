@@ -1,9 +1,10 @@
 """Command-line surface: analyze, dispersion, compare, builtins.
 
 Exit codes: 0 when every applicable check passes, 1 for input problems,
-2 when a verified inequality is violated or the eigensolver fails (a bug or a
-tolerance problem, never silent).  Reports are byte-deterministic for fixed
-inputs, grid and tolerances.
+2 when a verified inequality is violated, the eigensolver fails or a computed
+value is not finite (a bug or a tolerance problem, never silent).  Tolerances
+must be finite and >= 0.  Reports are byte-deterministic for fixed inputs,
+grid and tolerances.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for the tolerance flags: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, with the same message
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="graphbands", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,12 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="band structure plus all applicable checks")
     add_input(analyze)
-    analyze.add_argument("--flat-tol", type=float, help="flat-band width tolerance")
+    analyze.add_argument("--flat-tol", type=_tolerance, help="flat-band width tolerance")
     analyze.add_argument(
-        "--merge-tol", type=float, default=FLAT_MERGE_TOL, help="flat-value merge tolerance"
+        "--merge-tol",
+        type=_tolerance,
+        default=FLAT_MERGE_TOL,
+        help="flat-value merge tolerance",
     )
     analyze.add_argument(
-        "--check-tol", type=float, default=CHECK_TOL, help="allowed slack on checks"
+        "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
     )
     analyze.add_argument(
         "--refine", action="store_true", help="refine band extrema beyond the grid"
@@ -87,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--q-a", help="potentials override for the first graph")
     compare.add_argument("--q-b", help="potentials override for the second graph")
     compare.add_argument("--grid", type=int, help="points per torus axis")
-    compare.add_argument("--check-tol", type=float, default=CHECK_TOL)
+    compare.add_argument("--check-tol", type=_tolerance, default=CHECK_TOL)
     compare.add_argument("--out", help="output path (default: stdout)")
 
     sub.add_parser("builtins", help="list builtin lattice generators")
@@ -102,15 +117,19 @@ _PI_TOKEN = re.compile(
 def _parse_angle(token: str) -> float:
     token = token.strip()
     match = _PI_TOKEN.match(token)
-    if match:
-        sign = -1.0 if match.group(1) == "-" else 1.0
-        coeff = float(match.group(2)) if match.group(2) else 1.0
-        divisor = float(match.group(3)) if match.group(3) else 1.0
-        return sign * coeff * math.pi / divisor
     try:
-        return float(token)
-    except ValueError:
+        if match:
+            sign = -1.0 if match.group(1) == "-" else 1.0
+            coeff = float(match.group(2)) if match.group(2) else 1.0
+            divisor = float(match.group(3)) if match.group(3) else 1.0
+            value = sign * coeff * math.pi / divisor
+        else:
+            value = float(token)
+    except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse angle {token!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {token!r} is not finite")
+    return value
 
 
 def _parse_csv_floats(text: str, what: str):

@@ -18,7 +18,7 @@ class PreconditionError(GraphbandsError):
 
 
 class NumericError(GraphbandsError):
-    """Numerical failure: non-finite input, singular pivot, or non-convergence."""
+    """Numerical failure: a solver failure or a non-finite input or computed value."""
 
 
 class InvariantViolation(GraphbandsError):

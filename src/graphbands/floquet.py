@@ -10,59 +10,16 @@ phase sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .graph import PeriodicGraphSpec, degrees
 
-MATRIX_KINDS = ("adjacency", "laplacian", "schrodinger", "normalized", "fluctuation")
-
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Quasimomentum:
-    """A torus point, canonicalized componentwise into [0, 2pi)."""
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        canon = []
-        for x in self.theta:
-            r = math.fmod(float(x), TWO_PI)
-            if r < 0.0:
-                r += TWO_PI
-            if r >= TWO_PI:
-                r = 0.0
-            canon.append(r)
-        object.__setattr__(self, "theta", tuple(canon))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.theta)
-
-
-@dataclass(frozen=True)
-class FloquetMatrix:
-    """A dense Hermitian fiber matrix together with which operator it represents."""
-
-    kind: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in MATRIX_KINDS:
-            raise ParameterError(f"unknown matrix kind {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _theta_rows(spec: PeriodicGraphSpec, theta) -> np.ndarray:
-    if isinstance(theta, Quasimomentum):
-        theta = theta.theta
     arr = np.atleast_2d(np.asarray(theta, dtype=float))
     if arr.shape[-1] != spec.dimension:
         raise ParameterError(
@@ -90,14 +47,12 @@ def _edge_phase_sum(nv: int, edges, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjacency_stack(spec: PeriodicGraphSpec, thetas: np.ndarray) -> np.ndarray:
-    """Phase-summed adjacency matrices for a batch of torus points, (P, nu, nu)."""
-    return _edge_phase_sum(spec.num_vertices, spec.edges, thetas)
-
-
 def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
-    """Batch of fiber matrices of the requested kind at the given torus points."""
-    adjacency = adjacency_stack(spec, thetas)
+    """Batch of fiber matrices of the requested kind at the given torus points.
+
+    `thetas` has shape (P, d); the result has shape (P, nu, nu).
+    """
+    adjacency = _edge_phase_sum(spec.num_vertices, spec.edges, _theta_rows(spec, thetas))
     if kind == "adjacency":
         return adjacency
     deg = np.asarray(degrees(spec), dtype=float)
@@ -120,38 +75,13 @@ def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.nd
     raise ParameterError(f"unknown matrix kind {kind!r}")
 
 
-def _single(spec: PeriodicGraphSpec, theta, kind: str) -> FloquetMatrix:
-    stack = fiber_stack(spec, _theta_rows(spec, theta), kind)
-    return FloquetMatrix(kind, stack[0])
-
-
-def adjacency_floquet(spec: PeriodicGraphSpec, theta) -> FloquetMatrix:
-    """Phase-summed adjacency matrix at one torus point."""
-    return _single(spec, theta, "adjacency")
-
-
-def laplacian_floquet(spec: PeriodicGraphSpec, theta) -> FloquetMatrix:
-    """diag(degrees) minus the phase-summed adjacency; positive semidefinite."""
-    return _single(spec, theta, "laplacian")
-
-
-def schrodinger_floquet(spec: PeriodicGraphSpec, theta) -> FloquetMatrix:
-    """Laplacian fiber plus the diagonal of on-site potentials."""
-    return _single(spec, theta, "schrodinger")
-
-
-def normalized_floquet(spec: PeriodicGraphSpec, theta) -> FloquetMatrix:
-    """Identity minus the degree-normalized adjacency; spectrum within [0, 2]."""
-    return _single(spec, theta, "normalized")
-
-
 def fluctuation_split(spec: PeriodicGraphSpec, theta):
     """Split the Schroedinger fiber into its torus average plus the bridge part.
 
     The average keeps the full degrees and potentials but only zero-index
     edges (every cell-crossing phase integrates to zero); the remainder
     collects -exp(i <index, theta>) over bridges only.  Their sum rebuilds
-    the fiber exactly.
+    the fiber exactly.  Returns the (mean, fluct) pair of nu x nu matrices.
     """
     nv = spec.num_vertices
     thetas = _theta_rows(spec, theta)[:1]
@@ -162,4 +92,4 @@ def fluctuation_split(spec: PeriodicGraphSpec, theta):
     idx = np.arange(nv)
     mean[idx, idx] += np.asarray(degrees(spec), dtype=float)
     mean[idx, idx] += np.asarray(spec.potentials())
-    return FloquetMatrix("schrodinger", mean), FloquetMatrix("fluctuation", fluct)
+    return mean, fluct

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .graph import EdgeRecord, PeriodicGraphSpec, VertexInfo
 
 GRAPH_FORMAT_VERSION = 1
@@ -22,8 +22,9 @@ REPORT_FORMAT_VERSION = 1
 
 
 def format_float(value: float) -> str:
+    # Parsed inputs are checked to be finite, so this is a computation fault.
     if not math.isfinite(value):
-        raise ValidationError("cannot serialize a non-finite number")
+        raise NumericError("non-finite number computed for the report")
     return "%.17g" % value
 
 
@@ -36,7 +37,7 @@ def format_rows(table) -> list[str]:
     """
     table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
-        raise ValidationError("cannot serialize a non-finite number")
+        raise NumericError("non-finite value computed for the dispersion table")
     columns = []
     for column in table.T:
         distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)

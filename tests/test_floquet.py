@@ -1,28 +1,31 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from graphbands import (
     EdgeRecord,
+    ParameterError,
     PeriodicGraphSpec,
-    Quasimomentum,
     VertexInfo,
-    adjacency_floquet,
+    bridge_count,
+    classify,
     degrees,
+    fiber_eigenvalues,
     fluctuation_split,
-    laplacian_floquet,
-    normalized_floquet,
     oriented_edges,
-    schrodinger_floquet,
     shift_origin,
 )
-from graphbands.floquet import adjacency_stack, fiber_stack
-from graphbands.linalg import hermitian_eigs
+from graphbands.floquet import fiber_stack
+from graphbands.linalg import eigh_stack
+from graphbands.spectrum import grid_eigenvalues
 from graphbands.lattices import (
     bcc,
     bipartite_chain,
     cubic,
     fcc,
     hexagonal,
+    parse_builtin,
     star,
     subdivided,
     triangular,
@@ -45,54 +48,44 @@ ALL_SPECS = [
 
 
 def eigs(matrix):
-    return hermitian_eigs(matrix).values
+    return eigh_stack(matrix)[0][0]
 
 
-def test_quasimomentum_canonicalization():
-    q = Quasimomentum((-PI, 3 * PI, 0.5))
-    assert q.theta[0] == pytest.approx(PI)
-    assert q.theta[1] == pytest.approx(PI)
-    assert q.theta[2] == 0.5
-    assert all(0.0 <= t < 2 * PI for t in q.theta)
-
-
-def test_quasimomentum_grid_points_unchanged():
-    # Values already inside [0, 2*pi) pass through bitwise untouched.
-    values = (0.0, PI, 2 * PI * 31 / 96)
-    assert Quasimomentum(values).theta == values
+def fiber(spec, theta, kind="schrodinger"):
+    return fiber_stack(spec, np.atleast_2d(theta), kind)[0]
 
 
 def test_hexagonal_adjacency_at_zero():
-    mat = adjacency_floquet(hexagonal(), (0.0, 0.0)).entries
+    mat = fiber(hexagonal(), (0.0, 0.0), "adjacency")
     assert mat[0, 1] == pytest.approx(3.0)
     assert mat[0, 0] == 0.0 and mat[1, 1] == 0.0
 
 
 def test_square_lattice_adjacency_at_pi():
-    mat = adjacency_floquet(cubic(2), (PI, PI)).entries
+    mat = fiber(cubic(2), (PI, PI), "adjacency")
     assert mat[0, 0] == pytest.approx(-4.0)
 
 
 def test_bcc_adjacency_at_zero():
-    mat = adjacency_floquet(bcc(), (0.0, 0.0, 0.0)).entries
+    mat = fiber(bcc(), (0.0, 0.0, 0.0), "adjacency")
     assert mat[0, 1] == pytest.approx(8.0)
     assert mat[1, 1] == pytest.approx(6.0)
 
 
 def test_laplacian_row_sums_vanish_at_zero():
     for spec in ALL_SPECS:
-        mat = laplacian_floquet(spec, (0.0,) * spec.dimension).entries
+        mat = fiber(spec, (0.0,) * spec.dimension, "laplacian")
         assert np.abs(mat.sum(axis=1)).max() == pytest.approx(0.0, abs=1e-13)
 
 
 def test_hexagonal_laplacian_at_zero():
-    mat = laplacian_floquet(hexagonal(), (0.0, 0.0)).entries.real
+    mat = fiber(hexagonal(), (0.0, 0.0), "laplacian").real
     assert np.allclose(mat, [[3.0, -3.0], [-3.0, 3.0]])
     assert np.allclose(eigs(mat), [0.0, 6.0], atol=1e-13)
 
 
 def test_fcc_laplacian_at_flip_corner():
-    mat = laplacian_floquet(fcc(), (PI, PI, PI)).entries
+    mat = fiber(fcc(), (PI, PI, PI), "laplacian")
     assert abs(mat[0, 3]) == pytest.approx(0.0, abs=1e-12)
     assert abs(mat[1, 3]) == pytest.approx(0.0, abs=1e-12)
     assert abs(mat[2, 3]) == pytest.approx(0.0, abs=1e-12)
@@ -101,7 +94,7 @@ def test_fcc_laplacian_at_flip_corner():
 
 def test_zero_fiber_counts_edge_multiplicities():
     for spec in ALL_SPECS:
-        mat = laplacian_floquet(spec, (0.0,) * spec.dimension).entries
+        mat = fiber(spec, (0.0,) * spec.dimension, "laplacian")
         deg = degrees(spec)
         multiplicity = np.zeros((spec.num_vertices,) * 2)
         for e in spec.edges:
@@ -115,8 +108,8 @@ def test_zero_fiber_counts_edge_multiplicities():
 def test_schrodinger_adds_potentials():
     spec = hexagonal(q=(0.7, -0.7))
     theta = (0.9, 1.7)
-    lap = laplacian_floquet(spec, theta).entries
-    ham = schrodinger_floquet(spec, theta).entries
+    lap = fiber(spec, theta, "laplacian")
+    ham = fiber(spec, theta)
     assert np.allclose(ham - lap, np.diag([0.7, -0.7]))
     hop = -(1.0 + np.exp(1j * theta[0]) + np.exp(1j * theta[1]))
     assert ham[0, 1] == pytest.approx(hop)
@@ -126,19 +119,19 @@ def test_schrodinger_adds_potentials():
 def test_normalized_equals_scaled_laplacian_for_regular():
     spec = bipartite_chain(2, 4)
     theta = (1.3, 0.4)
-    norm = normalized_floquet(spec, theta).entries
-    lap = laplacian_floquet(spec, theta).entries
+    norm = fiber(spec, theta, "normalized")
+    lap = fiber(spec, theta, "laplacian")
     assert np.allclose(norm, lap / 4.0, atol=1e-13)
 
 
 def test_normalized_hexagonal_range():
-    values = eigs(normalized_floquet(hexagonal(), (0.0, 0.0)).entries)
+    values = fiber_eigenvalues(hexagonal(), (0.0, 0.0), "normalized")
     assert np.allclose(values, [0.0, 2.0], atol=1e-13)
 
 
 def test_normalized_square_scalar():
     theta = (0.8, 2.2)
-    value = normalized_floquet(cubic(2), theta).entries[0, 0].real
+    value = fiber(cubic(2), theta, "normalized")[0, 0].real
     expected = (4.0 - 2.0 * np.cos(theta[0]) - 2.0 * np.cos(theta[1])) / 4.0
     assert value == pytest.approx(expected)
     assert 0.0 <= value <= 2.0
@@ -150,8 +143,8 @@ def test_fluctuation_split_rebuilds_fiber():
         for _ in range(3):
             theta = rng.uniform(0.0, 2 * PI, size=spec.dimension)
             mean, fluct = fluctuation_split(spec, theta)
-            ham = schrodinger_floquet(spec, theta).entries
-            assert np.abs(mean.entries + fluct.entries - ham).max() < 1e-12
+            ham = fiber(spec, theta)
+            assert np.abs(mean + fluct - ham).max() < 1e-12
 
 
 def test_fluctuation_diagonal_for_loop_graphs():
@@ -159,20 +152,35 @@ def test_fluctuation_diagonal_for_loop_graphs():
     for spec in (cubic(3), triangular(), star(2, 4)):
         theta = rng.uniform(0.0, 2 * PI, size=spec.dimension)
         _, fluct = fluctuation_split(spec, theta)
-        off = fluct.entries - np.diag(np.diag(fluct.entries))
+        off = fluct - np.diag(np.diag(fluct))
         assert np.abs(off).max() == 0.0
-        assert np.abs(fluct.entries.imag).max() < 1e-15
+        assert np.abs(fluct.imag).max() < 1e-15
 
 
 def test_fluctuation_entry_bound_over_random_points():
     rng = np.random.default_rng(10)
     spec = fcc()
     _, at_zero = fluctuation_split(spec, (0.0, 0.0, 0.0))
-    bound = np.abs(at_zero.entries)
+    bound = np.abs(at_zero)
     for _ in range(1000):
         theta = rng.uniform(0.0, 2 * PI, size=3)
         _, fluct = fluctuation_split(spec, theta)
-        assert (np.abs(fluct.entries) <= bound + 1e-12).all()
+        assert (np.abs(fluct) <= bound + 1e-12).all()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda theta: fiber_stack(hexagonal(), theta[None], "laplacian"),
+        lambda theta: fiber_eigenvalues(hexagonal(), theta),
+        lambda theta: fluctuation_split(hexagonal(), theta),
+    ],
+    ids=["fiber_stack", "fiber_eigenvalues", "fluctuation_split"],
+)
+@pytest.mark.parametrize("d", [1, 3])
+def test_quasimomentum_of_the_wrong_dimension_rejected(call, d):
+    with pytest.raises(ParameterError, match=f"quasimomentum has {d} components, expected 2"):
+        call(np.zeros(d))
 
 
 def test_fibers_are_hermitian_everywhere():
@@ -231,25 +239,56 @@ def test_one_orientation_fill_matches_two_orientation_reference(spec):
     thetas = np.vstack(
         [rng.uniform(0.0, 2 * PI, size=(16, spec.dimension)), np.zeros((1, spec.dimension))]
     )
-    stack = adjacency_stack(spec, thetas)
+    stack = fiber_stack(spec, thetas, "adjacency")
     assert np.abs(stack - _two_orientation_adjacency(spec, thetas)).max() <= 1e-15
     assert np.array_equal(stack, np.conj(np.swapaxes(stack, 1, 2)))
     mean, fluct = fluctuation_split(spec, thetas[0])
-    assert np.array_equal(mean.entries, np.conj(mean.entries.T))
-    assert np.array_equal(fluct.entries, np.conj(fluct.entries.T))
-    ham = schrodinger_floquet(spec, thetas[0]).entries
-    assert np.abs(mean.entries + fluct.entries - ham).max() < 1e-14
+    assert np.array_equal(mean, np.conj(mean.T))
+    assert np.array_equal(fluct, np.conj(fluct.T))
+    ham = fiber(spec, thetas[0])
+    assert np.abs(mean + fluct - ham).max() < 1e-14
+
+
+BENCH_BUILTINS = ("hexagonal", "fcc", "star(2,6)", "subdivided(2,4)")
+
+
+def _reverse_edges(spec):
+    reversed_edges = tuple(
+        EdgeRecord(e.head, e.tail, tuple(-x for x in e.index)) for e in spec.edges
+    )
+    return PeriodicGraphSpec(spec.dimension, spec.vertices, reversed_edges)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [parse_builtin(b) for b in BENCH_BUILTINS] + LOOPY_SPECS,
+    ids=list(BENCH_BUILTINS) + [f"loopy{i}" for i in range(len(LOOPY_SPECS))],
+)
+def test_edge_reversal_invariance(spec):
+    # (t, h, n) -> (h, t, -n) describes the same unoriented periodic graph.
+    reversed_spec = _reverse_edges(spec)
+    assert classify(reversed_spec) == classify(spec)
+    count, bridges = bridge_count(spec)
+    reversed_count, reversed_bridges = bridge_count(reversed_spec)
+    # The same oriented bridges, each pair listed in the other order.
+    assert reversed_count == count
+    assert Counter(reversed_bridges) == Counter(bridges)
+    thetas = np.random.default_rng(16).uniform(0.0, 2 * PI, size=(32, spec.dimension))
+    for kind in ("laplacian", "schrodinger", "normalized"):
+        a = grid_eigenvalues(spec, thetas, kind)
+        b = grid_eigenvalues(reversed_spec, thetas, kind)
+        assert np.abs(a - b).max() <= 1e-12
 
 
 def test_periodicity_after_canonicalization():
     spec = hexagonal()
     base = (2 * PI * 5 / 96, 2 * PI * 17 / 96)
-    reference = schrodinger_floquet(spec, Quasimomentum(base).theta).entries
+    reference = fiber(spec, base)
     for axis in range(2):
         wrapped = list(base)
         wrapped[axis] += 2 * PI
-        canonical = Quasimomentum(tuple(wrapped)).theta
-        again = schrodinger_floquet(spec, canonical).entries
+        canonical = np.mod(wrapped, 2 * PI)
+        again = fiber(spec, canonical)
         # One float addition of 2*pi costs at most a couple of ulps.
         assert np.abs(again - reference).max() < 1e-13
 
@@ -271,8 +310,8 @@ def test_origin_shift_preserves_fiber_spectra():
             shifted = shift_origin(spec, offset)
             for _ in range(4):
                 theta = rng.uniform(0.0, 2 * PI, size=spec.dimension)
-                a = eigs(schrodinger_floquet(spec, theta).entries)
-                b = eigs(schrodinger_floquet(shifted, theta).entries)
+                a = fiber_eigenvalues(spec, theta)
+                b = fiber_eigenvalues(shifted, theta)
                 assert np.abs(a - b).max() < 1e-9
 
 
@@ -305,5 +344,5 @@ def test_bipartite_regular_fiber_symmetry():
     for spec, kappa in ((hexagonal(), 3), (four_fold, 4)):
         for _ in range(6):
             theta = rng.uniform(0.0, 2 * PI, size=spec.dimension)
-            values = eigs(laplacian_floquet(spec, theta).entries)
+            values = fiber_eigenvalues(spec, theta, "laplacian")
             assert np.abs(values + values[::-1] - 2.0 * kappa).max() < 1e-9

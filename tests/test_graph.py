@@ -10,6 +10,7 @@ from graphbands import (
     bridge_count,
     classify,
     degrees,
+    fiber_eigenvalues,
     fundamental_bipartite,
     is_connected_periodic,
     minimize_bridges,
@@ -18,8 +19,6 @@ from graphbands import (
     shift_origin,
     with_potentials,
 )
-from graphbands.floquet import schrodinger_floquet
-from graphbands.linalg import hermitian_eigs
 from graphbands.lattices import (
     FiniteGraph,
     bcc,
@@ -37,7 +36,7 @@ PI = np.pi
 
 
 def eigs_at(spec, theta):
-    return hermitian_eigs(schrodinger_floquet(spec, theta).entries).values
+    return fiber_eigenvalues(spec, theta)
 
 
 def test_validation_rejects_bad_edges():

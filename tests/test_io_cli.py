@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphbands import ValidationError, cli
+from graphbands import NumericError, ValidationError, cli
 from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
@@ -287,11 +287,11 @@ def test_format_rows_matches_per_cell_formatting(table):
 def test_format_rows_rejects_non_finite(bad, cell):
     table = np.ones((5, 3))
     table[cell] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(NumericError, match="non-finite value computed for the dispersion table"):
         format_rows(table)
 
 
-def test_cli_dispersion_non_finite_value_exits_one(capsys, monkeypatch):
+def test_cli_dispersion_non_finite_value_exits_two(capsys, monkeypatch):
     def poison(values):
         values = values.copy()
         values[3, 1] = np.nan
@@ -299,9 +299,64 @@ def test_cli_dispersion_non_finite_value_exits_one(capsys, monkeypatch):
 
     _capture_grid_eigenvalues(monkeypatch, poison)
     code, out, err = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--grid", "6")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err and "dispersion table" in err
+
+
+def test_cli_analyze_overflowing_band_width_exits_two(capsys):
+    # Finite potentials whose band width overflows to inf.
+    code, out, err = run_cli(
+        capsys, "analyze", "--builtin", "hexagonal", "--q", "1e308,-1e308", "--grid", "6"
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite number computed for the report" in err
+
+
+TOLERANCE_FLAGS = [
+    (("analyze", "--builtin", "star(2,3)"), "--flat-tol"),
+    (("analyze", "--builtin", "star(2,3)"), "--merge-tol"),
+    (("analyze", "--builtin", "star(2,3)"), "--check-tol"),
+    (("compare", "star(2,3)", "star(2,3)"), "--check-tol"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", TOLERANCE_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
+def test_cli_rejects_bad_tolerances(capsys, argv, flag, value):
+    # `--flag=value`, so argparse does not take "-inf" for an option.
+    code, out, err = run_cli(capsys, *argv, "--grid", "6", f"{flag}={value}")
     assert code == 1
     assert out == ""
-    assert "non-finite" in err
+    assert f"argument {flag}: must be a finite number >= 0, got {value!r}" in err
+
+
+def test_cli_accepts_zero_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--flat-tol", "0")
+    assert code == 0
+    assert json.loads(out)["flat_tol"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("inf", "is not finite"),
+        ("-inf", "is not finite"),
+        ("nan", "is not finite"),
+        ("1e999", "is not finite"),
+        ("9" * 400 + "pi", "is not finite"),
+        ("pi/0", "cannot parse"),
+    ],
+    ids=["inf", "-inf", "nan", "1e999", "huge-pi", "pi-over-zero"],
+)
+def test_cli_dispersion_rejects_non_finite_angle(capsys, token, message):
+    code, out, err = run_cli(
+        capsys, "dispersion", "--builtin", "hexagonal", "--path", f"0,0:{token},0"
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err and repr(token) in err
 
 
 def test_cli_compare_same_file(tmp_path, capsys):
