@@ -231,6 +231,7 @@ def _cmd_analyze(args) -> int:
         grid=grid,
         check_tol=args.check_tol,
         flat_tol=args.flat_tol,
+        merge_tol=args.merge_tol,
         refine=args.refine,
     )
     all_pass = all(report.passed for report in reports)

@@ -4,11 +4,16 @@ A band structure samples the fiber matrix on a uniform grid (always extended
 by the 2^d corner points with components in {0, pi}), sorts the eigenvalues
 at each sampled point, and takes per-branch envelopes.  Potentials are real
 and edges carry unit weight, so H(-theta) = conj(H(theta)) has the spectrum
-of H(theta): every grid consumer here solves only the time-reversal
-representatives of the grid (`TorusGrid.representatives`), about half of
-its points.  Envelopes are the exact minima and maxima; the extremizer
-reported for a branch is the first grid point, in grid order, within
-EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so ties between
+of H(theta), and a lattice symmetry (A, perm, shifts) of the graph
+(`symmetry.band_symmetry_group`) makes H(A^{-T} theta) unitarily equivalent to
+H(theta).  Band envelopes therefore solve one grid point per orbit of the
+certified group together with theta -> -theta (`TorusGrid.representatives`);
+on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
+beyond that, the orbits are the pairs theta, -theta.  The checks that read
+single fiber entries or vertex blocks, which a vertex permutation moves,
+solve those pairs only.  Envelopes are the exact minima and maxima; the
+extremizer reported for a branch is the first grid point, in grid order,
+within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so ties between
 symmetry-equivalent points do not depend on the last bits of the eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
 intervals missing from the union of the open bands.
@@ -46,6 +51,13 @@ UNIFORM_EXTREMIZER_TOL = 1e-8
 EXTREMIZER_TIE_TOL = 1e-12
 ENTRY_VARIATION_TOL = 1e-9
 REFINE_ITERATIONS = 40
+# Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) the
+# band-symmetry search and the orbit map cost more than the solves they
+# save, and only the pairs are merged.  Measured crossover, analyze on the
+# decorated graphs of the point_calls benchmark (one OpenBLAS thread): the
+# search pays from 300-1,150 pairs in 2-D and 1,400-2,050 in 3-D.  The
+# default grids (4,610 and 6,916 pairs) lie above, grid 12 (74, 868) below.
+SYMMETRY_SEARCH_MIN_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -94,25 +106,46 @@ class TorusGrid:
         m, d = self.points_per_axis, self.dimension
         return m**d + (2**d - 1 if m % 2 else 0)
 
-    def representatives(self) -> np.ndarray:
-        """The time-reversal representatives of `points()`, in grid order.
+    def representatives(self, group=()) -> np.ndarray:
+        """The orbit minima of `points()` under a band-symmetry group, in grid order.
 
-        A uniform point k is kept when its linear index is at most that of
-        (-k) mod m, so of each pair k, -k the one first in grid order is
-        kept; the pi corners appended to an odd grid are their own negations
-        and are all kept.  H(-theta) = conj(H(theta)) has the spectrum of
-        H(theta), so these points, (m^d + 2^d)/2 of them for even m, carry
-        every eigenvalue the full grid samples.
+        `group` holds the integer matrices A of a group, closed under
+        products, such as the matrices of `symmetry.band_symmetry_group`.
+        H(A^{-T} theta) is unitarily equivalent to H(theta), and
+        H(-theta) = conj(H(theta)) has the spectrum of H(theta), so every
+        point of an orbit of k -> +-A^{-T} k (mod m) carries the same
+        eigenvalues.  A uniform point k is kept when its linear index is the
+        smallest over its orbit; the work is exact integer arithmetic on grid
+        coordinates.  As the group is closed under inverses, the orbits of
+        the transposes A^T are the same.  The pi corners appended to an odd
+        grid are all kept.  With no group, the orbits are the pairs k, -k:
+        (m^d + 2^d)/2 points for even m.
         """
         pts = self.points()
         m, d = self.points_per_axis, self.dimension
+        strides = [m ** (d - 1 - j) for j in range(d)]
+        identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        images = {tuple(zip(*matrix)) for matrix in group} | {identity}
+        images |= {tuple(tuple(-x for x in row) for row in matrix) for matrix in images}
+        images.discard(identity)
+        # Image coordinate j of k is (row_j . k) mod m.  The matrices share
+        # few rows, so each (row, j) term is built once, on the axes the row
+        # touches, and then spread over the grid in index order.
         shape = (m,) * d
-        index = np.arange(m**d)
-        negated = np.ravel_multi_index(
-            tuple((-k) % m for k in np.unravel_index(index, shape)), shape
-        )
+        axes = [np.arange(m).reshape([m if i == s else 1 for i in range(d)]) for s in range(d)]
+        terms = {}
+        for row, j in {(row, j) for matrix in images for j, row in enumerate(matrix)}:
+            term = np.empty(shape, dtype=np.intp)
+            term[...] = (sum(c * axes[i] for i, c in enumerate(row) if c) % m) * strides[j]
+            terms[row, j] = term.ravel()
+        orbit_min = np.arange(m**d)
+        for matrix in images:
+            image = terms[matrix[0], 0]
+            for j in range(1, d):
+                image = image + terms[matrix[j], j]
+            np.minimum(orbit_min, image, out=orbit_min)
         keep = np.ones(pts.shape[0], dtype=bool)
-        keep[: m**d] = index <= negated
+        keep[: m**d] = orbit_min == np.arange(m**d)
         return pts[keep]
 
 
@@ -351,20 +384,28 @@ def _refine_extrema(spec, kind, starts, branches, signs, step):
     return signs * best, [tuple(float(x) for x in theta) for theta in thetas]
 
 
-def compute_band_structure(
-    spec: PeriodicGraphSpec,
-    kind: str = "schrodinger",
-    grid: TorusGrid | None = None,
-    flat_tol: float | None = None,
-    merge_tol: float = FLAT_MERGE_TOL,
-    refine: bool = False,
-) -> BandStructure:
-    """Sample the fiber over the torus grid and extract bands, flats and gaps."""
+def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid) -> tuple:
+    """Matrices of the graph's certified band-symmetry group, or () when the
+    grid is too small for the search to pay (SYMMETRY_SEARCH_MIN_POINTS)."""
+    if (grid.size + 2**grid.dimension) // 2 < SYMMETRY_SEARCH_MIN_POINTS:
+        return ()
+    # Imported here, on first use: importing the search with the package
+    # would add its compile time to every start-up that reads no bytecode
+    # cache, also for calls that never search.
+    from .symmetry import band_symmetry_group
+
+    return tuple(s.matrix for s in band_symmetry_group(spec))
+
+
+def _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine):
+    """`compute_band_structure` with the orbit group given (None: found here),
+    plus the eigenvalues at theta = 0, the first row of the grid solve."""
     if not is_connected_periodic(spec):
         raise PreconditionError("periodic cover is disconnected")
     grid = _grid_for(spec, grid)
-    thetas = grid.representatives()
-    lows, highs, argmins, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, kind))
+    thetas = grid.representatives(_orbit_group(spec, grid) if group is None else group)
+    values = grid_eigenvalues(spec, thetas, kind)
+    lows, highs, argmins, argmaxs = _envelopes(thetas, values)
     if refine:
         nu = len(lows)
         extrema, points = _refine_extrema(
@@ -377,7 +418,24 @@ def compute_band_structure(
         )
         lows, highs = extrema[:nu], extrema[nu:]
         argmins, argmaxs = points[:nu], points[nu:]
-    return _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
+    structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
+    return structure, values[0]
+
+
+def compute_band_structure(
+    spec: PeriodicGraphSpec,
+    kind: str = "schrodinger",
+    grid: TorusGrid | None = None,
+    flat_tol: float | None = None,
+    merge_tol: float = FLAT_MERGE_TOL,
+    refine: bool = False,
+) -> BandStructure:
+    """Sample the fiber over the torus grid and extract bands, flats and gaps.
+
+    One point is solved per orbit of the graph's certified band-symmetry
+    group (`TorusGrid.representatives`).
+    """
+    return _band_structure(spec, kind, grid, None, flat_tol, merge_tol, refine)[0]
 
 
 def verify_total_band_bound(
@@ -497,7 +555,7 @@ def loop_band_endpoints(
     else:
         grid = sampled
         lows = fiber_eigenvalues(spec, zero, "schrodinger")
-        thetas = grid.representatives()
+        thetas = grid.representatives(_orbit_group(spec, grid))
         _, highs, _, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, "schrodinger"))
     return _assemble_structure(
         "schrodinger", grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol
@@ -871,22 +929,25 @@ def estimate_suite(
     *,
     check_tol: float = CHECK_TOL,
     flat_tol: float | None = None,
+    merge_tol: float = FLAT_MERGE_TOL,
     refine: bool = False,
 ):
     """Classification, band structure, and every applicable estimate report.
 
-    Returns (classification, band_structure, reports).
+    The band-symmetry search runs once and serves every band structure
+    here: a symmetry of the graph keeps degrees and potentials, so it is one
+    of the Laplacian too.  The theta = 0 eigenvalues are the first rows of
+    the grid solves.  Returns (classification, band_structure, reports).
     """
     cls = classify(spec)
     if not cls.is_connected:
         raise PreconditionError("periodic cover is disconnected")
     grid = _grid_for(spec, grid)
-    bs = compute_band_structure(spec, kind, grid, flat_tol=flat_tol, refine=refine)
-    zero = (0.0,) * spec.dimension
+    group = _orbit_group(spec, grid)
+    bs, zero_vals = _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine)
     reports = []
 
     if kind == "normalized":
-        zero_vals = fiber_eigenvalues(spec, zero, "normalized")
         checks = (
             _check("0<=normalized-min", 0.0, bs.bands[0].low, check_tol),
             _check("normalized-max<=2", bs.bands[-1].high, 2.0, check_tol),
@@ -898,10 +959,10 @@ def estimate_suite(
     potentials = spec.potentials()
     q_zero = all(q == 0.0 for q in potentials)
     if kind == "laplacian" or (q_zero and kind == "schrodinger"):
-        bs0 = bs
+        bs0, zero_vals0 = bs, zero_vals
     else:
-        bs0 = compute_band_structure(
-            spec, "laplacian", grid, flat_tol=flat_tol, refine=refine
+        bs0, zero_vals0 = _band_structure(
+            spec, "laplacian", grid, group, flat_tol, merge_tol, refine
         )
 
     reports.append(
@@ -913,8 +974,6 @@ def estimate_suite(
         )
     )
 
-    zero_vals0 = fiber_eigenvalues(spec, zero, "laplacian")
-    zero_vals = zero_vals0 if kind == "laplacian" else fiber_eigenvalues(spec, zero, kind)
     containment = (
         _check("0<=laplacian-min", 0.0, bs0.bands[0].low, check_tol),
         _check("laplacian-max<=2*max-degree", bs0.bands[-1].high, 2.0 * cls.max_degree, check_tol),
@@ -969,7 +1028,7 @@ def estimate_suite(
             symmetry_dev = float(np.abs(lows0 + highs0[::-1] - 2.0 * kappa).max())
             checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, check_tol))
         if cls.is_loop_graph:
-            mirrored = bipartite_loop_endpoints(spec)
+            mirrored = bipartite_loop_endpoints(spec, merge_tol=merge_tol)
             lows_m = np.asarray([b.low for b in mirrored.bands])
             highs_m = np.asarray([b.high for b in mirrored.bands])
             dev = max(

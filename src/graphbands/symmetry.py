@@ -1,0 +1,248 @@
+"""The band-symmetry group of a periodic graph, certified by exact integer search.
+
+A symmetry is a unimodular matrix A, a vertex permutation that keeps
+potentials, and per-vertex cell shifts that together map the edge multiset
+of the quotient onto itself.  Such a symmetry makes H(A^{-T} theta)
+unitarily equivalent to H(theta), so band functions are constant on the
+orbits of the group on the torus.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+from collections import Counter
+from dataclasses import dataclass
+
+from .graph import PeriodicGraphSpec, degrees, is_connected_periodic, oriented_edges
+
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class LatticeSymmetry:
+    """Automorphism of the periodic cover: vertex u of cell x goes to vertex
+    perm[u] of cell matrix x + shifts[u].
+
+    Every edge (u, w, n) maps to an edge (perm[u], perm[w],
+    matrix n + shifts[w] - shifts[u]) of the same multiset and perm keeps
+    potentials, so H(matrix^{-T} theta) is unitarily equivalent to H(theta).
+    """
+
+    matrix: Matrix
+    perm: tuple[int, ...]
+    shifts: tuple[tuple[int, ...], ...]
+
+    def then(self, other: "LatticeSymmetry") -> "LatticeSymmetry":
+        """`other` applied after this symmetry."""
+        return LatticeSymmetry(
+            _matmul(other.matrix, self.matrix),
+            tuple(other.perm[p] for p in self.perm),
+            tuple(
+                tuple(a + b for a, b in zip(_matvec(other.matrix, t), other.shifts[p]))
+                for t, p in zip(self.shifts, self.perm)
+            ),
+        )
+
+
+def _matvec(matrix: Matrix, vector) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, vector)) for row in matrix)
+
+
+def _matmul(left: Matrix, right: Matrix) -> Matrix:
+    columns = tuple(zip(*right))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in left)
+
+
+def _candidate_matrices(dimension: int) -> list[Matrix]:
+    """The unimodular matrices tried as band symmetries; they do not depend on the graph.
+
+    In 2-D: the 24 matrices of finite order with entries in {-1, 0, 1},
+    which hold the point groups of the square basis and of both hexagonal
+    bases (60 and 120 degrees).  Otherwise: the 2^d d! signed permutations.
+    """
+    if dimension == 2:
+        # det -1 has finite order iff the trace is 0; det 1 iff |trace| <= 1
+        # or the matrix is +-I.
+        return [
+            ((a, b), (c, d))
+            for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+            if (a * d - b * c == -1 and a + d == 0)
+            or (a * d - b * c == 1 and (abs(a + d) <= 1 or (b == c == 0 and a == d)))
+        ]
+    return [
+        tuple(
+            tuple(sign if col == p else 0 for col in range(dimension))
+            for p, sign in zip(perm, signs)
+        )
+        for perm in itertools.permutations(range(dimension))
+        for signs in itertools.product((1, -1), repeat=dimension)
+    ]
+
+
+def _canonical_edge(tail: int, head: int, index: tuple[int, ...]):
+    """One key for the two orientations of an unoriented edge."""
+    return min((tail, head, index), (head, tail, tuple(-x for x in index)))
+
+
+class _AutomorphismSearch:
+    """Finds, for a given matrix A, a vertex permutation and per-vertex shifts
+    that map the edge multiset onto itself, by exact backtracking.
+
+    Vertices are placed in DFS order from one vertex of the rarest
+    (potential, degree) class; that root is pinned to shift 0, which loses
+    nothing because composing with a lattice translation moves every shift
+    by the same vector.  Each later vertex takes its image and shift from
+    the image of its DFS tree edge, and every edge to an already placed
+    vertex is checked as it is placed.
+    """
+
+    def __init__(self, spec: PeriodicGraphSpec):
+        nv = spec.num_vertices
+        self.zero = (0,) * spec.dimension
+        deg = degrees(spec)
+        self.vertex_class = [(v.potential, deg[j]) for j, v in enumerate(spec.vertices)]
+        self.out: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+        # between[v][u]: sorted indices of the oriented edges v -> u
+        self.between: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(nv)]
+        for e in oriented_edges(spec):
+            self.out[e.tail].append((e.head, e.index))
+            self.between[e.tail].setdefault(e.head, []).append(e.index)
+        for row in self.between:
+            for indices in row.values():
+                indices.sort()
+        self.edges = sorted(_canonical_edge(e.tail, e.head, e.index) for e in spec.edges)
+        sizes = Counter(self.vertex_class)
+        root = min(range(nv), key=lambda v: (sizes[self.vertex_class[v]], v))
+        self.order = [root]
+        self.tree: dict[int, tuple[int, tuple[int, ...]]] = {}
+        stack = [(root, iter(self.out[root]))]
+        while stack:
+            for w, n in stack[-1][1]:
+                if w not in self.tree and w != root:
+                    self.tree[w] = (stack[-1][0], n)
+                    self.order.append(w)
+                    stack.append((w, iter(self.out[w])))
+                    break
+            else:
+                stack.pop()
+
+    def _options(self, depth, matrix, perm, shifts, used):
+        v = self.order[depth]
+        if depth == 0:
+            same = [w for w in range(len(perm)) if self.vertex_class[w] == self.vertex_class[v]]
+            return iter([(w, self.zero) for w in same])
+        parent, n = self.tree[v]
+        image_n = _matvec(matrix, n)
+        options = {}
+        for w, m in self.out[perm[parent]]:
+            if not used[w] and self.vertex_class[w] == self.vertex_class[v]:
+                shift = tuple(a - b + c for a, b, c in zip(m, image_n, shifts[parent]))
+                options.setdefault((w, shift), None)
+        return iter(options)
+
+    def _consistent(self, v, matrix, perm, shifts) -> bool:
+        w, tv = perm[v], shifts[v]
+        target = self.between[w]
+        for u, indices in self.between[v].items():
+            if perm[u] < 0:
+                continue
+            tu = shifts[u]
+            mapped = sorted(
+                tuple(a + b - c for a, b, c in zip(_matvec(matrix, n), tu, tv))
+                for n in indices
+            )
+            if mapped != target.get(perm[u]):
+                return False
+        return True
+
+    def find(self, matrix: Matrix) -> LatticeSymmetry | None:
+        """A symmetry with this matrix, or None when there is none."""
+        nv = len(self.order)
+        perm, shifts, used = [-1] * nv, [None] * nv, [False] * nv
+        stack = [self._options(0, matrix, perm, shifts, used)]
+        while stack:
+            depth = len(stack) - 1
+            v = self.order[depth]
+            if perm[v] >= 0:  # back from a dead end below: undo this placement
+                used[perm[v]] = False
+                perm[v], shifts[v] = -1, None
+            for w, shift in stack[-1]:
+                if used[w]:
+                    continue
+                perm[v], shifts[v], used[w] = w, shift, True
+                if self._consistent(v, matrix, perm, shifts):
+                    break
+                used[w] = False
+                perm[v], shifts[v] = -1, None
+            else:
+                stack.pop()
+                continue
+            if depth + 1 < nv:
+                stack.append(self._options(depth + 1, matrix, perm, shifts, used))
+                continue
+            candidate = LatticeSymmetry(matrix, tuple(perm), tuple(shifts))
+            if self._maps_edges_onto_themselves(candidate):
+                return candidate
+        return None
+
+    def _maps_edges_onto_themselves(self, sym: LatticeSymmetry) -> bool:
+        """The certificate: the image of the edge multiset is the edge multiset."""
+        image = sorted(
+            _canonical_edge(
+                sym.perm[t],
+                sym.perm[h],
+                tuple(
+                    a + b - c
+                    for a, b, c in zip(_matvec(sym.matrix, n), sym.shifts[h], sym.shifts[t])
+                ),
+            )
+            for t, h, n in self.edges
+        )
+        return image == self.edges
+
+
+def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[LatticeSymmetry, ...]:
+    """The certified band-symmetry group of the graph, identity first.
+
+    Each candidate matrix of `_candidate_matrices` is searched for a vertex
+    permutation and shifts (`_AutomorphismSearch`); the group is closed
+    under composition as elements are found, so it may hold matrices outside
+    the candidate table.  A candidate already in the group is not searched,
+    nor one in a coset A.H of a candidate A that failed against the group H
+    of that moment (if A.h were a symmetry, so would A be).  Exact integer
+    work: the result depends on nothing but the graph.  A graph whose cover
+    is not connected gets the identity alone: its group can be infinite.
+    """
+    d, nv = spec.dimension, spec.num_vertices
+    identity_matrix = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    identity = LatticeSymmetry(identity_matrix, tuple(range(nv)), ((0,) * d,) * nv)
+    if not is_connected_periodic(spec):
+        return (identity,)
+    group = {identity_matrix: identity}
+    search = _AutomorphismSearch(spec)
+    generators: list[LatticeSymmetry] = []
+    failed: set[Matrix] = set()
+    for matrix in _candidate_matrices(d):
+        if matrix in group or matrix in failed:
+            continue
+        found = search.find(matrix)
+        if found is None:
+            failed.update(_matmul(matrix, h) for h in group)
+            continue
+        generators.append(found)
+        # Dimino's closure: the group grows by whole cosets H.r of the old
+        # group H until every coset representative times every generator
+        # lands in a known coset.
+        old = list(group.values())
+        pending = [found]
+        while pending:
+            r = pending.pop()
+            if r.matrix in group:
+                continue
+            group.update((e.matrix, e) for e in (h.then(r) for h in old))
+            pending.extend(
+                r.then(g) for g in generators if _matmul(g.matrix, r.matrix) not in group
+            )
+    return tuple(group.values())

@@ -7,7 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from graphbands import NumericError, ValidationError, cli
+from graphbands import (
+    NumericError,
+    TorusGrid,
+    ValidationError,
+    cli,
+    compute_band_structure,
+    spectrum,
+)
 from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
@@ -432,3 +439,40 @@ def test_cli_analyze_refine_flag(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["bands"][0]["high"] == pytest.approx(9.0, abs=1e-6)
+
+
+def test_cli_merge_tol_reaches_flat_band_grouping(capsys):
+    # The two flat branches of star(2,4) at 1 differ in their last bits, so
+    # --merge-tol 0 keeps them apart where the default merges them.
+    code, out, _ = run_cli(
+        capsys, "analyze", "--builtin", "star(2,4)", "--grid", "12", "--merge-tol", "0"
+    )
+    assert code == 0
+    expected = compute_band_structure(
+        star(2, 4), "schrodinger", TorusGrid(2, 12), merge_tol=0.0
+    )
+    assert json.loads(out)["flat_bands"] == [
+        {"value": fb.value, "multiplicity": fb.multiplicity} for fb in expected.flat_bands
+    ]
+    assert [fb.multiplicity for fb in expected.flat_bands] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [(("--builtin", "hexagonal"), 1), (("--builtin", "hexagonal", "--q", "1,-1"), 2)],
+    ids=["potential-free", "with-potentials"],
+)
+def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, monkeypatch, argv, solves):
+    # One grid solve per band structure (Schroedinger, and Laplacian when
+    # potentials are present); theta = 0 is its first row, never re-solved.
+    calls = []
+    solve = spectrum.eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        calls.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    code, _, _ = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    assert len(calls) == solves

@@ -130,14 +130,24 @@ def _full_grid_envelopes(spec, kind, grid):
     return lows, highs, argmins, argmaxs
 
 
-@pytest.mark.parametrize("m", [12, 13])
+# Like the bench set's decorated hexagonal: a 3-vertex tree on vertex 1 and
+# distinct potentials, so the group has 6 elements and no -I.
+DECORATED_HEXAGONAL = with_potentials(
+    decorate(hexagonal(), FiniteGraph(3, ((0, 1), (0, 2))), 1),
+    (0.3, -1.7, 1.1, 2.05),
+)
+
+
+# m = None is the default grid (96 in 2-D, 24 in 3-D), where one point is
+# solved per orbit of the band-symmetry group; 12 and 13 solve k, -k pairs.
+@pytest.mark.parametrize("m", [12, 13, None])
 @pytest.mark.parametrize(
     "spec",
     [hexagonal(), hexagonal(q=(1.0, -1.0)), fcc(), star(2, 6), subdivided(2, 4),
-     subdivided(3, 3), triangular(), cubic(3), bcc()],
+     subdivided(3, 3), triangular(), cubic(3), bcc(), DECORATED_HEXAGONAL],
 )
 def test_half_torus_matches_full_grid_reference(spec, m):
-    grid = TorusGrid(spec.dimension, m)
+    grid = TorusGrid.default_for(spec.dimension) if m is None else TorusGrid(spec.dimension, m)
     bs = compute_band_structure(spec, "schrodinger", grid)
     lows, highs, argmins, argmaxs = _full_grid_envelopes(spec, "schrodinger", grid)
     assert np.abs(np.array([b.low for b in bs.bands]) - lows).max() <= 1e-12
@@ -613,9 +623,9 @@ def test_stability_reuses_the_corner_solves(monkeypatch, spec_a, spec_b, precise
 
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
     report = stability_constants(spec_a, spec_b)
-    # One grid and one batch of the four corners per graph.
-    grid_points = len(TorusGrid.default_for(2).representatives())
-    assert solves == [grid_points, 4, grid_points, 4]
+    # One grid and one batch of the four corners per graph.  Both graphs
+    # have 8 band symmetries: 1,225 orbits of the default 96 x 96 grid.
+    assert solves == [1225, 4, 1225, 4]
     assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
         (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
     ]

@@ -1,0 +1,220 @@
+"""The certified band-symmetry group and the orbit representatives it gives."""
+
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from graphbands import EdgeRecord, PeriodicGraphSpec, TorusGrid, VertexInfo
+from graphbands import spectrum
+from graphbands import symmetry
+from graphbands.symmetry import _AutomorphismSearch, _candidate_matrices, band_symmetry_group
+from graphbands.lattices import (
+    FiniteGraph,
+    bcc,
+    bipartite_chain,
+    cubic,
+    decorate,
+    fcc,
+    hexagonal,
+    star,
+    subdivided,
+    triangular,
+)
+
+
+def _edge_multiset(edges):
+    # Reference: each unoriented edge counted under one orientation key.
+    return Counter(
+        min((tail, head, tuple(index)), (head, tail, tuple(-x for x in index)))
+        for tail, head, index in edges
+    )
+
+
+def _maps_graph_onto_itself(spec, sym):
+    a = np.asarray(sym.matrix)
+    shifts = np.asarray(sym.shifts)
+    images = [
+        (
+            sym.perm[e.tail],
+            sym.perm[e.head],
+            tuple(int(x) for x in a @ e.index + shifts[e.head] - shifts[e.tail]),
+        )
+        for e in spec.edges
+    ]
+    potentials = spec.potentials()
+    edges = [(e.tail, e.head, e.index) for e in spec.edges]
+    return _edge_multiset(images) == _edge_multiset(edges) and all(
+        potentials[sym.perm[u]] == potentials[u] for u in range(spec.num_vertices)
+    )
+
+
+def _decorated_hexagonal():
+    # A pendant on one sublattice breaks the sublattice swap, -I among it.
+    return decorate(hexagonal(), FiniteGraph(2, ((0, 1),)), 0)
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (hexagonal(), 12),
+        (triangular(), 12),
+        (star(2, 6), 8),
+        (subdivided(2, 4), 8),
+        (star(2, 3), 8),
+        (bipartite_chain(2, 3), 8),
+        (fcc(), 48),
+        (bcc(), 48),
+        (cubic(3), 48),
+        (subdivided(3, 3), 48),
+        (hexagonal(q=(1.0, -1.0)), 6),
+        (_decorated_hexagonal(), 6),
+    ],
+    ids=lambda x: str(x) if isinstance(x, int) else None,
+)
+def test_group_orders_of_the_builtins(spec, order):
+    group = band_symmetry_group(spec)
+    assert len(group) == len({s.matrix for s in group}) == order
+    assert np.array_equal(group[0].matrix, np.eye(spec.dimension, dtype=int))
+    assert all(_maps_graph_onto_itself(spec, s) for s in group)
+
+
+@pytest.mark.parametrize("spec", [hexagonal(q=(1.0, -1.0)), _decorated_hexagonal()])
+def test_time_reversal_completes_a_group_without_minus_identity(spec):
+    # |G| = 6 without -I; adding theta -> -theta gives the 12 of hexagonal.
+    matrices = [s.matrix for s in band_symmetry_group(spec)]
+    assert ((-1, 0), (0, -1)) not in matrices
+    assert len(TorusGrid(2, 96).representatives(matrices)) == 817
+
+
+def test_shear_is_rejected_for_hexagonal():
+    shear = ((1, 1), (0, 1))
+    assert _AutomorphismSearch(hexagonal()).find(shear) is None
+    assert shear not in {s.matrix for s in band_symmetry_group(hexagonal())}
+
+
+@pytest.mark.parametrize(
+    "spec, orbits",
+    [(hexagonal(), 817), (star(2, 6), 1225), (subdivided(2, 4), 1225), (fcc(), 455)],
+)
+def test_orbit_counts_on_the_default_grids(spec, orbits):
+    grid = TorusGrid.default_for(spec.dimension)
+    group = spectrum._orbit_group(spec, grid)
+    assert len(grid.representatives(group)) == orbits
+
+
+def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
+    # Distinct potentials and a lopsided edge set leave only +-I.
+    spec = PeriodicGraphSpec(
+        2,
+        (VertexInfo("a", 0.0), VertexInfo("b", 1.0)),
+        tuple(
+            EdgeRecord(0, 1, n) for n in ((0, 0), (1, 0), (0, 1), (1, 1))
+        ) + (EdgeRecord(0, 0, (1, 2)),),
+    )
+    group = [s.matrix for s in band_symmetry_group(spec)]
+    assert group == [((1, 0), (0, 1)), ((-1, 0), (0, -1))]
+    for m in (12, 13, 96):
+        grid = TorusGrid(2, m)
+        assert grid.representatives(group).tobytes() == grid.representatives().tobytes()
+
+
+def test_small_grids_skip_the_search(monkeypatch):
+    monkeypatch.setattr(symmetry, "band_symmetry_group", lambda spec: pytest.fail("searched"))
+    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12)) == ()
+
+
+# Random small quotients with connected covers: nu <= 5, d <= 3.  A random
+# spanning tree and one unit loop per axis keep the cover connected; half of
+# the draws close the edge multiset under a random candidate matrix, so that
+# groups beyond {+-I} occur.
+@st.composite
+def quotients(draw):
+    d = draw(st.integers(1, 3))
+    nv = draw(st.integers(1, 5))
+    potentials = draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    index = st.tuples(*[st.integers(-1, 1)] * d)
+    edges = [(draw(st.integers(0, j - 1)), j, draw(index)) for j in range(1, nv)]
+    loop_vertices = draw(st.lists(vertex, min_size=d, max_size=d))
+    edges += [(u, u, tuple(int(s == t) for t in range(d))) for s, u in enumerate(loop_vertices)]
+    edges += draw(st.lists(st.tuples(vertex, vertex, index), max_size=4))
+    if draw(st.booleans()):
+        a = np.asarray(draw(st.sampled_from(_candidate_matrices(d))))
+        powers = [np.eye(d, dtype=int)]
+        while not np.array_equal(powers[-1] @ a, powers[0]):
+            powers.append(powers[-1] @ a)
+        edges = [(t, h, tuple(int(x) for x in p @ n)) for t, h, n in edges for p in powers]
+    return PeriodicGraphSpec(
+        d,
+        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
+        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
+    )
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@PROPERTY_SETTINGS
+@given(quotients())
+def test_every_certified_element_is_an_automorphism(spec):
+    group = band_symmetry_group(spec)
+    matrices = {s.matrix for s in group}
+    assert len(matrices) == len(group)
+    for sym in group:
+        assert _maps_graph_onto_itself(spec, sym)
+        assert round(abs(np.linalg.det(np.asarray(sym.matrix, dtype=float)))) == 1
+    # Closed under products: a group, as `representatives` requires.
+    for x in matrices:
+        for y in matrices:
+            assert tuple(map(tuple, np.asarray(x) @ np.asarray(y))) in matrices
+
+
+@PROPERTY_SETTINGS
+@given(quotients(), st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+def test_spectra_agree_at_theta_and_its_images(spec, theta):
+    theta = np.asarray(theta[: spec.dimension])
+    images = [
+        np.linalg.solve(np.asarray(s.matrix, dtype=float).T, theta)
+        for s in band_symmetry_group(spec)
+    ]
+    for kind in ("schrodinger", "laplacian"):
+        values = spectrum.grid_eigenvalues(spec, np.vstack([theta] + images), kind)
+        assert np.abs(values - values[0]).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(quotients(), st.integers(2, 6))
+def test_orbit_minima_give_the_half_torus_envelopes(spec, m):
+    grid = TorusGrid(spec.dimension, m if spec.dimension < 3 else min(m, 4))
+    group = [s.matrix for s in band_symmetry_group(spec)]
+    half = grid.representatives()
+    orbit = grid.representatives(group)
+    kept = set(map(tuple, half.tolist()))
+    assert all(tuple(row) in kept for row in orbit.tolist())
+    lows, highs, argmins, argmaxs = spectrum._envelopes(
+        orbit, spectrum.grid_eigenvalues(spec, orbit, "schrodinger")
+    )
+    ref_lows, ref_highs, ref_argmins, ref_argmaxs = spectrum._envelopes(
+        half, spectrum.grid_eigenvalues(spec, half, "schrodinger")
+    )
+    assert np.abs(lows - ref_lows).max() <= 1e-12
+    assert np.abs(highs - ref_highs).max() <= 1e-12
+    assert argmins == ref_argmins and argmaxs == ref_argmaxs
+
+
+def test_importing_the_cli_leaves_the_search_unloaded():
+    # The search module is imported on the first grid that needs it, so a
+    # start-up does not compile it.
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, graphbands.cli; sys.exit('graphbands.symmetry' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
