@@ -4,10 +4,11 @@ A band structure samples the fiber matrix on a uniform grid (always extended
 by the 2^d corner points with components in {0, pi}), sorts the eigenvalues
 at each sampled point, and takes per-branch envelopes.  Potentials are real
 and edges carry unit weight, so H(-theta) = conj(H(theta)) has the spectrum
-of H(theta), and a lattice symmetry (A, perm, shifts) of the graph
-(`symmetry.band_symmetry_group`) makes H(A^{-T} theta) unitarily equivalent to
-H(theta).  Band envelopes therefore solve one grid point per orbit of the
-certified group together with theta -> -theta (`TorusGrid.representatives`);
+of H(theta), and each matrix A of the graph's band-symmetry group
+(`symmetry.band_symmetry_group`, certified by a vertex permutation and cell
+shifts that an exact search finds) makes H(A^{-T} theta) unitarily
+equivalent to H(theta).  Band envelopes therefore solve one grid point per
+orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
 beyond that, the orbits are the pairs theta, -theta.  The checks that read
 single fiber entries or vertex blocks, which a vertex permutation moves,
@@ -110,7 +111,7 @@ class TorusGrid:
         """The orbit minima of `points()` under a band-symmetry group, in grid order.
 
         `group` holds the integer matrices A of a group, closed under
-        products, such as the matrices of `symmetry.band_symmetry_group`.
+        products, such as `symmetry.band_symmetry_group` returns.
         H(A^{-T} theta) is unitarily equivalent to H(theta), and
         H(-theta) = conj(H(theta)) has the spectrum of H(theta), so every
         point of an orbit of k -> +-A^{-T} k (mod m) carries the same
@@ -385,8 +386,8 @@ def _refine_extrema(spec, kind, starts, branches, signs, step):
 
 
 def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid) -> tuple:
-    """Matrices of the graph's certified band-symmetry group, or () when the
-    grid is too small for the search to pay (SYMMETRY_SEARCH_MIN_POINTS)."""
+    """The matrices of the graph's band-symmetry group, or () when the grid
+    is too small for the search to pay (SYMMETRY_SEARCH_MIN_POINTS)."""
     if (grid.size + 2**grid.dimension) // 2 < SYMMETRY_SEARCH_MIN_POINTS:
         return ()
     # Imported here, on first use: importing the search with the package
@@ -394,7 +395,7 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid) -> tuple:
     # cache, also for calls that never search.
     from .symmetry import band_symmetry_group
 
-    return tuple(s.matrix for s in band_symmetry_group(spec))
+    return band_symmetry_group(spec)
 
 
 def _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine):
@@ -505,12 +506,7 @@ def verify_gap_bound(
     )
 
 
-def check_first_band_nondegenerate(
-    spec: PeriodicGraphSpec,
-    grid: TorusGrid | None = None,
-    *,
-    band_structure: BandStructure | None = None,
-):
+def check_first_band_nondegenerate(spec: PeriodicGraphSpec, grid: TorusGrid | None = None):
     """(entry-modulus variation found, first band open).
 
     A varying entry modulus forces an open first band; the converse can fail,
@@ -520,7 +516,7 @@ def check_first_band_nondegenerate(
     moduli = np.abs(fiber_stack(spec, grid.representatives(), "laplacian"))
     variation = moduli.max(axis=0) - moduli.min(axis=0)
     condition = bool((variation > ENTRY_VARIATION_TOL).any())
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
+    bs = compute_band_structure(spec, "schrodinger", grid)
     nondegenerate = bool(bs.bands[0].width > ENTRY_VARIATION_TOL)
     if condition and not nondegenerate:
         raise InvariantViolation(
@@ -540,7 +536,8 @@ def loop_band_endpoints(
 
     Lower endpoints always come from the zero fiber.  Upper endpoints come
     from the phase-flipping corner when the classifier found one; otherwise
-    they fall back to grid maxima.
+    they fall back to grid maxima, and the zero fiber is the first row of
+    that grid solve.
     """
     cls = classify(spec)
     if not cls.is_loop_graph:
@@ -554,12 +551,19 @@ def loop_band_endpoints(
         argmaxs = [flip] * spec.num_vertices
     else:
         grid = sampled
-        lows = fiber_eigenvalues(spec, zero, "schrodinger")
         thetas = grid.representatives(_orbit_group(spec, grid))
-        _, highs, _, argmaxs = _envelopes(thetas, grid_eigenvalues(spec, thetas, "schrodinger"))
+        values = grid_eigenvalues(spec, thetas, "schrodinger")
+        lows = values[0]
+        _, highs, _, argmaxs = _envelopes(thetas, values)
     return _assemble_structure(
         "schrodinger", grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol
     )
+
+
+def _mirrored_endpoints(zero_values: np.ndarray, kappa: int):
+    """(lows, highs) of a bipartite regular loop graph of degree kappa: the
+    zero-fiber Laplacian eigenvalues and their mirror through kappa."""
+    return zero_values, 2.0 * kappa - zero_values[::-1]
 
 
 def bipartite_loop_endpoints(
@@ -581,10 +585,8 @@ def bipartite_loop_endpoints(
     count, bridges = bridge_count(spec)
     if not all(e.tail == e.head for e in bridges):
         raise PreconditionError("not a loop graph: a cell-crossing edge is not a loop")
-    kappa = deg[0]
     zero = (0.0,) * spec.dimension
-    lows = fiber_eigenvalues(spec, zero, "laplacian")
-    highs = 2.0 * kappa - lows[::-1]
+    lows, highs = _mirrored_endpoints(fiber_eigenvalues(spec, zero, "laplacian"), deg[0])
     argmins = [zero] * spec.num_vertices
     return _assemble_structure(
         "laplacian", None, lows, highs, argmins, None, flat_tol, merge_tol
@@ -697,13 +699,12 @@ def find_uniform_extremizers(
     grid: TorusGrid | None = None,
     *,
     tol: float = UNIFORM_EXTREMIZER_TOL,
-    band_structure: BandStructure | None = None,
 ):
     """Corner points minimizing (resp. maximizing) every branch at once.
 
     Scans {0, pi}^d; either entry is None when no corner works.
     """
-    bs = band_structure or compute_band_structure(spec, kind, grid)
+    bs = compute_band_structure(spec, kind, grid)
     scan = _scan_corners(spec, kind, bs, tol)
     return tuple(None if i is None else scan.corners[i] for i in (scan.lower, scan.upper))
 
@@ -883,8 +884,6 @@ def check_flat_band_block(
     split,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    *,
-    band_structure: BandStructure | None = None,
 ):
     """Constant eigenvalues of the fiber block on `split` force flat bands.
 
@@ -908,7 +907,7 @@ def check_flat_band_block(
     tol = _default_flat_tol(lows, highs)
     _, groups = _flat_groups(lows.tolist(), highs.tolist(), tol, FLAT_MERGE_TOL)
     found = [(value, mult) for value, mult in groups if mult >= 2]
-    bs = band_structure or compute_band_structure(spec, kind, grid)
+    bs = compute_band_structure(spec, kind, grid)
     for value, mult in found:
         matched = any(
             abs(fb.value - value) <= 1e-6 and fb.multiplicity >= mult - 1
@@ -1028,9 +1027,8 @@ def estimate_suite(
             symmetry_dev = float(np.abs(lows0 + highs0[::-1] - 2.0 * kappa).max())
             checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, check_tol))
         if cls.is_loop_graph:
-            mirrored = bipartite_loop_endpoints(spec, merge_tol=merge_tol)
-            lows_m = np.asarray([b.low for b in mirrored.bands])
-            highs_m = np.asarray([b.high for b in mirrored.bands])
+            # bipartite_loop_endpoints, with the zero fiber from the grid solve
+            lows_m, highs_m = _mirrored_endpoints(zero_vals0, kappa)
             dev = max(
                 float(np.abs(lows_m - lows0).max()),
                 float(np.abs(highs_m - highs0).max()),

@@ -4,7 +4,9 @@ A symmetry is a unimodular matrix A, a vertex permutation that keeps
 potentials, and per-vertex cell shifts that together map the edge multiset
 of the quotient onto itself.  Such a symmetry makes H(A^{-T} theta)
 unitarily equivalent to H(theta), so band functions are constant on the
-orbits of the group on the torus.
+orbits of the group on the torus.  Only the matrices act on the torus, so
+the group is returned as its matrices: each is certified by a permutation
+and shifts that the search finds, or is a product of such matrices.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class LatticeSymmetry:
-    """Automorphism of the periodic cover: vertex u of cell x goes to vertex
-    perm[u] of cell matrix x + shifts[u].
+    """The certificate of a band symmetry: the automorphism of the periodic
+    cover taking vertex u of cell x to vertex perm[u] of cell matrix x + shifts[u].
 
     Every edge (u, w, n) maps to an edge (perm[u], perm[w],
     matrix n + shifts[w] - shifts[u]) of the same multiset and perm keeps
@@ -33,17 +35,6 @@ class LatticeSymmetry:
     matrix: Matrix
     perm: tuple[int, ...]
     shifts: tuple[tuple[int, ...], ...]
-
-    def then(self, other: "LatticeSymmetry") -> "LatticeSymmetry":
-        """`other` applied after this symmetry."""
-        return LatticeSymmetry(
-            _matmul(other.matrix, self.matrix),
-            tuple(other.perm[p] for p in self.perm),
-            tuple(
-                tuple(a + b for a, b in zip(_matvec(other.matrix, t), other.shifts[p]))
-                for t, p in zip(self.shifts, self.perm)
-            ),
-        )
 
 
 def _matvec(matrix: Matrix, vector) -> tuple[int, ...]:
@@ -203,46 +194,43 @@ class _AutomorphismSearch:
         return image == self.edges
 
 
-def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[LatticeSymmetry, ...]:
-    """The certified band-symmetry group of the graph, identity first.
+def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
+    """The matrices of the certified band-symmetry group, identity first.
 
     Each candidate matrix of `_candidate_matrices` is searched for a vertex
     permutation and shifts (`_AutomorphismSearch`); the group is closed
-    under composition as elements are found, so it may hold matrices outside
-    the candidate table.  A candidate already in the group is not searched,
-    nor one in a coset A.H of a candidate A that failed against the group H
-    of that moment (if A.h were a symmetry, so would A be).  Exact integer
-    work: the result depends on nothing but the graph.  A graph whose cover
-    is not connected gets the identity alone: its group can be infinite.
+    under matrix products as matrices are found (composed certificates
+    certify a product), so it may hold matrices outside the candidate table.
+    A candidate already in the group is not searched, nor one in a coset
+    A.H of a candidate A that failed against the group H of that moment (if
+    A.h were a symmetry, so would A be).  Exact integer work: the result
+    depends on nothing but the graph.  A graph whose cover is not connected
+    gets the identity alone: its group can be infinite.
     """
-    d, nv = spec.dimension, spec.num_vertices
-    identity_matrix = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    identity = LatticeSymmetry(identity_matrix, tuple(range(nv)), ((0,) * d,) * nv)
+    d = spec.dimension
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     if not is_connected_periodic(spec):
         return (identity,)
-    group = {identity_matrix: identity}
+    group = {identity: None}  # insertion-ordered set
     search = _AutomorphismSearch(spec)
-    generators: list[LatticeSymmetry] = []
+    generators: list[Matrix] = []
     failed: set[Matrix] = set()
     for matrix in _candidate_matrices(d):
         if matrix in group or matrix in failed:
             continue
-        found = search.find(matrix)
-        if found is None:
+        if search.find(matrix) is None:
             failed.update(_matmul(matrix, h) for h in group)
             continue
-        generators.append(found)
+        generators.append(matrix)
         # Dimino's closure: the group grows by whole cosets H.r of the old
         # group H until every coset representative times every generator
         # lands in a known coset.
-        old = list(group.values())
-        pending = [found]
+        old = list(group)
+        pending = [matrix]
         while pending:
             r = pending.pop()
-            if r.matrix in group:
+            if r in group:
                 continue
-            group.update((e.matrix, e) for e in (h.then(r) for h in old))
-            pending.extend(
-                r.then(g) for g in generators if _matmul(g.matrix, r.matrix) not in group
-            )
-    return tuple(group.values())
+            group.update(dict.fromkeys(_matmul(r, h) for h in old))
+            pending.extend(p for p in (_matmul(g, r) for g in generators) if p not in group)
+    return tuple(group)

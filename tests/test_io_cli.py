@@ -459,12 +459,19 @@ def test_cli_merge_tol_reaches_flat_band_grouping(capsys):
 
 @pytest.mark.parametrize(
     "argv, solves",
-    [(("--builtin", "hexagonal"), 1), (("--builtin", "hexagonal", "--q", "1,-1"), 2)],
-    ids=["potential-free", "with-potentials"],
+    [
+        (("--builtin", "hexagonal"), 1),
+        (("--builtin", "hexagonal", "--q", "1,-1"), 2),
+        (("--builtin", "cubic(2)"), 1),
+        (("--builtin", "bipartite_chain(2,3)"), 1),
+        (("--builtin", "cubic(3)"), 1),
+    ],
+    ids=["potential-free", "with-potentials", "cubic(2)", "bipartite_chain(2,3)", "cubic(3)"],
 )
 def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, monkeypatch, argv, solves):
     # One grid solve per band structure (Schroedinger, and Laplacian when
-    # potentials are present); theta = 0 is its first row, never re-solved.
+    # potentials are present); theta = 0 is its first row, never re-solved,
+    # also not for the mirrored endpoints of bipartite regular loop graphs.
     calls = []
     solve = spectrum.eigh_stack
 

@@ -445,6 +445,39 @@ def test_loop_band_endpoints_imprecise_fallback():
     assert np.allclose(band_tuples(bs), [(0.0, 9.0)], atol=1e-9)
 
 
+def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
+    # Without a flip corner the zero fiber is row 0 of the grid solve.  The
+    # reference solves it on its own, as a second call: LAPACK solves each
+    # matrix of a batch alone, so both give the same bits.
+    spec = triangular()
+    grid = TorusGrid.default_for(2)
+    zero = (0.0, 0.0)
+    thetas = grid.representatives(spectrum._orbit_group(spec, grid))
+    _, highs, _, argmaxs = spectrum._envelopes(
+        thetas, spectrum.grid_eigenvalues(spec, thetas, "schrodinger")
+    )
+    expected = spectrum._assemble_structure(
+        "schrodinger",
+        grid,
+        fiber_eigenvalues(spec, zero),
+        highs,
+        [zero] * spec.num_vertices,
+        argmaxs,
+        None,
+        spectrum.FLAT_MERGE_TOL,
+    )
+    solves = []
+    solve = spectrum.eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        solves.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    assert loop_band_endpoints(spec) == expected
+    assert solves == [817]
+
+
 def test_precise_loop_band_sum_identity():
     for spec in (cubic(2), star(2, 4), bipartite_chain(2, 3)):
         cls = classify(spec)
