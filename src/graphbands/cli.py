@@ -10,6 +10,7 @@ grid and tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -30,6 +31,7 @@ from .spectrum import (
     CHECK_TOL,
     FLAT_MERGE_TOL,
     TorusGrid,
+    _orbit_group,
     estimate_suite,
     grid_eigenvalues,
     stability_constants,
@@ -54,6 +56,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# Built on first use, once per process: parsing leaves no state in the
+# parser, and building one costs about a millisecond per call of `main`.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="graphbands", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,12 +290,17 @@ def _path_points(text: str, dimension: int, samples: int) -> np.ndarray:
 
 
 def _cmd_dispersion(args) -> int:
+    if args.path is not None and args.grid is not None:
+        raise ValidationError("give either --path or --grid, not both")
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
-    if args.path:
+    if args.path is not None:
         thetas = _path_points(args.path, spec.dimension, args.samples)
+        values = grid_eigenvalues(spec, thetas, args.kind)
     else:
-        thetas = _resolve_grid(spec, args.grid).points()
-    values = grid_eigenvalues(spec, thetas, args.kind)
+        # One solve per band-symmetry orbit, copied to every point of it.
+        grid = _resolve_grid(spec, args.grid)
+        representatives, index, thetas = grid.representatives(_orbit_group(spec, grid))
+        values = grid_eigenvalues(spec, representatives, args.kind)[index]
     lines = [
         "# "
         + "\t".join(

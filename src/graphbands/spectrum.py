@@ -12,10 +12,13 @@ orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
 beyond that, the orbits are the pairs theta, -theta.  The checks that read
 single fiber entries or vertex blocks, which a vertex permutation moves,
-solve those pairs only.  Envelopes are the exact minima and maxima; the
-extremizer reported for a branch is the first grid point, in grid order,
-within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so ties between
-symmetry-equivalent points do not depend on the last bits of the eigensolver.
+solve those pairs only.  A full-grid dispersion solves one point per orbit
+too and copies its eigenvalues to the rest of the orbit, through the index
+that `TorusGrid.representatives` returns.  Envelopes are the exact minima
+and maxima; the extremizer reported for a branch is the first grid point,
+in grid order, within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so
+ties between symmetry-equivalent points do not depend on the last bits of
+the eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
 intervals missing from the union of the open bands.
 """
@@ -107,8 +110,8 @@ class TorusGrid:
         m, d = self.points_per_axis, self.dimension
         return m**d + (2**d - 1 if m % 2 else 0)
 
-    def representatives(self, group=()) -> np.ndarray:
-        """The orbit minima of `points()` under a band-symmetry group, in grid order.
+    def representatives(self, group=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(theta, index, points): one point per orbit of a band-symmetry group.
 
         `group` holds the integer matrices A of a group, closed under
         products, such as `symmetry.band_symmetry_group` returns.
@@ -121,6 +124,11 @@ class TorusGrid:
         the transposes A^T are the same.  The pi corners appended to an odd
         grid are all kept.  With no group, the orbits are the pairs k, -k:
         (m^d + 2^d)/2 points for even m.
+
+        theta holds the kept rows of `points()` in grid order.  index gives,
+        for each row of `points()`, the row of theta that represents it, so
+        `values[index]` spreads values solved at theta over the whole grid.
+        points is `points()` itself, built once for both.
         """
         pts = self.points()
         m, d = self.points_per_axis, self.dimension
@@ -147,7 +155,10 @@ class TorusGrid:
             np.minimum(orbit_min, image, out=orbit_min)
         keep = np.ones(pts.shape[0], dtype=bool)
         keep[: m**d] = orbit_min == np.arange(m**d)
-        return pts[keep]
+        # The row of each kept point in theta, then of each point's minimum.
+        index = np.cumsum(keep) - 1
+        index[: m**d] = index[orbit_min]
+        return pts[keep], index, pts
 
 
 @dataclass(frozen=True)
@@ -404,7 +415,7 @@ def _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine):
     if not is_connected_periodic(spec):
         raise PreconditionError("periodic cover is disconnected")
     grid = _grid_for(spec, grid)
-    thetas = grid.representatives(_orbit_group(spec, grid) if group is None else group)
+    thetas, _, _ = grid.representatives(_orbit_group(spec, grid) if group is None else group)
     values = grid_eigenvalues(spec, thetas, kind)
     lows, highs, argmins, argmaxs = _envelopes(thetas, values)
     if refine:
@@ -513,7 +524,7 @@ def check_first_band_nondegenerate(spec: PeriodicGraphSpec, grid: TorusGrid | No
     so both flags are reported.  The implication itself is enforced.
     """
     grid = _grid_for(spec, grid)
-    moduli = np.abs(fiber_stack(spec, grid.representatives(), "laplacian"))
+    moduli = np.abs(fiber_stack(spec, grid.representatives()[0], "laplacian"))
     variation = moduli.max(axis=0) - moduli.min(axis=0)
     condition = bool((variation > ENTRY_VARIATION_TOL).any())
     bs = compute_band_structure(spec, "schrodinger", grid)
@@ -551,7 +562,7 @@ def loop_band_endpoints(
         argmaxs = [flip] * spec.num_vertices
     else:
         grid = sampled
-        thetas = grid.representatives(_orbit_group(spec, grid))
+        thetas, _, _ = grid.representatives(_orbit_group(spec, grid))
         values = grid_eigenvalues(spec, thetas, "schrodinger")
         lows = values[0]
         _, highs, _, argmaxs = _envelopes(thetas, values)
@@ -617,7 +628,7 @@ def large_coupling_analysis(
         raise PreconditionError("potentials must be pairwise distinct")
     if t == 0.0:
         raise ParameterError("coupling constant t must be nonzero")
-    thetas = _grid_for(spec, grid).representatives()
+    thetas, _, _ = _grid_for(spec, grid).representatives()
     lap = fiber_stack(spec, thetas, "laplacian")
     idx = np.arange(spec.num_vertices)
     coupled = lap.copy()
@@ -899,7 +910,7 @@ def check_flat_band_block(
     if not all(0 <= i < nv for i in split):
         raise ParameterError("split references an invalid vertex index")
     grid = _grid_for(spec, grid)
-    stack = fiber_stack(spec, grid.representatives(), kind)
+    stack = fiber_stack(spec, grid.representatives()[0], kind)
     block = stack[:, split, :][:, :, split]
     values = eigh_stack(block)[0]
     lows = values.min(axis=0)

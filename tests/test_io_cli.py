@@ -13,6 +13,7 @@ from graphbands import (
     ValidationError,
     cli,
     compute_band_structure,
+    graphio,
     spectrum,
 )
 from graphbands.cli import main
@@ -25,7 +26,17 @@ from graphbands.graphio import (
     save_graph,
     serialize_graph,
 )
-from graphbands.lattices import bipartite_chain, fcc, hexagonal, star, subdivided
+from graphbands.graph import with_potentials
+from graphbands.lattices import (
+    FiniteGraph,
+    bipartite_chain,
+    decorate,
+    fcc,
+    hexagonal,
+    parse_builtin,
+    star,
+    subdivided,
+)
 
 PI = math.pi
 
@@ -142,23 +153,31 @@ def test_cli_reports_byte_identical_across_interpreters():
     # Fresh interpreters with different string-hash seeds must print the
     # same bytes: no set or dict iteration order may reach the report.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["analyze", "--builtin", "star(2,3)", "--grid", "24"]
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop(cli.GRID_ENV_VAR, None)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop(cli.GRID_ENV_VAR, None)
+
+    def run(argv, hash_seed):
         done = subprocess.run(
             [sys.executable, "-m", "graphbands.cli", *argv],
-            env=env,
+            env=dict(env, PYTHONHASHSEED=hash_seed),
             capture_output=True,
             check=False,
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
+        return done.stdout
+
+    analyze = ["analyze", "--builtin", "star(2,3)", "--grid", "24"]
+    outputs = [run(analyze, seed) for seed in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["grid"]["points_per_axis"] == 24
+    # A full-grid dispersion, which spreads one solve per orbit of the
+    # band-symmetry group over the default grid.
+    dispersion = ["dispersion", "--builtin", "hexagonal", "--q", "1,-1"]
+    outputs = [run(dispersion, seed) for seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 96**2
 
 
 def test_cli_rejects_removed_jobs_option(capsys):
@@ -266,11 +285,119 @@ def _per_cell_rows(table):
     ],
 )
 def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv):
+    # A full grid solves representatives only, so the table is taken where
+    # it is handed to the formatter: every row, theta and eigenvalues.
     seen = _capture_grid_eigenvalues(monkeypatch)
+    tables = []
+    format_table = graphio.format_rows
+
+    def capture(table):
+        tables.append(table)
+        return format_table(table)
+
+    monkeypatch.setattr(graphio, "format_rows", capture)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    rows = _per_cell_rows(np.hstack([seen["thetas"], seen["values"]]))
-    assert out.split("\n", 1)[1] == "\n".join(rows) + "\n"
+    (table,) = tables
+    assert out.split("\n", 1)[1] == "\n".join(_per_cell_rows(table)) + "\n"
+    if "--path" in argv:
+        # A path solves every row: each printed row is its theta and values.
+        assert table.tobytes() == np.hstack([seen["thetas"], seen["values"]]).tobytes()
+    else:
+        grid = TorusGrid(3 if "fcc" in argv else 2, int(argv[-1]))
+        assert table[:, : grid.dimension].tobytes() == grid.points().tobytes()
+
+
+def _read_table(out):
+    return np.array([[float(x) for x in line.split("\t")] for line in out.splitlines()[1:]])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--builtin", "triangular"),
+        ("--builtin", "hexagonal"),
+        ("--builtin", "hexagonal", "--q", "1,-1"),
+        ("--builtin", "fcc"),
+        ("decorated",),
+        # Odd, with the pi corners appended, and above the search threshold.
+        ("--builtin", "hexagonal", "--grid", "65"),
+        # Below SYMMETRY_SEARCH_MIN_POINTS: theta, -theta pairs only.
+        ("--builtin", "star(2,6)", "--grid", "12"),
+        ("--builtin", "star(2,6)", "--kind", "laplacian"),
+        ("--builtin", "bcc", "--kind", "normalized"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_full_grid_dispersion_matches_a_solve_at_every_point(tmp_path, capsys, argv):
+    if argv == ("decorated",):
+        # Distinct potentials and a pendant tree: a group of 6 without -I.
+        tree = FiniteGraph(3, ((0, 1), (0, 2)))
+        spec = with_potentials(decorate(hexagonal(), tree, 1), (0.3, -1.7, 1.1, 2.05))
+        save_graph(spec, tmp_path / "decorated.json")
+        argv = (str(tmp_path / "decorated.json"),)
+    else:
+        spec = parse_builtin(argv[1])
+        if "--q" in argv:
+            spec = with_potentials(spec, (1.0, -1.0))
+    code, out, err = run_cli(capsys, "dispersion", *argv)
+    assert code == 0, err
+    table = _read_table(out)
+    m = int(argv[argv.index("--grid") + 1]) if "--grid" in argv else None
+    grid = TorusGrid(spec.dimension, m) if m else TorusGrid.default_for(spec.dimension)
+    points = grid.points()
+    # %.17g round-trips, so the printed theta are the grid's bits.
+    assert table[:, : spec.dimension].tobytes() == points.tobytes()
+    kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "schrodinger"
+    direct = spectrum.grid_eigenvalues(spec, points, kind)
+    scale = np.abs(direct).max()
+    assert np.abs(table[:, spec.dimension:] - direct).max() <= 1e-12 * (1.0 + scale)
+
+
+@pytest.mark.parametrize(
+    "argv, solved, rows",
+    [
+        (("--builtin", "hexagonal"), 817, 96**2),
+        (("--builtin", "fcc", "--grid", "24"), 455, 24**3),
+        # Below SYMMETRY_SEARCH_MIN_POINTS: the (12^2 + 4)/2 theta, -theta pairs.
+        (("--builtin", "hexagonal", "--grid", "12"), 74, 12**2),
+    ],
+)
+def test_cli_full_grid_dispersion_solves_one_point_per_orbit(
+    capsys, monkeypatch, argv, solved, rows
+):
+    seen = _capture_grid_eigenvalues(monkeypatch)
+    code, out, _ = run_cli(capsys, "dispersion", *argv)
+    assert code == 0
+    assert len(seen["thetas"]) == solved
+    assert len(out.splitlines()) == 1 + rows
+
+
+def test_cli_dispersion_rejects_path_with_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "dispersion", "--builtin", "hexagonal", "--path", "0,0:pi,0", "--grid", "12"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--path" in err and "--grid" in err
+
+
+def test_cli_options_do_not_carry_over_between_calls(capsys):
+    # One parser serves every call of `main` in a process.
+    argv = ("dispersion", "--builtin", "hexagonal", "--path", "0,0:pi,0")
+    _, first, _ = run_cli(capsys, *argv)
+    _, fewer, _ = run_cli(capsys, *argv, "--samples", "3", "--kind", "laplacian")
+    _, again, _ = run_cli(capsys, *argv)
+    assert len(fewer.splitlines()) < len(first.splitlines())
+    assert again == first
+
+
+def test_cli_dispersion_rejects_an_empty_path(capsys):
+    # An empty --path is a malformed path, not a request for the full grid.
+    code, out, err = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--path", "")
+    assert code == 1
+    assert out == ""
+    assert "path waypoint" in err
 
 
 @pytest.mark.parametrize(

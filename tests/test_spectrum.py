@@ -92,17 +92,19 @@ def test_grid_points_match_corner_set_reference(d, m):
 def test_representatives_cover_the_grid_up_to_negation(d, m):
     grid = TorusGrid(d, m)
     pts = grid.points()
-    reps = grid.representatives()
+    reps, index, points = grid.representatives()
+    assert points.tobytes() == pts.tobytes()
     expected = (m**d + 2**d) // 2 if m % 2 == 0 else (m**d + 1) // 2 + 2**d - 1
     assert len(reps) == expected
     # Coordinates in units of pi/m are integers for grid points and pi
     # corners alike; negation mod 2*pi is negation mod 2m.
     units = np.rint(pts * m / math.pi).astype(int) % (2 * m)
     rep_units = np.rint(reps * m / math.pi).astype(int) % (2 * m)
-    kept = set(map(tuple, rep_units.tolist()))
-    for point in units.tolist():
-        negated = tuple((-c) % (2 * m) for c in point)
-        assert tuple(point) in kept or negated in kept
+    # Each point is represented by itself or by its negation.
+    assert len(index) == len(pts)
+    for point, rep in zip(units.tolist(), rep_units[index].tolist()):
+        negated = [(-c) % (2 * m) for c in point]
+        assert rep in (point, negated)
     # Representatives keep grid order: they are a subsequence of points().
     rows = {row: i for i, row in enumerate(map(tuple, pts.tolist()))}
     order = [rows[row] for row in map(tuple, reps.tolist())]
@@ -452,7 +454,7 @@ def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
     spec = triangular()
     grid = TorusGrid.default_for(2)
     zero = (0.0, 0.0)
-    thetas = grid.representatives(spectrum._orbit_group(spec, grid))
+    thetas, _, _ = grid.representatives(spectrum._orbit_group(spec, grid))
     _, highs, _, argmaxs = spectrum._envelopes(
         thetas, spectrum.grid_eigenvalues(spec, thetas, "schrodinger")
     )

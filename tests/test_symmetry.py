@@ -92,7 +92,7 @@ def test_time_reversal_completes_a_group_without_minus_identity(spec):
     # |G| = 6 without -I; adding theta -> -theta gives the 12 of hexagonal.
     matrices = band_symmetry_group(spec)
     assert ((-1, 0), (0, -1)) not in matrices
-    assert len(TorusGrid(2, 96).representatives(matrices)) == 817
+    assert len(TorusGrid(2, 96).representatives(matrices)[0]) == 817
 
 
 def test_shear_is_rejected_for_hexagonal():
@@ -108,7 +108,7 @@ def test_shear_is_rejected_for_hexagonal():
 def test_orbit_counts_on_the_default_grids(spec, orbits):
     grid = TorusGrid.default_for(spec.dimension)
     group = spectrum._orbit_group(spec, grid)
-    assert len(grid.representatives(group)) == orbits
+    assert len(grid.representatives(group)[0]) == orbits
 
 
 def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
@@ -124,7 +124,8 @@ def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
     assert group == (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
     for m in (12, 13, 96):
         grid = TorusGrid(2, m)
-        assert grid.representatives(group).tobytes() == grid.representatives().tobytes()
+        for ours, half in zip(grid.representatives(group), grid.representatives()):
+            assert ours.tobytes() == half.tobytes()
 
 
 def test_small_grids_skip_the_search(monkeypatch):
@@ -201,8 +202,8 @@ def test_spectra_agree_at_theta_and_its_images(spec, theta):
 def test_orbit_minima_give_the_half_torus_envelopes(spec, m):
     grid = TorusGrid(spec.dimension, m if spec.dimension < 3 else min(m, 4))
     group = band_symmetry_group(spec)
-    half = grid.representatives()
-    orbit = grid.representatives(group)
+    half = grid.representatives()[0]
+    orbit = grid.representatives(group)[0]
     kept = set(map(tuple, half.tolist()))
     assert all(tuple(row) in kept for row in orbit.tolist())
     lows, highs, argmins, argmaxs = spectrum._envelopes(
@@ -214,6 +215,46 @@ def test_orbit_minima_give_the_half_torus_envelopes(spec, m):
     assert np.abs(lows - ref_lows).max() <= 1e-12
     assert np.abs(highs - ref_highs).max() <= 1e-12
     assert argmins == ref_argmins and argmaxs == ref_argmaxs
+
+
+def _rows_of(points, subset):
+    rows = {row: i for i, row in enumerate(map(tuple, points.tolist()))}
+    return np.array([rows[row] for row in map(tuple, subset.tolist())])
+
+
+@PROPERTY_SETTINGS
+@given(quotients(), st.integers(2, 7))
+def test_orbit_index_spreads_representative_solves_over_the_grid(spec, m):
+    grid = TorusGrid(spec.dimension, m if spec.dimension < 3 else min(m, 5))
+    m = grid.points_per_axis
+    points = grid.points()
+    # In units of pi/m, grid points and the pi corners of odd grids alike
+    # have integer coordinates mod 2m, on which +-A^{-T} acts linearly.
+    units = np.rint(points * m / np.pi).astype(int) % (2 * m)
+    direct = {
+        kind: spectrum.grid_eigenvalues(spec, points, kind)
+        for kind in ("schrodinger", "laplacian")
+    }
+    for group in (band_symmetry_group(spec), ()):
+        reps, index, rows = grid.representatives(group)
+        assert rows.tobytes() == points.tobytes()
+        assert index.shape == (len(points),)
+        images = [
+            np.rint(sign * np.linalg.inv(np.asarray(a, dtype=float)).T).astype(int)
+            for a in group or [np.eye(spec.dimension, dtype=int)]
+            for sign in (1, -1)
+        ]
+        rep_units = np.rint(reps * m / np.pi).astype(int) % (2 * m)
+        for point, rep in zip(units, rep_units[index]):
+            assert tuple(rep) in {tuple(image @ point % (2 * m)) for image in images}
+        # Kept points represent themselves, and a representative comes no
+        # later in grid order than the points it stands for.
+        kept = _rows_of(points, reps)
+        assert np.array_equal(index[kept], np.arange(len(reps)))
+        assert (kept[index] <= np.arange(len(points))).all()
+        for kind, values in direct.items():
+            spread = spectrum.grid_eigenvalues(spec, reps, kind)[index]
+            assert np.abs(spread - values).max() <= 1e-12 * (1.0 + np.abs(values).max())
 
 
 def test_importing_the_cli_leaves_the_search_unloaded():
