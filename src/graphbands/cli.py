@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="waypoints 'a,b:c,d:...'; components accept pi expressions like 2pi/3",
     )
     dispersion.add_argument(
-        "--samples", type=int, default=50, help="points per path segment"
+        "--samples", type=int, help="points per --path segment (default: 50)"
     )
 
     compare = sub.add_parser("compare", help="stability bounds for two graphs")
@@ -182,18 +182,14 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _theta_doc(theta):
-    return None if theta is None else [float(x) for x in theta]
-
-
 def _band_doc(band):
     return {
         "n": band.n,
         "low": band.low,
         "high": band.high,
         "width": band.width,
-        "argmin": _theta_doc(band.argmin),
-        "argmax": _theta_doc(band.argmax),
+        "argmin": band.argmin,
+        "argmax": band.argmax,
     }
 
 
@@ -222,7 +218,7 @@ def _classification_doc(cls):
         "fundamental_bipartite": cls.fundamental_bipartite,
         "periodic_bipartite": cls.periodic_bipartite,
         "is_loop_graph": cls.is_loop_graph,
-        "precise_quasimomentum": _theta_doc(cls.precise_quasimomentum),
+        "precise_quasimomentum": cls.precise_quasimomentum,
         "bridge_count": cls.bridge_count,
     }
 
@@ -292,9 +288,12 @@ def _path_points(text: str, dimension: int, samples: int) -> np.ndarray:
 def _cmd_dispersion(args) -> int:
     if args.path is not None and args.grid is not None:
         raise ValidationError("give either --path or --grid, not both")
+    if args.path is None and args.samples is not None:
+        raise ValidationError("--samples needs --path")
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
     if args.path is not None:
-        thetas = _path_points(args.path, spec.dimension, args.samples)
+        samples = 50 if args.samples is None else args.samples
+        thetas = _path_points(args.path, spec.dimension, samples)
         values = grid_eigenvalues(spec, thetas, args.kind)
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
@@ -326,14 +325,11 @@ def _cmd_compare(args) -> int:
         grid_b=grid_b,
         check_tol=args.check_tol,
     )
-    params = {}
-    for key, value in report.params.items():
-        params[key] = _theta_doc(value) if isinstance(value, tuple) else value
     document = {
         "format_version": graphio.REPORT_FORMAT_VERSION,
         "command": "compare",
         "inputs": [desc_a, desc_b],
-        "params": params,
+        "params": report.params,
         "checks": _checks_doc([report]),
         "all_checks_pass": report.passed,
     }

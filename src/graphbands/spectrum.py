@@ -45,6 +45,7 @@ from .graph import (
     degrees,
     is_connected_periodic,
     periodic_bipartite,
+    with_potentials,
 )
 from .linalg import eigh_stack
 
@@ -409,29 +410,40 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid) -> tuple:
     return band_symmetry_group(spec)
 
 
-def _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine):
-    """`compute_band_structure` with the orbit group given (None: found here),
-    plus the eigenvalues at theta = 0, the first row of the grid solve."""
+def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine):
+    """{kind: (structure, eigenvalues at theta = 0)} for each of `kinds`.
+
+    A symmetry of the graph keeps degrees and potentials, so the band-symmetry
+    group of H is one of every operator kind, and one orbit sample of the
+    torus serves them all; theta = 0 is its first row.  With no potentials
+    the Laplacian is H, and a Laplacian asked for with H is H's structure.
+    """
     if not is_connected_periodic(spec):
         raise PreconditionError("periodic cover is disconnected")
     grid = _grid_for(spec, grid)
-    thetas, _, _ = grid.representatives(_orbit_group(spec, grid) if group is None else group)
-    values = grid_eigenvalues(spec, thetas, kind)
-    lows, highs, argmins, argmaxs = _envelopes(thetas, values)
-    if refine:
-        nu = len(lows)
-        extrema, points = _refine_extrema(
-            spec,
-            kind,
-            argmins + argmaxs,
-            np.tile(np.arange(nu), 2),
-            np.repeat([1.0, -1.0], nu),
-            TWO_PI / grid.points_per_axis,
-        )
-        lows, highs = extrema[:nu], extrema[nu:]
-        argmins, argmaxs = points[:nu], points[nu:]
-    structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
-    return structure, values[0]
+    thetas, _, _ = grid.representatives(_orbit_group(spec, grid))
+    structures = {}
+    for kind in dict.fromkeys(kinds):
+        if kind == "laplacian" and "schrodinger" in structures and not any(spec.potentials()):
+            structures[kind] = structures["schrodinger"]
+            continue
+        values = grid_eigenvalues(spec, thetas, kind)
+        lows, highs, argmins, argmaxs = _envelopes(thetas, values)
+        if refine:
+            nu = len(lows)
+            extrema, points = _refine_extrema(
+                spec,
+                kind,
+                argmins + argmaxs,
+                np.tile(np.arange(nu), 2),
+                np.repeat([1.0, -1.0], nu),
+                TWO_PI / grid.points_per_axis,
+            )
+            lows, highs = extrema[:nu], extrema[nu:]
+            argmins, argmaxs = points[:nu], points[nu:]
+        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
+        structures[kind] = structure, values[0]
+    return structures
 
 
 def compute_band_structure(
@@ -447,19 +459,10 @@ def compute_band_structure(
     One point is solved per orbit of the graph's certified band-symmetry
     group (`TorusGrid.representatives`).
     """
-    return _band_structure(spec, kind, grid, None, flat_tol, merge_tol, refine)[0]
+    return _band_structure(spec, (kind,), grid, flat_tol, merge_tol, refine)[kind][0]
 
 
-def verify_total_band_bound(
-    spec: PeriodicGraphSpec,
-    kind: str = "schrodinger",
-    grid: TorusGrid | None = None,
-    *,
-    check_tol: float = CHECK_TOL,
-    band_structure: BandStructure | None = None,
-) -> EstimateReport:
-    """Spectrum measure <= total band length <= twice the oriented bridge count."""
-    bs = band_structure or compute_band_structure(spec, kind, grid)
+def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateReport:
     count, _ = bridge_count(spec)
     band_sum = bs.band_length_sum
     checks = (
@@ -478,27 +481,26 @@ def verify_total_band_bound(
     )
 
 
-def verify_gap_bound(
+def verify_total_band_bound(
     spec: PeriodicGraphSpec,
+    kind: str = "schrodinger",
     grid: TorusGrid | None = None,
     *,
     check_tol: float = CHECK_TOL,
-    band_structure: BandStructure | None = None,
-    laplacian_structure: BandStructure | None = None,
 ) -> EstimateReport:
-    """Total gap length dominates the hull length minus twice the bridge count."""
-    bs = band_structure or compute_band_structure(spec, "schrodinger", grid)
-    if laplacian_structure is None:
-        if all(q == 0.0 for q in spec.potentials()):
-            laplacian_structure = bs
-        else:
-            laplacian_structure = compute_band_structure(spec, "laplacian", grid)
+    """Spectrum measure <= total band length <= twice the oriented bridge count."""
+    return _total_band_report(spec, compute_band_structure(spec, kind, grid), check_tol)
+
+
+def _gap_report(spec, bs: BandStructure, laplacian: BandStructure, check_tol: float) -> EstimateReport:
+    """The gap bound of the operator whose structure is `bs` and whose
+    potentials are those of `spec`; `laplacian` is the Laplacian's structure."""
     count, _ = bridge_count(spec)
     potentials = spec.potentials()
     spread = max(potentials) - min(potentials)
     hull_lo, hull_hi = bs.hull
     hull = hull_hi - hull_lo
-    top_laplacian = laplacian_structure.bands[-1].high
+    top_laplacian = laplacian.bands[-1].high
     floor = max(top_laplacian - spread, spread - 2.0 * max(degrees(spec)))
     checks = (
         _check("band-hull-minus-bridges<=gap-length-sum", hull - 2.0 * count, bs.gap_length_sum, check_tol),
@@ -515,6 +517,17 @@ def verify_gap_bound(
             "potential_spread": spread,
         },
     )
+
+
+def verify_gap_bound(
+    spec: PeriodicGraphSpec,
+    grid: TorusGrid | None = None,
+    *,
+    check_tol: float = CHECK_TOL,
+) -> EstimateReport:
+    """Total gap length dominates the hull length minus twice the bridge count."""
+    structures = _band_structure(spec, ("schrodinger", "laplacian"), grid, None, FLAT_MERGE_TOL, False)
+    return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
 
 
 def check_first_band_nondegenerate(spec: PeriodicGraphSpec, grid: TorusGrid | None = None):
@@ -783,13 +796,12 @@ def stability_constants(
     zero_a = all(q == 0.0 for q in spec_a.potentials())
     zero_b = all(q == 0.0 for q in spec_b.potentials())
 
-    def laplacian_zero_fiber(spec):
-        return fiber_stack(spec, np.zeros((1, spec.dimension)), "laplacian")[0]
-
+    # A bipartite side has no potentials, so corner 0 (theta = 0) of its
+    # scan holds its Laplacian zero fiber.
     bip_a = cls_a.periodic_bipartite and cls_a.is_regular and cls_a.is_loop_graph and zero_a
     bip_b = cls_b.periodic_bipartite and cls_b.is_regular and cls_b.is_loop_graph and zero_b
     if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
-        c_pair = _entry_l1(laplacian_zero_fiber(spec_a), laplacian_zero_fiber(spec_b))
+        c_pair = _entry_l1(scan_a.fibers[0], scan_b.fibers[0])
         checks.append(
             _check(
                 "bipartite-pair-gap-variation<=4C0",
@@ -808,14 +820,14 @@ def stability_constants(
         )
         params["c_bipartite_pair"] = c_pair
 
-    def mixed_case(precise_scan, precise_cls, lows_p, highs_p, gaps_p, bip_spec, bip_cls, gaps_q):
+    def mixed_case(precise_scan, precise_cls, lows_p, highs_p, gaps_p, bip_scan, bip_cls, gaps_q):
         kappa = bip_cls.regular_degree
-        # The zero point is corner 0; the flip point is a corner too.
+        # The flip point is one of the corners.
         flip = precise_scan.corners.index(precise_cls.precise_quasimomentum)
-        base = laplacian_zero_fiber(bip_spec)
+        base = bip_scan.fibers[0]
         c_mixed = _entry_l1(precise_scan.fibers[0], base) + _entry_l1(
             precise_scan.fibers[flip] + base,
-            2.0 * kappa * np.eye(bip_spec.num_vertices),
+            2.0 * kappa * np.eye(len(base)),
         )
         lhs_edges = (
             abs(lows_p[0])
@@ -831,9 +843,9 @@ def stability_constants(
         params["c_precise_vs_bipartite"] = c_mixed
 
     if cls_a.precise_quasimomentum is not None and bip_b:
-        mixed_case(scan_a, cls_a, lows_a, highs_a, gaps_a, spec_b, cls_b, gaps_b)
+        mixed_case(scan_a, cls_a, lows_a, highs_a, gaps_a, scan_b, cls_b, gaps_b)
     elif cls_b.precise_quasimomentum is not None and bip_a:
-        mixed_case(scan_b, cls_b, lows_b, highs_b, gaps_b, spec_a, cls_a, gaps_a)
+        mixed_case(scan_b, cls_b, lows_b, highs_b, gaps_b, scan_a, cls_a, gaps_a)
 
     return EstimateReport("stability-bounds", tuple(checks), params)
 
@@ -944,17 +956,19 @@ def estimate_suite(
 ):
     """Classification, band structure, and every applicable estimate report.
 
-    The band-symmetry search runs once and serves every band structure
-    here: a symmetry of the graph keeps degrees and potentials, so it is one
-    of the Laplacian too.  The theta = 0 eigenvalues are the first rows of
-    the grid solves.  Returns (classification, band_structure, reports).
+    The band structures of the operator and of the Laplacian come from one
+    orbit sample of the torus, and their theta = 0 eigenvalues from its first
+    row (`_band_structure`).  The Laplacian and normalized operators carry no
+    potential, so for those kinds the reports read the graph without one.
+    Returns (classification, band_structure, reports).
     """
     cls = classify(spec)
-    if not cls.is_connected:
-        raise PreconditionError("periodic cover is disconnected")
-    grid = _grid_for(spec, grid)
-    group = _orbit_group(spec, grid)
-    bs, zero_vals = _band_structure(spec, kind, grid, group, flat_tol, merge_tol, refine)
+    if kind != "schrodinger":
+        # Only H carries the potentials; the reports describe the operator analyzed.
+        spec = with_potentials(spec, (0.0,) * spec.num_vertices)
+    kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
+    structures = _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine)
+    bs, zero_vals = structures[kind]
     reports = []
 
     if kind == "normalized":
@@ -966,23 +980,9 @@ def estimate_suite(
         reports.append(EstimateReport("normalized-containment", checks))
         return cls, bs, tuple(reports)
 
-    potentials = spec.potentials()
-    q_zero = all(q == 0.0 for q in potentials)
-    if kind == "laplacian" or (q_zero and kind == "schrodinger"):
-        bs0, zero_vals0 = bs, zero_vals
-    else:
-        bs0, zero_vals0 = _band_structure(
-            spec, "laplacian", grid, group, flat_tol, merge_tol, refine
-        )
-
-    reports.append(
-        verify_total_band_bound(spec, kind, grid, check_tol=check_tol, band_structure=bs)
-    )
-    reports.append(
-        verify_gap_bound(
-            spec, grid, check_tol=check_tol, band_structure=bs, laplacian_structure=bs0
-        )
-    )
+    bs0, zero_vals0 = structures["laplacian"]
+    reports.append(_total_band_report(spec, bs, check_tol))
+    reports.append(_gap_report(spec, bs, bs0, check_tol))
 
     containment = (
         _check("0<=laplacian-min", 0.0, bs0.bands[0].low, check_tol),

@@ -166,9 +166,9 @@ def test_criterion_06_star_graph():
         assert abs(bs.bands[2].high - (x + root)) <= 1e-9
         assert abs(bs.spectrum_measure - 8.0) <= 1e-9
 
-        total = verify_total_band_bound(spec, "laplacian", band_structure=bs)
+        total = verify_total_band_bound(spec, "laplacian")
         assert total.passed and total.params["equality_attained"]
-        gap = verify_gap_bound(spec, band_structure=bs, laplacian_structure=bs)
+        gap = verify_gap_bound(spec)
         assert gap.passed
         hull_minus = gap.params["band_hull"] - 2.0 * gap.params["bridge_count"]
         assert abs(gap.params["gap_length_sum"] - hull_minus) <= 1e-9

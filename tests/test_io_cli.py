@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -382,12 +383,23 @@ def test_cli_dispersion_rejects_path_with_grid(capsys):
     assert "--path" in err and "--grid" in err
 
 
+@pytest.mark.parametrize("grid", [(), ("--grid", "6")], ids=["default-grid", "grid-6"])
+def test_cli_dispersion_rejects_samples_without_path(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "dispersion", "--builtin", "hexagonal", *grid, "--samples", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err and "--path" in err
+
+
 def test_cli_options_do_not_carry_over_between_calls(capsys):
     # One parser serves every call of `main` in a process.
     argv = ("dispersion", "--builtin", "hexagonal", "--path", "0,0:pi,0")
     _, first, _ = run_cli(capsys, *argv)
     _, fewer, _ = run_cli(capsys, *argv, "--samples", "3", "--kind", "laplacian")
     _, again, _ = run_cli(capsys, *argv)
+    assert len(first.splitlines()) == 1 + 50 + 1  # header, 50 samples, last waypoint
     assert len(fewer.splitlines()) < len(first.splitlines())
     assert again == first
 
@@ -582,6 +594,35 @@ def test_cli_merge_tol_reaches_flat_band_grouping(capsys):
         {"value": fb.value, "multiplicity": fb.multiplicity} for fb in expected.flat_bands
     ]
     assert [fb.multiplicity for fb in expected.flat_bands] == [1, 1]
+
+
+_INPUT_BLOCK = re.compile(r'^  "input": \{\n.*?^  \},\n', re.DOTALL | re.MULTILINE)
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "normalized"])
+@pytest.mark.parametrize(
+    "builtin, q, grid",
+    [
+        ("star(2,3)", "100,0,0", ("--grid", "12")),
+        ("star(2,6)", "3,0,0,0,0,-1", ()),
+        ("hexagonal", "1,-1", ()),
+        ("bcc", "32,0", ()),
+        ("fcc", "1,2,3,0", ("--grid", "12")),
+        ("subdivided(2,1)", "0.5,-2,1", ()),
+    ],
+)
+def test_cli_analyze_potential_free_kinds_ignore_potentials(capsys, kind, builtin, q, grid):
+    # Only the Schroedinger operator carries potentials, so the Laplacian and
+    # normalized reports of a graph with potentials are those of the graph
+    # without them; only the input block tells the two calls apart.
+    argv = ("analyze", "--builtin", builtin, "--kind", kind, *grid)
+    code, with_q, _ = run_cli(capsys, *argv, "--q", q)
+    plain_code, plain, _ = run_cli(capsys, *argv)
+    assert code == plain_code == 0
+    with_q, found = _INPUT_BLOCK.subn("", with_q)
+    plain, found_plain = _INPUT_BLOCK.subn("", plain)
+    assert found == found_plain == 1
+    assert with_q == plain
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,37 @@ def test_gap_bound_trivial_for_hexagonal():
     assert report.checks[0].lhs < 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_suite(hexagonal(q=(1.0, -1.0))),
+        lambda: verify_gap_bound(hexagonal(q=(1.0, -1.0))),
+    ],
+    ids=["estimate_suite", "verify_gap_bound"],
+)
+def test_schrodinger_and_laplacian_share_one_torus_sample(monkeypatch, call):
+    # With potentials both H and its Laplacian are solved, from one
+    # connectivity test, one band-symmetry search and one grid.
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for owner, name in (
+        (spectrum, "is_connected_periodic"),
+        (spectrum, "_orbit_group"),
+        (spectrum, "eigh_stack"),
+        (TorusGrid, "points"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    call()
+    assert counts == {"is_connected_periodic": 1, "_orbit_group": 1, "points": 1, "eigh_stack": 2}
+
+
 def test_first_band_condition_detection():
     assert check_first_band_nondegenerate(cubic(2)) == (True, True)
     assert check_first_band_nondegenerate(hexagonal()) == (True, True)
@@ -656,11 +687,20 @@ def test_stability_reuses_the_corner_solves(monkeypatch, spec_a, spec_b, precise
         solves.append(len(stack))
         return solve(stack, *args, **kwargs)
 
+    fibers = []
+    build = spectrum.fiber_stack
+
+    def building(spec, thetas, kind):
+        fibers.append(len(thetas))
+        return build(spec, thetas, kind)
+
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    monkeypatch.setattr(spectrum, "fiber_stack", building)
     report = stability_constants(spec_a, spec_b)
     # One grid and one batch of the four corners per graph.  Both graphs
     # have 8 band symmetries: 1,225 orbits of the default 96 x 96 grid.
-    assert solves == [1225, 4, 1225, 4]
+    # The theta = 0 Laplacian fiber of the bipartite side is its corner 0.
+    assert solves == fibers == [1225, 4, 1225, 4]
     assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
         (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
     ]
