@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import re
@@ -174,12 +175,13 @@ def _resolve_grid(spec: PeriodicGraphSpec, flag_value) -> TorusGrid:
     return TorusGrid.default_for(spec.dimension)
 
 
-def _write_output(text: str, out_path) -> None:
+def _write_output(chunks, out_path) -> None:
+    """Write the text chunks, in order, to `out_path` or to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _band_doc(band):
@@ -258,7 +260,7 @@ def _cmd_analyze(args) -> int:
         "checks": _checks_doc(reports),
         "all_checks_pass": all_pass,
     }
-    _write_output(graphio.dumps(document), args.out)
+    _write_output([graphio.dumps(document)], args.out)
     return 0 if all_pass else 2
 
 
@@ -293,23 +295,22 @@ def _cmd_dispersion(args) -> int:
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
     if args.path is not None:
         samples = 50 if args.samples is None else args.samples
-        thetas = _path_points(args.path, spec.dimension, samples)
-        values = grid_eigenvalues(spec, thetas, args.kind)
+        solved = thetas = _path_points(args.path, spec.dimension, samples)
+        index = np.arange(len(thetas))
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
         grid = _resolve_grid(spec, args.grid)
-        representatives, index, thetas = grid.representatives(_orbit_group(spec, grid))
-        values = grid_eigenvalues(spec, representatives, args.kind)[index]
-    lines = [
-        "# "
-        + "\t".join(
-            [f"theta_{s + 1}" for s in range(spec.dimension)]
-            + [f"lambda_{n + 1}" for n in range(spec.num_vertices)]
-        )
-    ]
-    lines += graphio.format_rows(np.hstack([thetas, values]))
-    lines.append("")  # the trailing newline, without copying the joined text
-    _write_output("\n".join(lines), args.out)
+        solved, index, thetas = grid.representatives(_orbit_group(spec, grid, (args.kind,)))
+    values = grid_eigenvalues(spec, solved, args.kind)
+    # Both parts are formatted, and so checked, before the first byte is written.
+    theta_text = graphio.format_rows(thetas)
+    value_text = graphio.format_rows(values)
+    header = "# " + "\t".join(
+        [f"theta_{s + 1}" for s in range(spec.dimension)]
+        + [f"lambda_{n + 1}" for n in range(spec.num_vertices)]
+    )
+    blocks = graphio.stream_rows(theta_text, value_text, index)
+    _write_output(itertools.chain([header + "\n"], blocks), args.out)
     return 0
 
 
@@ -333,7 +334,7 @@ def _cmd_compare(args) -> int:
         "checks": _checks_doc([report]),
         "all_checks_pass": report.passed,
     }
-    _write_output(graphio.dumps(document), args.out)
+    _write_output([graphio.dumps(document)], args.out)
     return 0 if report.passed else 2
 
 

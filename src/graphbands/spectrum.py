@@ -397,11 +397,19 @@ def _refine_extrema(spec, kind, starts, branches, signs, step):
     return signs * best, [tuple(float(x) for x in theta) for theta in thetas]
 
 
-def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid) -> tuple:
-    """The matrices of the graph's band-symmetry group, or () when the grid
-    is too small for the search to pay (SYMMETRY_SEARCH_MIN_POINTS)."""
+def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
+    """The matrices of the band-symmetry group of the operator `kinds`, or ()
+    when the grid is too small for the search to pay
+    (SYMMETRY_SEARCH_MIN_POINTS).
+
+    Only H carries the potentials, so without "schrodinger" among `kinds`
+    the group is searched on the graph without them, which can only add
+    symmetries.
+    """
     if (grid.size + 2**grid.dimension) // 2 < SYMMETRY_SEARCH_MIN_POINTS:
         return ()
+    if "schrodinger" not in kinds and any(spec.potentials()):
+        spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     # Imported here, on first use: importing the search with the package
     # would add its compile time to every start-up that reads no bytecode
     # cache, also for calls that never search.
@@ -415,13 +423,15 @@ def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine):
 
     A symmetry of the graph keeps degrees and potentials, so the band-symmetry
     group of H is one of every operator kind, and one orbit sample of the
-    torus serves them all; theta = 0 is its first row.  With no potentials
-    the Laplacian is H, and a Laplacian asked for with H is H's structure.
+    torus serves them all; theta = 0 is its first row.  Without H among
+    `kinds` the group of the graph without potentials is used (`_orbit_group`).
+    With no potentials the Laplacian is H, and a Laplacian asked for with H is
+    H's structure.
     """
     if not is_connected_periodic(spec):
         raise PreconditionError("periodic cover is disconnected")
     grid = _grid_for(spec, grid)
-    thetas, _, _ = grid.representatives(_orbit_group(spec, grid))
+    thetas, _, _ = grid.representatives(_orbit_group(spec, grid, kinds))
     structures = {}
     for kind in dict.fromkeys(kinds):
         if kind == "laplacian" and "schrodinger" in structures and not any(spec.potentials()):
@@ -575,7 +585,7 @@ def loop_band_endpoints(
         argmaxs = [flip] * spec.num_vertices
     else:
         grid = sampled
-        thetas, _, _ = grid.representatives(_orbit_group(spec, grid))
+        thetas, _, _ = grid.representatives(_orbit_group(spec, grid, ("schrodinger",)))
         values = grid_eigenvalues(spec, thetas, "schrodinger")
         lows = values[0]
         _, highs, _, argmaxs = _envelopes(thetas, values)

@@ -283,30 +283,52 @@ def _per_cell_rows(table):
         ("dispersion", "--builtin", "hexagonal", "--grid", "65"),
         ("dispersion", "--builtin", "hexagonal", "--path", "0,0:2pi/3,-2pi/3:pi,pi",
          "--samples", "9"),
+        # 129^2 + 3 = 16,644 rows: one full block of TABLE_BLOCK_ROWS and a
+        # partial one that ends with the pi corners of the odd grid.
+        ("dispersion", "--builtin", "hexagonal", "--grid", "129"),
     ],
 )
 def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv):
-    # A full grid solves representatives only, so the table is taken where
-    # it is handed to the formatter: every row, theta and eigenvalues.
+    # The printed table is rebuilt from the solved rows: on a full grid each
+    # point prints its theta and the row of its orbit's representative.
     seen = _capture_grid_eigenvalues(monkeypatch)
-    tables = []
-    format_table = graphio.format_rows
-
-    def capture(table):
-        tables.append(table)
-        return format_table(table)
-
-    monkeypatch.setattr(graphio, "format_rows", capture)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    (table,) = tables
-    assert out.split("\n", 1)[1] == "\n".join(_per_cell_rows(table)) + "\n"
     if "--path" in argv:
         # A path solves every row: each printed row is its theta and values.
-        assert table.tobytes() == np.hstack([seen["thetas"], seen["values"]]).tobytes()
+        table = np.hstack([seen["thetas"], seen["values"]])
     else:
-        grid = TorusGrid(3 if "fcc" in argv else 2, int(argv[-1]))
-        assert table[:, : grid.dimension].tobytes() == grid.points().tobytes()
+        spec = parse_builtin(argv[2])
+        grid = TorusGrid(spec.dimension, int(argv[-1]))
+        group = spectrum._orbit_group(spec, grid, ("schrodinger",))
+        representatives, index, points = grid.representatives(group)
+        assert seen["thetas"].tobytes() == representatives.tobytes()
+        table = np.hstack([points, seen["values"][index]])
+    if argv[-1] == "129":
+        assert graphio.TABLE_BLOCK_ROWS < len(table) < 2 * graphio.TABLE_BLOCK_ROWS
+    assert out.split("\n", 1)[1] == "\n".join(_per_cell_rows(table)) + "\n"
+
+
+def test_cli_dispersion_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ("dispersion", "--builtin", "hexagonal", "--grid", "129")
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "table.tsv"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    assert out_file.read_bytes() == printed.encode()
+
+
+def test_stream_rows_joins_every_block(monkeypatch):
+    thetas = np.arange(10.0)[:, None] / 3.0
+    values = np.array([[-0.0, 1e300], [5e-324, 2.5]])
+    index = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1])
+    monkeypatch.setattr(graphio, "TABLE_BLOCK_ROWS", 4)
+    blocks = list(graphio.stream_rows(format_rows(thetas), format_rows(values), index))
+    assert [block.count("\n") for block in blocks] == [4, 4, 2]
+    table = np.hstack([thetas, values[index]])
+    assert "".join(blocks) == "".join(row + "\n" for row in _per_cell_rows(table))
 
 
 def _read_table(out):
@@ -374,6 +396,26 @@ def test_cli_full_grid_dispersion_solves_one_point_per_orbit(
     assert len(out.splitlines()) == 1 + rows
 
 
+@pytest.mark.parametrize("kind", ["laplacian", "normalized"])
+def test_cli_potential_free_dispersion_solves_the_orbits_without_potentials(
+    capsys, monkeypatch, kind
+):
+    solves = []
+    solve = spectrum.eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        solves.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    argv = ("dispersion", "--builtin", "fcc", "--kind", kind)
+    code, with_q, _ = run_cli(capsys, *argv, "--q", "1,2,3,0")
+    plain_code, plain, _ = run_cli(capsys, *argv)
+    assert code == plain_code == 0
+    assert solves == [455, 455]
+    assert with_q == plain
+
+
 def test_cli_dispersion_rejects_path_with_grid(capsys):
     code, out, err = run_cli(
         capsys, "dispersion", "--builtin", "hexagonal", "--path", "0,0:pi,0", "--grid", "12"
@@ -425,7 +467,9 @@ def test_cli_dispersion_rejects_an_empty_path(capsys):
     ids=["signed-zeros", "subnormals", "one-value-column", "no-repeats", "no-rows", "one-column"],
 )
 def test_format_rows_matches_per_cell_formatting(table):
-    assert format_rows(table) == _per_cell_rows(table)
+    rows = format_rows(table)
+    assert rows.dtype.kind == "S" and rows.shape == (len(table),)
+    assert rows.tolist() == [row.encode() for row in _per_cell_rows(table)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -441,6 +441,26 @@ def test_schrodinger_and_laplacian_share_one_torus_sample(monkeypatch, call):
     assert counts == {"is_connected_periodic": 1, "_orbit_group": 1, "points": 1, "eigh_stack": 2}
 
 
+@pytest.mark.parametrize("kind", ["laplacian", "normalized"])
+def test_potential_free_kinds_solve_the_orbits_of_the_graph_without_potentials(
+    monkeypatch, kind
+):
+    # Potentials break fcc's symmetry (2,197 orbits on the default grid), but
+    # these operators ignore them and keep the 455 orbits of fcc().
+    solves = []
+    solve = spectrum.eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        solves.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    with_q = compute_band_structure(fcc(q=(1.0, 2.0, 3.0, 0.0)), kind)
+    plain = compute_band_structure(fcc(), kind)
+    assert solves == [455, 455]
+    assert with_q == plain
+
+
 def test_first_band_condition_detection():
     assert check_first_band_nondegenerate(cubic(2)) == (True, True)
     assert check_first_band_nondegenerate(hexagonal()) == (True, True)
@@ -485,7 +505,7 @@ def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
     spec = triangular()
     grid = TorusGrid.default_for(2)
     zero = (0.0, 0.0)
-    thetas, _, _ = grid.representatives(spectrum._orbit_group(spec, grid))
+    thetas, _, _ = grid.representatives(spectrum._orbit_group(spec, grid, ("schrodinger",)))
     _, highs, _, argmaxs = spectrum._envelopes(
         thetas, spectrum.grid_eigenvalues(spec, thetas, "schrodinger")
     )

@@ -107,7 +107,7 @@ def test_shear_is_rejected_for_hexagonal():
 )
 def test_orbit_counts_on_the_default_grids(spec, orbits):
     grid = TorusGrid.default_for(spec.dimension)
-    group = spectrum._orbit_group(spec, grid)
+    group = spectrum._orbit_group(spec, grid, ("schrodinger",))
     assert len(grid.representatives(group)[0]) == orbits
 
 
@@ -130,7 +130,7 @@ def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
 
 def test_small_grids_skip_the_search(monkeypatch):
     monkeypatch.setattr(symmetry, "band_symmetry_group", lambda spec: pytest.fail("searched"))
-    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12)) == ()
+    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ()
 
 
 # Random small quotients with connected covers: nu <= 5, d <= 3.  A random
