@@ -5,6 +5,12 @@ For a quotient graph on nu vertices, each point theta of the torus
 exp(i <index, theta>) over the oriented edges from j to k.  The adjacency,
 Laplacian, Schroedinger and degree-normalized variants all derive from that
 phase sum.
+
+In a loop graph every cell-crossing edge is a loop, and the two orientations
+of a loop with index n add exp(i <n, theta>) + exp(-i <n, theta>) =
+2 cos <n, theta> to the diagonal.  Its fibers are real symmetric, so they
+are built as float64 stacks, which LAPACK solves with its real symmetric
+driver; every other graph gets complex stacks.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .graph import PeriodicGraphSpec, degrees
+from .graph import PeriodicGraphSpec, degrees, is_loop_graph
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,12 +53,34 @@ def _edge_phase_sum(nv: int, edges, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loop_phase_sum(nv: int, edges, thetas: np.ndarray) -> np.ndarray:
+    """`_edge_phase_sum` of edges whose crossing ones are all loops, as a
+    real stack: each crossing loop adds cos <index, theta> to its vertex's
+    diagonal entry once per orientation.
+
+    That is the real part of `_edge_phase_sum`'s sum, term by term and in
+    the same order, so the two stacks agree bit for bit.
+    """
+    out = np.zeros((thetas.shape[0], nv, nv))
+    for e in edges:
+        if any(e.index):
+            cosines = np.cos(thetas @ np.asarray(e.index, dtype=float))
+            out[:, e.tail, e.tail] += cosines
+            out[:, e.tail, e.tail] += cosines
+        else:
+            out[:, e.tail, e.head] += 1.0
+            out[:, e.head, e.tail] += 1.0
+    return out
+
+
 def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
     """Batch of fiber matrices of the requested kind at the given torus points.
 
-    `thetas` has shape (P, d); the result has shape (P, nu, nu).
+    `thetas` has shape (P, d); the result has shape (P, nu, nu), float64 for
+    a loop graph and complex otherwise.
     """
-    adjacency = _edge_phase_sum(spec.num_vertices, spec.edges, _theta_rows(spec, thetas))
+    phase_sum = _loop_phase_sum if is_loop_graph(spec) else _edge_phase_sum
+    adjacency = phase_sum(spec.num_vertices, spec.edges, _theta_rows(spec, thetas))
     if kind == "adjacency":
         return adjacency
     deg = np.asarray(degrees(spec), dtype=float)

@@ -4,6 +4,11 @@ A periodic graph is described by its quotient under the translation lattice:
 a finite multigraph whose edges carry integer "cell offset" index vectors
 recording how many unit cells the edge crosses along each period direction.
 Everything spectral in this package is computed from that finite description.
+A spec is immutable, so what is derived from it (oriented edges, degrees,
+bridges, cover connectivity, the classification) is computed on first use
+and kept on the spec object: the functions below read it from there.  The
+cache is per object, never by value, so each newly parsed spec derives its
+own.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParameterError, PreconditionError, ValidationError
 from .linalg import gf2_solve, integer_lattice_full
@@ -81,6 +88,20 @@ class PeriodicGraphSpec:
     def has_positions(self) -> bool:
         return all(v.position is not None for v in self.vertices)
 
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass allows; the fields, equality and hash are untouched.
+    @cached_property
+    def _structure(self) -> _Structure:
+        return _derive_structure(self)
+
+    @cached_property
+    def _connected(self) -> bool:
+        return _cover_connected(self)
+
+    @cached_property
+    def _classification(self) -> GraphClassification:
+        return _classify(self)
+
 
 @dataclass(frozen=True)
 class GraphClassification:
@@ -95,6 +116,11 @@ class GraphClassification:
     is_loop_graph: bool
     precise_quasimomentum: tuple[float, ...] | None
     bridge_count: int
+
+
+# Largest edge-index entry in magnitude: every integer up to 2**53 is a
+# float64, so the phase <index, theta> is formed from the exact index.
+MAX_INDEX_ENTRY = 2**53
 
 
 def _validate(spec: PeriodicGraphSpec) -> None:
@@ -127,23 +153,41 @@ def _validate(spec: PeriodicGraphSpec) -> None:
             raise ValidationError(f"edges[{i}] references an invalid vertex index")
         if len(edge.index) != spec.dimension:
             raise ValidationError(f"edges[{i}].index has wrong length")
+        if any(abs(x) > MAX_INDEX_ENTRY for x in edge.index):
+            raise ValidationError(f"edges[{i}].index has an entry beyond 2**53 in magnitude")
+
+
+class _Structure(NamedTuple):
+    """What a spec's edges determine, derived once per spec object."""
+
+    oriented: tuple[OrientedEdge, ...]
+    degrees: tuple[int, ...]
+    bridges: tuple[OrientedEdge, ...]
+    is_loop_graph: bool
+
+
+def _derive_structure(spec: PeriodicGraphSpec) -> _Structure:
+    oriented = []
+    for e in spec.edges:
+        oriented.append(OrientedEdge(e.tail, e.head, e.index))
+        oriented.append(OrientedEdge(e.head, e.tail, tuple(-x for x in e.index)))
+    deg = [0] * spec.num_vertices
+    for e in oriented:
+        deg[e.tail] += 1
+    bridges = tuple(e for e in oriented if any(e.index))
+    return _Structure(
+        tuple(oriented), tuple(deg), bridges, all(e.tail == e.head for e in bridges)
+    )
 
 
 def oriented_edges(spec: PeriodicGraphSpec) -> tuple[OrientedEdge, ...]:
     """Both orientations of every edge record; the reverse negates the index."""
-    out = []
-    for e in spec.edges:
-        out.append(OrientedEdge(e.tail, e.head, e.index))
-        out.append(OrientedEdge(e.head, e.tail, tuple(-x for x in e.index)))
-    return tuple(out)
+    return spec._structure.oriented
 
 
 def degrees(spec: PeriodicGraphSpec) -> tuple[int, ...]:
     """Vertex degrees: the number of oriented edges starting at each vertex."""
-    deg = [0] * spec.num_vertices
-    for e in oriented_edges(spec):
-        deg[e.tail] += 1
-    return tuple(deg)
+    return spec._structure.degrees
 
 
 def bridge_count(spec: PeriodicGraphSpec) -> tuple[int, tuple[OrientedEdge, ...]]:
@@ -152,8 +196,13 @@ def bridge_count(spec: PeriodicGraphSpec) -> tuple[int, tuple[OrientedEdge, ...]
     Each unoriented cell-crossing edge contributes two oriented bridges (a
     crossing loop likewise contributes two, with opposite indices).
     """
-    bridges = tuple(e for e in oriented_edges(spec) if any(e.index))
+    bridges = spec._structure.bridges
     return len(bridges), bridges
+
+
+def is_loop_graph(spec: PeriodicGraphSpec) -> bool:
+    """True iff every cell-crossing edge is a loop (tail == head)."""
+    return spec._structure.is_loop_graph
 
 
 def shift_origin(spec: PeriodicGraphSpec, offset) -> PeriodicGraphSpec:
@@ -238,6 +287,10 @@ def is_connected_periodic(spec: PeriodicGraphSpec) -> bool:
     generated by the cycle offsets tau(e) + p(tail) - p(head) to be all of
     Z^d, where p is a spanning-tree potential.
     """
+    return spec._connected
+
+
+def _cover_connected(spec: PeriodicGraphSpec) -> bool:
     offsets, connected = _spanning_tree_offsets(spec)
     if not connected:
         return False
@@ -319,9 +372,13 @@ def _precise_quasimomentum(spec: PeriodicGraphSpec, bridges) -> tuple[float, ...
 
 def classify(spec: PeriodicGraphSpec) -> GraphClassification:
     """Aggregate the structural tests the spectral estimates depend on."""
+    return spec._classification
+
+
+def _classify(spec: PeriodicGraphSpec) -> GraphClassification:
     deg = degrees(spec)
     count, bridges = bridge_count(spec)
-    loop_graph = all(e.tail == e.head for e in bridges)
+    loop_graph = is_loop_graph(spec)
     theta0 = _precise_quasimomentum(spec, bridges) if loop_graph else None
     bipartite_cover, _ = periodic_bipartite(spec)
     regular = len(set(deg)) == 1

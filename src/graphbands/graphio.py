@@ -234,7 +234,13 @@ def parse_graph(text: str) -> PeriodicGraphSpec:
 
 def load_graph(path) -> PeriodicGraphSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return parse_graph(text)
 
 
 def save_graph(spec: PeriodicGraphSpec, path) -> None:

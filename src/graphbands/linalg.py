@@ -2,8 +2,10 @@
 
 Eigenvalues come from LAPACK through `np.linalg.eigvalsh` / `np.linalg.eigh`,
 which solve every matrix of a stack on its own, so a matrix's result does not
-depend on what else sits in the same batch.  The integer-lattice and GF(2)
-routines work on exact Python integers.
+depend on what else sits in the same batch.  A real stack stays real, so
+LAPACK runs its real symmetric driver on it; a complex stack gets the
+Hermitian one.  The integer-lattice and GF(2) routines work on exact Python
+integers.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ def eigh_stack(stack: np.ndarray, want_vectors: bool = False):
     """Eigen-decompose a stack of Hermitian matrices, shape (..., n, n).
 
     Returns (values, vectors): values shape (batch, n) ascending per matrix,
-    vectors shape (batch, n, n) with columns matching values, or None.
+    vectors shape (batch, n, n) with columns matching values, or None.  A
+    real stack is solved in real arithmetic and gets real vectors; any other
+    stack is solved as complex.
 
     LAPACK reads only the lower triangle of each matrix, so the input must be
     Hermitian: the upper triangle is ignored, not checked.  A LAPACK failure
     or a non-finite output value raises NumericError.
     """
-    mats = np.asarray(stack, dtype=complex)
+    mats = np.asarray(stack)
+    mats = mats.astype(float if np.isrealobj(mats) else complex, copy=False)
     if mats.ndim == 2:
         mats = mats[None]
     if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:

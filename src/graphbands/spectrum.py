@@ -44,6 +44,7 @@ from .graph import (
     classify,
     degrees,
     is_connected_periodic,
+    is_loop_graph,
     periodic_bipartite,
     with_potentials,
 )
@@ -616,8 +617,7 @@ def bipartite_loop_endpoints(
     deg = degrees(spec)
     if len(set(deg)) != 1:
         raise PreconditionError("graph is not regular")
-    count, bridges = bridge_count(spec)
-    if not all(e.tail == e.head for e in bridges):
+    if not is_loop_graph(spec):
         raise PreconditionError("not a loop graph: a cell-crossing edge is not a loop")
     zero = (0.0,) * spec.dimension
     lows, highs = _mirrored_endpoints(fiber_eigenvalues(spec, zero, "laplacian"), deg[0])

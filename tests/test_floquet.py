@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphbands import (
     EdgeRecord,
@@ -16,7 +18,7 @@ from graphbands import (
     oriented_edges,
     shift_origin,
 )
-from graphbands.floquet import fiber_stack
+from graphbands.floquet import _edge_phase_sum, fiber_stack
 from graphbands.linalg import eigh_stack
 from graphbands.spectrum import grid_eigenvalues
 from graphbands.lattices import (
@@ -247,6 +249,53 @@ def test_one_orientation_fill_matches_two_orientation_reference(spec):
     assert np.array_equal(fluct, np.conj(fluct.T))
     ham = fiber(spec, thetas[0])
     assert np.abs(mean + fluct - ham).max() < 1e-14
+
+
+# Random loop graphs: nu <= 5, d <= 3.  A zero-index spanning tree and one
+# unit loop per axis keep the cover connected, as in test_symmetry's
+# quotients(); the other edges are zero-index edges (loops among them) and
+# crossing loops, so every bridge is a loop.
+@st.composite
+def loop_quotients(draw):
+    d = draw(st.integers(1, 3))
+    nv = draw(st.integers(1, 5))
+    potentials = draw(st.lists(st.floats(-3.0, 3.0), min_size=nv, max_size=nv))
+    zero = (0,) * d
+    vertex = st.integers(0, nv - 1)
+    index = st.tuples(*[st.integers(-3, 3)] * d)
+    edges = [(draw(st.integers(0, j - 1)), j, zero) for j in range(1, nv)]
+    loop_vertices = draw(st.lists(vertex, min_size=d, max_size=d))
+    edges += [(u, u, tuple(int(s == t) for t in range(d))) for s, u in enumerate(loop_vertices)]
+    edges += [(t, h, zero) for t, h in draw(st.lists(st.tuples(vertex, vertex), max_size=3))]
+    edges += [(u, u, n) for u, n in draw(st.lists(st.tuples(vertex, index), max_size=4))]
+    return PeriodicGraphSpec(
+        d,
+        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
+        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(loop_quotients())
+def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
+    assert classify(spec).is_loop_graph
+    rng = np.random.default_rng(15)
+    thetas = np.vstack(
+        [rng.uniform(0.0, 2 * PI, size=(8, spec.dimension)), np.zeros((1, spec.dimension))]
+    )
+    reference = _two_orientation_adjacency(spec, thetas)
+    assert not reference.imag.any()
+    adjacency = fiber_stack(spec, thetas, "adjacency")
+    assert adjacency.dtype == np.float64
+    assert np.array_equal(adjacency, reference.real)
+    assert np.array_equal(adjacency, _edge_phase_sum(spec.num_vertices, spec.edges, thetas))
+    for kind in ("laplacian", "schrodinger", "normalized"):
+        stack = fiber_stack(spec, thetas, kind)
+        assert stack.dtype == np.float64
+        values = eigh_stack(stack)[0]
+        complex_values = eigh_stack(stack.astype(complex))[0]
+        scale = np.abs(complex_values).max()
+        assert np.abs(values - complex_values).max() <= 1e-12 * (1.0 + scale)
 
 
 BENCH_BUILTINS = ("hexagonal", "fcc", "star(2,6)", "subdivided(2,4)")

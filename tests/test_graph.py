@@ -48,6 +48,20 @@ def test_validation_rejects_bad_edges():
         PeriodicGraphSpec(0, (VertexInfo("a"),), ())
 
 
+@pytest.mark.parametrize(
+    "entry", [10**400, 2**53 + 1, -(2**53) - 1], ids=["1e400", "2**53+1", "-2**53-1"]
+)
+def test_validation_rejects_indices_beyond_float64_integers(entry):
+    loops = (EdgeRecord(0, 0, (entry, 1)), EdgeRecord(0, 0, (1, 0)))
+    with pytest.raises(ValidationError, match=r"edges\[0\]\.index .*2\*\*53"):
+        PeriodicGraphSpec(2, (VertexInfo("a"),), loops)
+
+
+def test_validation_accepts_indices_up_to_2_pow_53():
+    loops = (EdgeRecord(0, 0, (2**53, 1)), EdgeRecord(0, 0, (-(2**53), 0)))
+    assert PeriodicGraphSpec(2, (VertexInfo("a"),), loops).edges == loops
+
+
 def test_validation_rejects_duplicate_positions():
     with pytest.raises(ValidationError):
         PeriodicGraphSpec(

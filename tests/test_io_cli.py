@@ -14,6 +14,7 @@ from graphbands import (
     ValidationError,
     cli,
     compute_band_structure,
+    graph,
     graphio,
     spectrum,
 )
@@ -588,6 +589,66 @@ def test_cli_builtin_listing_stable(capsys):
 def test_load_graph_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def test_cli_graph_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "noise.json"
+    path.write_bytes(b"\xff" + np.random.default_rng(3).bytes(99))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: not UTF-8 text (invalid start byte at byte 0)"]
+
+
+def test_cli_rejects_edge_indices_beyond_float64_integers(tmp_path, capsys):
+    # A connected cover: loops of index (10**400, 1) and (1, 0) span Z^2.
+    document = {
+        "format_version": 1,
+        "dimension": 2,
+        "vertices": [{"label": "a", "q": 0.0}],
+        "edges": [
+            {"tail": 0, "head": 0, "index": [10**400, 1]},
+            {"tail": 0, "head": 0, "index": [1, 0]},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: $: edges[0].index has an entry beyond 2**53")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--builtin", "star(2,3)", "--q", "1,2,3", "--grid", "12"),
+        ("compare", "star(2,3)", "star(2,3)"),
+        ("analyze", "--builtin", "hexagonal", "--q", "1,-1", "--refine", "--grid", "12"),
+    ],
+    ids=["analyze", "compare", "refine"],
+)
+def test_each_spec_object_builds_its_oriented_edges_once(monkeypatch, capsys, argv):
+    # Count the oriented edges built during one call against those of every
+    # spec object the call creates: each object builds its list at most once.
+    specs, built = [], [0]
+    validate = graph._validate
+
+    def recording(spec):
+        specs.append(spec)
+        return validate(spec)
+
+    class Counting(graph.OrientedEdge):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph, "_validate", recording)
+    monkeypatch.setattr(graph, "OrientedEdge", Counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 0 < built[0] <= sum(2 * len(spec.edges) for spec in specs)
 
 
 def test_save_and_load_round_trip(tmp_path):

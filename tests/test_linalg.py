@@ -9,7 +9,7 @@ from graphbands import (
     integer_lattice_full,
 )
 from graphbands.cli import main as cli_main
-from graphbands.lattices import hexagonal, subdivided
+from graphbands.lattices import hexagonal, star, subdivided
 from graphbands.floquet import fiber_stack
 from graphbands.linalg import eigh_stack
 
@@ -59,11 +59,7 @@ def test_determinism_bitwise():
     assert first.tolist() == second.tolist()
 
 
-def test_chunking_is_bitwise_invariant():
-    # The subdivided(3,3) fibers at grid 12 include matrices whose tiny
-    # off-diagonal entries once overflowed a rotation-based solver to NaN.
-    spec = subdivided(3, 3)
-    stack = fiber_stack(spec, TorusGrid(3, 12).points(), "schrodinger")
+def _assert_chunking_invariant(stack):
     whole = eigh_stack(stack)[0]
     assert np.isfinite(whole).all()
     for parts in (4, 64):
@@ -71,6 +67,36 @@ def test_chunking_is_bitwise_invariant():
             [eigh_stack(chunk)[0] for chunk in np.array_split(stack, parts)]
         )
         assert chunked.tobytes() == whole.tobytes()
+
+
+def test_chunking_is_bitwise_invariant():
+    # The subdivided(3,3) fibers at grid 12 include matrices whose tiny
+    # off-diagonal entries once overflowed a rotation-based solver to NaN.
+    spec = subdivided(3, 3)
+    stack = fiber_stack(spec, TorusGrid(3, 12).points(), "schrodinger")
+    assert stack.dtype == complex
+    _assert_chunking_invariant(stack)
+
+
+def test_real_chunking_is_bitwise_invariant():
+    # A loop graph's fibers are real, and the real symmetric driver solves
+    # each matrix of the stack on its own too.
+    spec = star(3, 5, q=(0.5, -1.0, 2.0, 0.25, 0.0))
+    stack = fiber_stack(spec, TorusGrid(3, 12).points(), "schrodinger")
+    assert stack.dtype == np.float64
+    _assert_chunking_invariant(stack)
+
+
+def test_real_stack_stays_real():
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(3, 5, 5))
+    mat = mat + np.swapaxes(mat, 1, 2)
+    values, vectors = eigh_stack(mat, want_vectors=True)
+    assert vectors.dtype == np.float64
+    complex_values, _ = eigh_stack(mat.astype(complex))
+    assert np.abs(values - complex_values).max() <= 1e-12 * (1 + np.abs(values).max())
+    residual = mat @ vectors - vectors * values[:, None, :]
+    assert np.abs(residual).max() <= 1e-12 * (1 + np.abs(values).max())
 
 
 def _failing_eigvalsh(mats):
