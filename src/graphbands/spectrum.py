@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     InvariantViolation,
+    NumericError,
     ParameterError,
     PreconditionError,
 )
@@ -252,6 +253,29 @@ def _grid_for(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
     return grid
 
 
+def _connected_grid(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
+    """`_grid_for(spec, grid)` after the cover-connectivity test that every
+    band computation starts with."""
+    if not is_connected_periodic(spec):
+        raise PreconditionError("periodic cover is disconnected")
+    return _grid_for(spec, grid)
+
+
+def _loop_edge_corners(spec: PeriodicGraphSpec, cls) -> tuple | None:
+    """(0, theta*) for a loop graph with a flip corner theta*, else None.
+
+    In a loop graph every cell-crossing edge is a loop, so
+    H(theta) = H(0) + diag_v sum 2(1 - cos<n, theta>) over the loops n at v.
+    At the flip corner cos<n, theta*> = -1 for every loop, hence
+    H(0) <= H(theta) <= H(theta*) in Loewner order and, by Weyl's
+    monotonicity, lambda_n(0) <= lambda_n(theta) <= lambda_n(theta*): the
+    eigenvalues of H at the two points are the band edges exactly.
+    """
+    if not cls.is_loop_graph or cls.precise_quasimomentum is None:
+        return None
+    return (0.0,) * spec.dimension, cls.precise_quasimomentum
+
+
 def _default_flat_tol(lows, highs) -> float:
     """Flat-band width tolerance relative to the largest band-edge magnitude."""
     scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
@@ -429,9 +453,7 @@ def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine):
     With no potentials the Laplacian is H, and a Laplacian asked for with H is
     H's structure.
     """
-    if not is_connected_periodic(spec):
-        raise PreconditionError("periodic cover is disconnected")
-    grid = _grid_for(spec, grid)
+    grid = _connected_grid(spec, grid)
     thetas, _, _ = grid.representatives(_orbit_group(spec, grid, kinds))
     structures = {}
     for kind in dict.fromkeys(kinds):
@@ -570,9 +592,9 @@ def loop_band_endpoints(
     """Band envelopes of a loop graph from at most two eigendecompositions.
 
     Lower endpoints always come from the zero fiber.  Upper endpoints come
-    from the phase-flipping corner when the classifier found one; otherwise
-    they fall back to grid maxima, and the zero fiber is the first row of
-    that grid solve.
+    from the phase-flipping corner when the classifier found one
+    (`_loop_edge_corners`); otherwise they fall back to grid maxima, and the
+    zero fiber is the first row of that grid solve.
     """
     cls = classify(spec)
     if not cls.is_loop_graph:
@@ -580,10 +602,10 @@ def loop_band_endpoints(
     sampled = _grid_for(spec, grid)  # checked even when the flip corner leaves it unused
     zero = (0.0,) * spec.dimension
     argmins = [zero] * spec.num_vertices
-    flip = cls.precise_quasimomentum
-    if flip is not None:
-        lows, highs = grid_eigenvalues(spec, np.array([zero, flip]), "schrodinger")
-        argmaxs = [flip] * spec.num_vertices
+    edge_corners = _loop_edge_corners(spec, cls)
+    if edge_corners is not None:
+        lows, highs = grid_eigenvalues(spec, np.array(edge_corners), "schrodinger")
+        argmaxs = [edge_corners[1]] * spec.num_vertices
     else:
         grid = sampled
         thetas, _, _ = grid.representatives(_orbit_group(spec, grid, ("schrodinger",)))
@@ -695,22 +717,28 @@ class _CornerScan(NamedTuple):
     upper: int | None
 
 
-def _scan_corners(spec, kind, bs, tol, label=None) -> _CornerScan:
+def _scan_corners(spec, kind, edges, tol, label=None) -> _CornerScan:
     """Solve the 2^d corners in one batch and find the uniform extremizers.
 
-    The chosen lower (resp. upper) corner is the first one at which every
-    branch is within tol of its lower (resp. upper) band edge.  With a
-    `label`, a side without such a corner raises PreconditionError naming the
-    graph and the corner that comes closest.
+    `edges` is the BandStructure whose band edges the corners are measured
+    against, or the pair of corners (`_loop_edge_corners`) whose rows of
+    this scan are the lower and upper band edges exactly.  The chosen lower
+    (resp. upper) corner is the first one at which every branch is within
+    tol of its lower (resp. upper) band edge.  With a `label`, a side without
+    such a corner raises PreconditionError naming the graph and the corner
+    that comes closest.
     """
     corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
     fibers = fiber_stack(spec, np.asarray(corners), kind)
     values = eigh_stack(fibers)[0]
-    lows = np.asarray([b.low for b in bs.bands])
-    highs = np.asarray([b.high for b in bs.bands])
+    if isinstance(edges, BandStructure):
+        lows = np.asarray([b.low for b in edges.bands])
+        highs = np.asarray([b.high for b in edges.bands])
+    else:
+        lows, highs = (values[corners.index(theta)] for theta in edges)
     chosen = []
-    for side, edges in (("lower", lows), ("upper", highs)):
-        deviation = np.abs(values - edges)
+    for side, target in (("lower", lows), ("upper", highs)):
+        deviation = np.abs(values - target)
         worst = deviation.max(axis=1)
         hits = np.flatnonzero(worst <= tol)
         if hits.size:
@@ -762,6 +790,11 @@ def stability_constants(
     the pair is additionally bipartite-regular (potential-free) or
     precise-vs-bipartite, the specialized two-sided bounds are checked too.
     The band edges and fibers at the extremizers are those of the corner scan.
+    A loop graph with a flip corner takes its band edges from that scan's
+    rows at 0 and at the flip corner, which are exact (`_loop_edge_corners`),
+    so its grid is validated but not sampled; any other graph's scan is
+    measured against the envelopes of the grid.  A constant that overflows
+    float64 raises NumericError.
     """
     if spec_a.num_vertices != spec_b.num_vertices:
         raise PreconditionError(
@@ -769,10 +802,27 @@ def stability_constants(
         )
 
     def scan(spec, grid, label):
-        bs = compute_band_structure(spec, "schrodinger", grid)
-        return _scan_corners(spec, "schrodinger", bs, UNIFORM_EXTREMIZER_TOL, label)
+        cls = classify(spec)
+        edges = _loop_edge_corners(spec, cls)
+        if edges is None:
+            edges = compute_band_structure(spec, "schrodinger", grid)
+        else:
+            _connected_grid(spec, grid)
+        return cls, _scan_corners(spec, "schrodinger", edges, UNIFORM_EXTREMIZER_TOL, label)
 
-    scan_a, scan_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
+    side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
+    # Finite band edges and fibers can still be too far apart to subtract or
+    # sum in float64; such a report is refused below, as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _stability_report(spec_a, *side_a, spec_b, *side_b, check_tol)
+    for check in report.checks:
+        if not (math.isfinite(check.lhs) and math.isfinite(check.rhs)):
+            raise NumericError(f"stability constants: {check.name} overflows float64")
+    return report
+
+
+def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -> EstimateReport:
+    """The checks and constants of `stability_constants` from both corner scans."""
     lows_a, highs_a = scan_a.values[scan_a.lower], scan_a.values[scan_a.upper]
     lows_b, highs_b = scan_b.values[scan_b.lower], scan_b.values[scan_b.upper]
     c_total = _entry_l1(scan_a.fibers[scan_a.lower], scan_b.fibers[scan_b.lower]) + _entry_l1(
@@ -801,8 +851,6 @@ def stability_constants(
         "theta_plus_b": scan_b.corners[scan_b.upper],
     }
 
-    cls_a = classify(spec_a)
-    cls_b = classify(spec_b)
     zero_a = all(q == 0.0 for q in spec_a.potentials())
     zero_b = all(q == 0.0 for q in spec_b.potentials())
 

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from graphbands import (
+    EdgeRecord,
     NumericError,
+    PeriodicGraphSpec,
     TorusGrid,
     ValidationError,
+    VertexInfo,
     cli,
     compute_band_structure,
     graph,
@@ -575,6 +578,42 @@ def test_cli_compare_vertex_mismatch(capsys):
     code, _, err = run_cli(capsys, "compare", "hexagonal", "fcc")
     assert code == 1
     assert "mismatch" in err
+
+
+def test_cli_compare_disconnected_cover_with_a_flip_corner(tmp_path, capsys):
+    # The loops (1, 0) and (0, 3) are both flipped at (pi, pi), but they
+    # split the cover into three copies: the corner-scan path of a loop graph
+    # with a flip corner tests connectivity as the grid path does.
+    spec = PeriodicGraphSpec(
+        2, (VertexInfo("a"),), (EdgeRecord(0, 0, (1, 0)), EdgeRecord(0, 0, (0, 3)))
+    )
+    assert graph.classify(spec).precise_quasimomentum == (PI, PI)
+    path = tmp_path / "split.json"
+    save_graph(spec, path)
+    code, out, err = run_cli(capsys, "compare", str(path), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: periodic cover is disconnected"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("star(2,3)", "star(2,3)", "--q-a=1e308,0,0"),
+        ("star(2,3)", "star(2,3)", "--q-a=1e308,0,0", "--q-b=-1e308,0,0"),
+        ("fcc", "fcc", "--q-a=1e308,0,0,0"),
+    ],
+    ids=["edges", "fibers", "grid-path"],
+)
+def test_cli_compare_overflow_is_one_numeric_error(capsys, argv):
+    # Finite band edges and fibers whose differences overflow float64: one
+    # error line and exit 2, and no numpy warning (an error under pytest).
+    code, out, err = run_cli(capsys, "compare", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: stability constants: edge-and-gap-variation<=2C overflows float64"
+    ]
 
 
 def test_cli_builtin_listing_stable(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from graphbands import (
     ParameterError,
@@ -690,15 +692,22 @@ def _hex_params(params):
     }
 
 
+# Loop graphs with a flip corner solve their four corners only: the rows at
+# 0 and at the flip corner are their band edges.  fcc is not a loop graph and
+# keeps one grid per graph: it has 48 band symmetries, 455 orbits of the
+# default 24^3 grid, and then its eight corners.
 @pytest.mark.parametrize(
-    "spec_a, spec_b, precise_vs_bipartite",
+    "spec_a, spec_b, precise_vs_bipartite, batches",
     [
-        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False),
-        (star(2, 3), bipartite_chain(2, 3), True),
+        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, [4, 4]),
+        (star(2, 3), bipartite_chain(2, 3), True, [4, 4]),
+        (fcc(), fcc(), False, [455, 8, 455, 8]),
     ],
-    ids=["star-q-vs-star", "star-vs-bipartite-chain"],
+    ids=["star-q-vs-star", "star-vs-bipartite-chain", "fcc-vs-fcc"],
 )
-def test_stability_reuses_the_corner_solves(monkeypatch, spec_a, spec_b, precise_vs_bipartite):
+def test_stability_reuses_the_corner_solves(
+    monkeypatch, spec_a, spec_b, precise_vs_bipartite, batches
+):
     checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite)
     solves = []
     solve = spectrum.eigh_stack
@@ -717,10 +726,92 @@ def test_stability_reuses_the_corner_solves(monkeypatch, spec_a, spec_b, precise
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
     monkeypatch.setattr(spectrum, "fiber_stack", building)
     report = stability_constants(spec_a, spec_b)
-    # One grid and one batch of the four corners per graph.  Both graphs
-    # have 8 band symmetries: 1,225 orbits of the default 96 x 96 grid.
     # The theta = 0 Laplacian fiber of the bipartite side is its corner 0.
-    assert solves == fibers == [1225, 4, 1225, 4]
+    assert solves == fibers == batches
+    assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
+        (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
+    ]
+    assert _hex_params(report.params) == _hex_params(params)
+
+
+# Random connected loop graphs with a flip corner: nu <= 5, d <= 3.  The
+# vertices hang on a zero-index tree.  A nonzero x in {0, 1}^d is drawn and
+# every loop index n gets <n, x> odd, so pi x flips every loop.  Axis s
+# carries the loop e_s when x_s = 1 and e_s + e_t, for one t with x_t = 1,
+# otherwise; these generate Z^d, so the cover is connected.  Extra loops have
+# random indices, moved by e_t to odd parity where needed.
+@st.composite
+def flip_loop_quotients(draw, d=None, nv=None):
+    d = draw(st.integers(1, 3)) if d is None else d
+    nv = draw(st.integers(1, 5)) if nv is None else nv
+    mask = draw(st.integers(1, 2**d - 1))
+    x = [(mask >> s) & 1 for s in range(d)]
+    t = x.index(1)
+    zero = (0,) * d
+
+    def unit(s):
+        return tuple(int(r == s) for r in range(d))
+
+    def odd(n):
+        if sum(a * b for a, b in zip(n, x)) % 2:
+            return n
+        return tuple(a + b for a, b in zip(n, unit(t)))
+
+    potentials = draw(st.lists(st.floats(-3.0, 3.0), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    loops = [unit(s) if x[s] else odd(unit(s)) for s in range(d)]
+    loops += [odd(n) for n in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=3))]
+    edges = [(draw(st.integers(0, j - 1)), j, zero) for j in range(1, nv)]
+    edges += [(u, v, zero) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2))]
+    for n in loops:
+        u = draw(vertex)
+        edges.append((u, u, n))
+    return PeriodicGraphSpec(
+        d,
+        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
+        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
+    )
+
+
+@st.composite
+def flip_loop_pairs(draw):
+    d, nv = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return draw(flip_loop_quotients(d, nv)), draw(flip_loop_quotients(d, nv))
+
+
+FLIP_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@FLIP_SETTINGS
+@given(flip_loop_quotients(), st.integers(2, 6))
+def test_loop_graph_grid_envelopes_are_the_zero_and_flip_rows(spec, m):
+    cls = classify(spec)
+    assert cls.is_loop_graph and cls.is_connected
+    flip = cls.precise_quasimomentum
+    assert flip is not None
+    bs = compute_band_structure(spec, "schrodinger", TorusGrid(spec.dimension, m))
+    lows, highs = np.asarray(band_tuples(bs)).T
+    zero_row, flip_row = spectrum.grid_eigenvalues(
+        spec, np.array([(0.0,) * spec.dimension, flip]), "schrodinger"
+    )
+    scale = max(np.abs(lows).max(), np.abs(highs).max())
+    assert np.abs(lows - zero_row).max() <= 1e-12 * (1.0 + scale)
+    assert np.abs(highs - flip_row).max() <= 1e-12 * (1.0 + scale)
+
+
+@FLIP_SETTINGS
+@given(flip_loop_pairs())
+def test_loop_graph_stability_matches_the_grid_reference(pair):
+    spec_a, spec_b = pair
+    # With potentials on A, the only special case left is A precise against
+    # a bipartite regular B without potentials.
+    assume(any(spec_a.potentials()))
+    cls_b = classify(spec_b)
+    bipartite_b = cls_b.periodic_bipartite and cls_b.is_regular and not any(spec_b.potentials())
+    checks, params = _stability_reference(spec_a, spec_b, bipartite_b)
+    report = stability_constants(spec_a, spec_b)
     assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
         (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
     ]
