@@ -9,7 +9,6 @@ the graph's combinatorics.
 
 from .errors import (
     GraphbandsError,
-    InvariantViolation,
     NumericError,
     ParameterError,
     PreconditionError,
@@ -37,22 +36,13 @@ from .linalg import gf2_solve, integer_lattice_full
 from .spectrum import (
     BandInterval,
     BandStructure,
-    DiracConeReport,
     EstimateReport,
     FlatBand,
     InequalityCheck,
-    LargeCouplingReport,
     TorusGrid,
-    bipartite_loop_endpoints,
-    check_first_band_nondegenerate,
-    check_flat_band_block,
     compute_band_structure,
-    dirac_expansion_check,
     estimate_suite,
     fiber_eigenvalues,
-    find_uniform_extremizers,
-    large_coupling_analysis,
-    loop_band_endpoints,
     stability_constants,
     verify_gap_bound,
     verify_total_band_bound,
@@ -64,15 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BandInterval",
     "BandStructure",
-    "DiracConeReport",
     "EdgeRecord",
     "EstimateReport",
     "FlatBand",
     "GraphClassification",
     "GraphbandsError",
     "InequalityCheck",
-    "InvariantViolation",
-    "LargeCouplingReport",
     "NumericError",
     "OrientedEdge",
     "ParameterError",
@@ -81,25 +68,18 @@ __all__ = [
     "TorusGrid",
     "ValidationError",
     "VertexInfo",
-    "bipartite_loop_endpoints",
     "bridge_count",
-    "check_first_band_nondegenerate",
-    "check_flat_band_block",
     "classify",
     "compute_band_structure",
     "degrees",
-    "dirac_expansion_check",
     "estimate_suite",
     "fiber_eigenvalues",
-    "find_uniform_extremizers",
     "fluctuation_split",
     "fundamental_bipartite",
     "gf2_solve",
     "integer_lattice_full",
     "is_connected_periodic",
-    "large_coupling_analysis",
     "lattices",
-    "loop_band_endpoints",
     "minimize_bridges",
     "oriented_edges",
     "periodic_bipartite",

@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from . import graphio
-from .errors import (
-    GraphbandsError,
-    InvariantViolation,
-    NumericError,
-    ValidationError,
-)
+from .errors import GraphbandsError, NumericError, ValidationError
 from .graph import PeriodicGraphSpec, with_potentials
 from .lattices import builtin_catalog, parse_builtin
 from .spectrum import (
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
         if args.command == "builtins":
             return _cmd_builtins()
         raise ValidationError(f"unknown command {args.command!r}")
-    except (InvariantViolation, NumericError) as exc:
+    except NumericError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (GraphbandsError, OSError) as exc:

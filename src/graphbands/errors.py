@@ -19,7 +19,3 @@ class PreconditionError(GraphbandsError):
 
 class NumericError(GraphbandsError):
     """Numerical failure: a solver failure or a non-finite input or computed value."""
-
-
-class InvariantViolation(GraphbandsError):
-    """A mathematically guaranteed relation failed numerically."""

@@ -79,7 +79,15 @@ def dumps(document) -> str:
     return "".join(pieces)
 
 
+def _located(exc: NumericError, step: str) -> NumericError:
+    """`exc` with `step` prefixed to the report path its message ends with."""
+    message, _, path = str(exc).partition(" at ")
+    return NumericError(f"{message} at {step}{path}")
+
+
 def _emit(node, out: list[str], depth: int) -> None:
+    """Append the text of `node`.  A NumericError raised below names the
+    path of the value it failed on, such as `flat_bands[2].value`."""
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if isinstance(node, dict):
@@ -89,7 +97,10 @@ def _emit(node, out: list[str], depth: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(node.items()):
             out.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(value, out, depth + 1)
+            try:
+                _emit(value, out, depth + 1)
+            except NumericError as exc:
+                raise _located(exc, f".{key}" if depth else str(key)) from None
             out.append(",\n" if i < len(node) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(node, (list, tuple)):
@@ -98,12 +109,21 @@ def _emit(node, out: list[str], depth: int) -> None:
             return
         flat = all(not isinstance(x, (dict, list, tuple)) for x in node)
         if flat:
-            out.append("[" + ", ".join(_scalar(x) for x in node) + "]")
+            try:
+                out.append("[" + ", ".join(_scalar(x) for x in node) + "]")
+            except NumericError as exc:
+                bad = next(
+                    i for i, x in enumerate(node) if isinstance(x, float) and not math.isfinite(x)
+                )
+                raise _located(exc, f"[{bad}]") from None
             return
         out.append("[\n")
         for i, value in enumerate(node):
             out.append(inner)
-            _emit(value, out, depth + 1)
+            try:
+                _emit(value, out, depth + 1)
+            except NumericError as exc:
+                raise _located(exc, f"[{i}]") from None
             out.append(",\n" if i < len(node) - 1 else "\n")
         out.append(pad + "]")
     else:

@@ -10,11 +10,10 @@ shifts that an exact search finds) makes H(A^{-T} theta) unitarily
 equivalent to H(theta).  Band envelopes therefore solve one grid point per
 orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
-beyond that, the orbits are the pairs theta, -theta.  The checks that read
-single fiber entries or vertex blocks, which a vertex permutation moves,
-solve those pairs only.  A full-grid dispersion solves one point per orbit
-too and copies its eigenvalues to the rest of the orbit, through the index
-that `TorusGrid.representatives` returns.  Envelopes are the exact minima
+beyond that, the orbits are the pairs theta, -theta.  A full-grid
+dispersion solves one point per orbit too and copies its eigenvalues to the
+rest of the orbit, through the index that `TorusGrid.representatives`
+returns.  Envelopes are the exact minima
 and maxima; the extremizer reported for a branch is the first grid point,
 in grid order, within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so
 ties between symmetry-equivalent points do not depend on the last bits of
@@ -32,12 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    NumericError,
-    ParameterError,
-    PreconditionError,
-)
+from .errors import NumericError, ParameterError, PreconditionError
 from .floquet import TWO_PI, fiber_stack
 from .graph import (
     PeriodicGraphSpec,
@@ -45,8 +39,6 @@ from .graph import (
     classify,
     degrees,
     is_connected_periodic,
-    is_loop_graph,
-    periodic_bipartite,
     with_potentials,
 )
 from .linalg import eigh_stack
@@ -56,7 +48,6 @@ FLAT_MERGE_TOL = 1e-7
 CHECK_TOL = 1e-8
 UNIFORM_EXTREMIZER_TOL = 1e-8
 EXTREMIZER_TIE_TOL = 1e-12
-ENTRY_VARIATION_TOL = 1e-9
 REFINE_ITERATIONS = 40
 # Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) the
 # band-symmetry search and the orbit map cost more than the solves they
@@ -196,7 +187,7 @@ class BandStructure:
     gaps: tuple[tuple[float, float], ...]
     spectrum_measure: float
     flat_tol: float
-    grid: TorusGrid | None = None
+    grid: TorusGrid
 
     @property
     def band_length_sum(self) -> float:
@@ -244,21 +235,16 @@ def _deviation(name: str, deviation: float, tol: float) -> InequalityCheck:
     return InequalityCheck(name, dev, 0.0, -dev, dev <= tol)
 
 
-def _grid_for(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
-    """`grid`, or the default grid of the graph's dimension when it is None."""
+def _connected_grid(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
+    """`grid`, or the default grid of the graph's dimension when it is None,
+    after the cover-connectivity test that every band computation starts with."""
+    if not is_connected_periodic(spec):
+        raise PreconditionError("periodic cover is disconnected")
     if grid is None:
         return TorusGrid.default_for(spec.dimension)
     if grid.dimension != spec.dimension:
         raise ParameterError("grid dimension does not match the graph")
     return grid
-
-
-def _connected_grid(spec: PeriodicGraphSpec, grid: TorusGrid | None) -> TorusGrid:
-    """`_grid_for(spec, grid)` after the cover-connectivity test that every
-    band computation starts with."""
-    if not is_connected_periodic(spec):
-        raise PreconditionError("periodic cover is disconnected")
-    return _grid_for(spec, grid)
 
 
 def _loop_edge_corners(spec: PeriodicGraphSpec, cls) -> tuple | None:
@@ -354,7 +340,7 @@ def _flat_groups(lows, highs, tol: float, merge_tol: float):
 
 def _assemble_structure(
     kind: str,
-    grid: TorusGrid | None,
+    grid: TorusGrid,
     lows: np.ndarray,
     highs: np.ndarray,
     argmins,
@@ -362,17 +348,10 @@ def _assemble_structure(
     flat_tol: float | None,
     merge_tol: float,
 ) -> BandStructure:
-    nu = len(lows)
     tol = flat_tol if flat_tol is not None else _default_flat_tol(lows, highs)
     bands = tuple(
-        BandInterval(
-            n + 1,
-            float(lows[n]),
-            float(highs[n]),
-            argmins[n] if argmins is not None else None,
-            argmaxs[n] if argmaxs is not None else None,
-        )
-        for n in range(nu)
+        BandInterval(n + 1, float(lows[n]), float(highs[n]), argmins[n], argmaxs[n])
+        for n in range(len(lows))
     )
     opens, groups = _flat_groups(
         [b.low for b in bands], [b.high for b in bands], tol, merge_tol
@@ -443,18 +422,21 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
     return band_symmetry_group(spec)
 
 
-def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine):
-    """{kind: (structure, eigenvalues at theta = 0)} for each of `kinds`.
+def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine, at=None):
+    """{kind: (structure, eigenvalues at each point of `at`)} for each of `kinds`.
 
     A symmetry of the graph keeps degrees and potentials, so the band-symmetry
     group of H is one of every operator kind, and one orbit sample of the
-    torus serves them all; theta = 0 is its first row.  Without H among
-    `kinds` the group of the graph without potentials is used (`_orbit_group`).
-    With no potentials the Laplacian is H, and a Laplacian asked for with H is
-    H's structure.
+    torus serves them all.  Without H among `kinds` the group of the graph
+    without potentials is used (`_orbit_group`).  With no potentials the
+    Laplacian is H, and a Laplacian asked for with H is H's structure.
+    `at` (theta = 0 alone when None) holds grid points or pi corners; the
+    eigenvalues at each are the solved row that represents it, so they cost
+    no solve.  theta = 0 is the first row.
     """
     grid = _connected_grid(spec, grid)
-    thetas, _, _ = grid.representatives(_orbit_group(spec, grid, kinds))
+    thetas, index, grid_points = grid.representatives(_orbit_group(spec, grid, kinds))
+    rows = [0] if at is None else [index[(grid_points == p).all(axis=1).argmax()] for p in at]
     structures = {}
     for kind in dict.fromkeys(kinds):
         if kind == "laplacian" and "schrodinger" in structures and not any(spec.potentials()):
@@ -475,7 +457,7 @@ def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine):
             lows, highs = extrema[:nu], extrema[nu:]
             argmins, argmaxs = points[:nu], points[nu:]
         structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
-        structures[kind] = structure, values[0]
+        structures[kind] = structure, values[rows]
     return structures
 
 
@@ -563,173 +545,36 @@ def verify_gap_bound(
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
 
 
-def check_first_band_nondegenerate(spec: PeriodicGraphSpec, grid: TorusGrid | None = None):
-    """(entry-modulus variation found, first band open).
-
-    A varying entry modulus forces an open first band; the converse can fail,
-    so both flags are reported.  The implication itself is enforced.
-    """
-    grid = _grid_for(spec, grid)
-    moduli = np.abs(fiber_stack(spec, grid.representatives()[0], "laplacian"))
-    variation = moduli.max(axis=0) - moduli.min(axis=0)
-    condition = bool((variation > ENTRY_VARIATION_TOL).any())
-    bs = compute_band_structure(spec, "schrodinger", grid)
-    nondegenerate = bool(bs.bands[0].width > ENTRY_VARIATION_TOL)
-    if condition and not nondegenerate:
-        raise InvariantViolation(
-            "an entry modulus varies but the first band is numerically degenerate"
-        )
-    return condition, nondegenerate
-
-
-def loop_band_endpoints(
-    spec: PeriodicGraphSpec,
-    grid: TorusGrid | None = None,
-    *,
-    flat_tol: float | None = None,
-    merge_tol: float = FLAT_MERGE_TOL,
-) -> BandStructure:
-    """Band envelopes of a loop graph from at most two eigendecompositions.
-
-    Lower endpoints always come from the zero fiber.  Upper endpoints come
-    from the phase-flipping corner when the classifier found one
-    (`_loop_edge_corners`); otherwise they fall back to grid maxima, and the
-    zero fiber is the first row of that grid solve.
-    """
-    cls = classify(spec)
-    if not cls.is_loop_graph:
-        raise PreconditionError("not a loop graph: a cell-crossing edge is not a loop")
-    sampled = _grid_for(spec, grid)  # checked even when the flip corner leaves it unused
-    zero = (0.0,) * spec.dimension
-    argmins = [zero] * spec.num_vertices
-    edge_corners = _loop_edge_corners(spec, cls)
-    if edge_corners is not None:
-        lows, highs = grid_eigenvalues(spec, np.array(edge_corners), "schrodinger")
-        argmaxs = [edge_corners[1]] * spec.num_vertices
-    else:
-        grid = sampled
-        thetas, _, _ = grid.representatives(_orbit_group(spec, grid, ("schrodinger",)))
-        values = grid_eigenvalues(spec, thetas, "schrodinger")
-        lows = values[0]
-        _, highs, _, argmaxs = _envelopes(thetas, values)
-    return _assemble_structure(
-        "schrodinger", grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol
-    )
-
-
 def _mirrored_endpoints(zero_values: np.ndarray, kappa: int):
     """(lows, highs) of a bipartite regular loop graph of degree kappa: the
     zero-fiber Laplacian eigenvalues and their mirror through kappa."""
     return zero_values, 2.0 * kappa - zero_values[::-1]
 
 
-def bipartite_loop_endpoints(
-    spec: PeriodicGraphSpec,
-    flat_tol: float | None = None,
-    merge_tol: float = FLAT_MERGE_TOL,
-) -> BandStructure:
-    """Laplacian band envelopes of a bipartite regular loop graph.
-
-    Lower endpoints are the zero-fiber eigenvalues; upper endpoints mirror
-    them through the regular degree.
-    """
-    bipartite, _ = periodic_bipartite(spec)
-    if not bipartite:
-        raise PreconditionError("periodic cover is not bipartite")
-    deg = degrees(spec)
-    if len(set(deg)) != 1:
-        raise PreconditionError("graph is not regular")
-    if not is_loop_graph(spec):
-        raise PreconditionError("not a loop graph: a cell-crossing edge is not a loop")
-    zero = (0.0,) * spec.dimension
-    lows, highs = _mirrored_endpoints(fiber_eigenvalues(spec, zero, "laplacian"), deg[0])
-    argmins = [zero] * spec.num_vertices
-    return _assemble_structure(
-        "laplacian", None, lows, highs, argmins, None, flat_tol, merge_tol
-    )
-
-
-@dataclass(frozen=True)
-class LargeCouplingReport:
-    """Spectrum of the strongly coupled operator versus its two-term expansion."""
-
-    t: float
-    band_sum_limit: float
-    spectrum_measure: float
-    measure_minus_limit: float
-    max_deviation: float
-
-
-def large_coupling_analysis(
-    spec: PeriodicGraphSpec,
-    t: float,
-    grid: TorusGrid | None = None,
-) -> LargeCouplingReport:
-    """Compare exact bands of the operator with potential scaled by t against
-    the expansion t*q_n + diag_n(theta) - (1/t) * sum_j |offdiag_jn|^2 / (q_j - q_n).
-    """
-    potentials = np.asarray(spec.potentials())
-    if len(set(potentials.tolist())) != spec.num_vertices:
-        raise PreconditionError("potentials must be pairwise distinct")
-    if t == 0.0:
-        raise ParameterError("coupling constant t must be nonzero")
-    thetas, _, _ = _grid_for(spec, grid).representatives()
-    lap = fiber_stack(spec, thetas, "laplacian")
-    idx = np.arange(spec.num_vertices)
-    coupled = lap.copy()
-    coupled[:, idx, idx] += t * potentials
-    values = eigh_stack(coupled)[0]
-
-    order = np.argsort(potentials, kind="stable")
-    expansion = np.empty_like(values)
-    for rank, vertex in enumerate(order):
-        diag = lap[:, vertex, vertex].real
-        correction = np.zeros(len(thetas))
-        for j in range(spec.num_vertices):
-            if j == vertex:
-                continue
-            correction += np.abs(lap[:, j, vertex]) ** 2 / (
-                potentials[j] - potentials[vertex]
-            )
-        expansion[:, rank] = t * potentials[vertex] + diag - correction / t
-    deviation = float(np.abs(values - expansion).max())
-
-    diag_ranges = [
-        float(lap[:, n, n].real.max() - lap[:, n, n].real.min())
-        for n in range(spec.num_vertices)
-    ]
-    limit = float(sum(diag_ranges))
-    lows = values.min(axis=0)
-    highs = values.max(axis=0)
-    tol = _default_flat_tol(lows, highs)
-    measure, _ = _interval_union(list(zip(lows.tolist(), highs.tolist())), tol)
-    return LargeCouplingReport(float(t), limit, measure, measure - limit, deviation)
-
-
 class _CornerScan(NamedTuple):
-    """The {0, pi}^d corners, their fibers and sorted eigenvalue rows, and the
-    indices of the chosen lower and upper extremizing corners (or None)."""
+    """The {0, pi}^d corners, their fibers and sorted eigenvalue rows of H,
+    and the indices of the chosen lower and upper extremizing corners."""
 
     corners: list[tuple[float, ...]]
     fibers: np.ndarray
     values: np.ndarray
-    lower: int | None
-    upper: int | None
+    lower: int
+    upper: int
 
 
-def _scan_corners(spec, kind, edges, tol, label=None) -> _CornerScan:
-    """Solve the 2^d corners in one batch and find the uniform extremizers.
+def _scan_corners(spec, edges, label) -> _CornerScan:
+    """Solve the 2^d corners of H in one batch and find the uniform extremizers.
 
     `edges` is the BandStructure whose band edges the corners are measured
     against, or the pair of corners (`_loop_edge_corners`) whose rows of
     this scan are the lower and upper band edges exactly.  The chosen lower
     (resp. upper) corner is the first one at which every branch is within
-    tol of its lower (resp. upper) band edge.  With a `label`, a side without
-    such a corner raises PreconditionError naming the graph and the corner
-    that comes closest.
+    UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band edge.  A side
+    without such a corner raises PreconditionError naming the graph `label`
+    and the corner that comes closest.
     """
     corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
-    fibers = fiber_stack(spec, np.asarray(corners), kind)
+    fibers = fiber_stack(spec, np.asarray(corners), "schrodinger")
     values = eigh_stack(fibers)[0]
     if isinstance(edges, BandStructure):
         lows = np.asarray([b.low for b in edges.bands])
@@ -740,11 +585,9 @@ def _scan_corners(spec, kind, edges, tol, label=None) -> _CornerScan:
     for side, target in (("lower", lows), ("upper", highs)):
         deviation = np.abs(values - target)
         worst = deviation.max(axis=1)
-        hits = np.flatnonzero(worst <= tol)
+        hits = np.flatnonzero(worst <= UNIFORM_EXTREMIZER_TOL)
         if hits.size:
             chosen.append(int(hits[0]))
-        elif label is None:
-            chosen.append(None)
         else:
             best = int(worst.argmin())
             raise PreconditionError(
@@ -753,22 +596,6 @@ def _scan_corners(spec, kind, edges, tol, label=None) -> _CornerScan:
                 f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
             )
     return _CornerScan(corners, fibers, values, *chosen)
-
-
-def find_uniform_extremizers(
-    spec: PeriodicGraphSpec,
-    kind: str = "schrodinger",
-    grid: TorusGrid | None = None,
-    *,
-    tol: float = UNIFORM_EXTREMIZER_TOL,
-):
-    """Corner points minimizing (resp. maximizing) every branch at once.
-
-    Scans {0, pi}^d; either entry is None when no corner works.
-    """
-    bs = compute_band_structure(spec, kind, grid)
-    scan = _scan_corners(spec, kind, bs, tol)
-    return tuple(None if i is None else scan.corners[i] for i in (scan.lower, scan.upper))
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -808,7 +635,7 @@ def stability_constants(
             edges = compute_band_structure(spec, "schrodinger", grid)
         else:
             _connected_grid(spec, grid)
-        return cls, _scan_corners(spec, "schrodinger", edges, UNIFORM_EXTREMIZER_TOL, label)
+        return cls, _scan_corners(spec, edges, label)
 
     side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
     # Finite band edges and fibers can still be too far apart to subtract or
@@ -908,100 +735,6 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
     return EstimateReport("stability-bounds", tuple(checks), params)
 
 
-@dataclass(frozen=True)
-class DiracConeReport:
-    """Quadratic-remainder audit of the conical touching in the honeycomb fiber."""
-
-    radius: float
-    max_error: float
-    max_error_half: float
-    ratio: float
-    touch_eigenvalues: tuple[float, float]
-
-
-def dirac_expansion_check(q1: float, radius: float, samples: int = 64) -> DiracConeReport:
-    """Expand the honeycomb fiber around its conical point.
-
-    With staggered potential (q1, -q1) the fiber equals 3*I plus the 2-D
-    Dirac symbol sigma_1 t_1 + sigma_2 t_2 + q1 sigma_3 up to O(|t|^2); this
-    measures the remainder on circles |t| = radius and radius/2.
-    """
-    from .lattices import hexagonal
-
-    if radius <= 0.0:
-        raise ParameterError("radius must be positive")
-    spec = hexagonal(q=(q1, -q1))
-    cone = np.array([TWO_PI / 3.0, -TWO_PI / 3.0])
-    touch = fiber_eigenvalues(spec, cone, "schrodinger")
-
-    root3 = math.sqrt(3.0)
-
-    def ring_max(r: float) -> float:
-        angles = TWO_PI * np.arange(samples) / samples
-        t1 = r * np.cos(angles)
-        t2 = r * np.sin(angles)
-        # Inverse of t1 = sqrt(3)(s1 - s2)/2, t2 = -(s1 + s2)/2, the linear
-        # momentum map under which the off-diagonal entry is t1 - i*t2 up to
-        # quadratic terms.
-        thetas = cone + np.stack([t1 / root3 - t2, -t1 / root3 - t2], axis=-1)
-        dirac = np.empty((angles.size, 2, 2), dtype=complex)
-        dirac[:, 0, 0] = q1
-        dirac[:, 0, 1] = t1 - 1j * t2
-        dirac[:, 1, 0] = t1 + 1j * t2
-        dirac[:, 1, 1] = -q1
-        delta = fiber_stack(spec, thetas, "schrodinger") - 3.0 * np.eye(2) - dirac
-        return float(np.sqrt((np.abs(delta) ** 2).sum(axis=(1, 2))).max(initial=0.0))
-
-    max_error = ring_max(radius)
-    max_error_half = ring_max(radius / 2.0)
-    ratio = max_error_half / max_error if max_error > 0.0 else math.nan
-    return DiracConeReport(
-        radius, max_error, max_error_half, ratio, (float(touch[0]), float(touch[1]))
-    )
-
-
-def check_flat_band_block(
-    spec: PeriodicGraphSpec,
-    split,
-    kind: str = "schrodinger",
-    grid: TorusGrid | None = None,
-):
-    """Constant eigenvalues of the fiber block on `split` force flat bands.
-
-    `split` must leave out exactly one border vertex.  Every constant block
-    eigenvalue of multiplicity m >= 2 is returned as (value, m) after
-    checking the full operator exhibits it as a flat band of multiplicity at
-    least m - 1.
-    """
-    split = tuple(int(i) for i in split)
-    nv = spec.num_vertices
-    if len(split) != nv - 1 or len(set(split)) != len(split):
-        raise ParameterError("split must isolate exactly one border vertex")
-    if not all(0 <= i < nv for i in split):
-        raise ParameterError("split references an invalid vertex index")
-    grid = _grid_for(spec, grid)
-    stack = fiber_stack(spec, grid.representatives()[0], kind)
-    block = stack[:, split, :][:, :, split]
-    values = eigh_stack(block)[0]
-    lows = values.min(axis=0)
-    highs = values.max(axis=0)
-    tol = _default_flat_tol(lows, highs)
-    _, groups = _flat_groups(lows.tolist(), highs.tolist(), tol, FLAT_MERGE_TOL)
-    found = [(value, mult) for value, mult in groups if mult >= 2]
-    bs = compute_band_structure(spec, kind, grid)
-    for value, mult in found:
-        matched = any(
-            abs(fb.value - value) <= 1e-6 and fb.multiplicity >= mult - 1
-            for fb in bs.flat_bands
-        )
-        if not matched:
-            raise InvariantViolation(
-                f"block eigenvalue {value} of multiplicity {mult} is not a flat band "
-                f"of multiplicity >= {mult - 1}"
-            )
-    return tuple(found)
-
-
 def estimate_suite(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
@@ -1015,8 +748,9 @@ def estimate_suite(
     """Classification, band structure, and every applicable estimate report.
 
     The band structures of the operator and of the Laplacian come from one
-    orbit sample of the torus, and their theta = 0 eigenvalues from its first
-    row (`_band_structure`).  The Laplacian and normalized operators carry no
+    orbit sample of the torus, and their eigenvalues at theta = 0 and at a
+    loop graph's flip corner (`_loop_edge_corners`) from its rows
+    (`_band_structure`).  The Laplacian and normalized operators carry no
     potential, so for those kinds the reports read the graph without one.
     Returns (classification, band_structure, reports).
     """
@@ -1025,8 +759,9 @@ def estimate_suite(
         # Only H carries the potentials; the reports describe the operator analyzed.
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
-    structures = _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine)
-    bs, zero_vals = structures[kind]
+    edge_corners = _loop_edge_corners(spec, cls)
+    structures = _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine, edge_corners)
+    bs, (zero_vals, *flip_vals) = structures[kind]
     reports = []
 
     if kind == "normalized":
@@ -1038,7 +773,7 @@ def estimate_suite(
         reports.append(EstimateReport("normalized-containment", checks))
         return cls, bs, tuple(reports)
 
-    bs0, zero_vals0 = structures["laplacian"]
+    bs0, (zero_vals0, *_) = structures["laplacian"]
     reports.append(_total_band_report(spec, bs, check_tol))
     reports.append(_gap_report(spec, bs, bs0, check_tol))
 
@@ -1055,7 +790,10 @@ def estimate_suite(
         dev = float(np.abs(lows - zero_vals).max())
         checks = [_deviation("loop-lower-endpoints-at-zero-point", dev, check_tol)]
         params = {}
-        if cls.precise_quasimomentum is not None:
+        if edge_corners is not None:
+            highs = np.asarray([b.high for b in bs.bands])
+            dev = float(np.abs(highs - flip_vals[0]).max())
+            checks.append(_deviation("loop-upper-endpoints-at-flip-corner", dev, check_tol))
             two_beta = 2.0 * cls.bridge_count
             checks.append(
                 _deviation(
@@ -1096,7 +834,7 @@ def estimate_suite(
             symmetry_dev = float(np.abs(lows0 + highs0[::-1] - 2.0 * kappa).max())
             checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, check_tol))
         if cls.is_loop_graph:
-            # bipartite_loop_endpoints, with the zero fiber from the grid solve
+            # Lower edges are the zero fiber's eigenvalues, upper edges their mirror.
             lows_m, highs_m = _mirrored_endpoints(zero_vals0, kappa)
             dev = max(
                 float(np.abs(lows_m - lows0).max()),

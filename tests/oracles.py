@@ -4,14 +4,23 @@ The eigenvalue oracle tridiagonalizes with Householder reflectors and then
 locates eigenvalues by bisection on the Sturm sign count, sharing no code
 path with the LAPACK solver under test (`np.linalg.eigvalsh`).  The
 closed-form characteristic polynomials are hand-derived for the built-in
-lattices.
+lattices.  The statement checks at the end (first-band nondegeneracy,
+flat-band blocks, strong coupling, the honeycomb's conical point) are
+paper statements that no report row verifies; they sample the theta, -theta
+pairs of the default grid and assert what the paper guarantees.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from graphbands import TorusGrid, compute_band_structure
+from graphbands.floquet import TWO_PI, fiber_stack
+from graphbands.lattices import hexagonal
+from graphbands.spectrum import FLAT_MERGE_TOL, _default_flat_tol, _flat_groups
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -154,3 +163,127 @@ def char_subdivided_mirror(d: int, n: int, lam: complex, theta) -> complex:
     d_n = chebyshev_second_kind(n, lam)
     d_nm1 = chebyshev_second_kind(n - 1, lam)
     return d_n ** (d - 1) * ((lam - 2.0 + 2.0 * d) * d_n - 2.0 * d * d_nm1 - 2.0 * c0)
+
+
+# Statement checks.
+
+
+ENTRY_VARIATION_TOL = 1e-9
+
+
+def _pairs(spec) -> np.ndarray:
+    """The theta, -theta representatives of the default grid."""
+    return TorusGrid.default_for(spec.dimension).representatives()[0]
+
+
+def check_first_band_nondegenerate(spec):
+    """(entry-modulus variation found, first band open).
+
+    A varying entry modulus forces an open first band; the converse can fail,
+    so both flags are returned.  The implication itself is asserted.
+    """
+    moduli = np.abs(fiber_stack(spec, _pairs(spec), "laplacian"))
+    condition = bool((moduli.max(axis=0) - moduli.min(axis=0) > ENTRY_VARIATION_TOL).any())
+    nondegenerate = bool(compute_band_structure(spec).bands[0].width > ENTRY_VARIATION_TOL)
+    assert nondegenerate or not condition, "an entry modulus varies but the first band is flat"
+    return condition, nondegenerate
+
+
+def check_flat_band_block(spec, split, kind="schrodinger"):
+    """Constant eigenvalues of the fiber block on `split` force flat bands.
+
+    `split` leaves out one border vertex.  Every constant block eigenvalue of
+    multiplicity m >= 2 is returned as (value, m), after asserting that the
+    full operator has a flat band there of multiplicity at least m - 1.
+    """
+    split = list(split)
+    values = np.linalg.eigvalsh(fiber_stack(spec, _pairs(spec), kind)[:, split][:, :, split])
+    lows, highs = values.min(axis=0), values.max(axis=0)
+    _, groups = _flat_groups(lows.tolist(), highs.tolist(), _default_flat_tol(lows, highs), FLAT_MERGE_TOL)
+    found = tuple((value, mult) for value, mult in groups if mult >= 2)
+    flats = compute_band_structure(spec, kind).flat_bands
+    for value, mult in found:
+        assert any(
+            abs(fb.value - value) <= 1e-6 and fb.multiplicity >= mult - 1 for fb in flats
+        ), f"block eigenvalue {value} of multiplicity {mult} is not a flat band"
+    return found
+
+
+class LargeCouplingReport(NamedTuple):
+    """Spectrum of the strongly coupled operator versus its two-term expansion."""
+
+    band_sum_limit: float
+    spectrum_measure: float
+    max_deviation: float
+
+
+def large_coupling_analysis(spec, t: float) -> LargeCouplingReport:
+    """Compare the bands of L + t*Q, for pairwise distinct potentials Q,
+    with the expansion t*q_n + L_nn(theta) - (1/t) sum_j |L_jn|^2 / (q_j - q_n).
+    """
+    potentials = np.asarray(spec.potentials())
+    lap = fiber_stack(spec, _pairs(spec), "laplacian")
+    idx = np.arange(spec.num_vertices)
+    coupled = lap.copy()
+    coupled[:, idx, idx] += t * potentials
+    values = np.linalg.eigvalsh(coupled)
+
+    expansion = np.empty_like(values)
+    for rank, vertex in enumerate(np.argsort(potentials, kind="stable")):
+        others = idx != vertex
+        correction = (
+            np.abs(lap[:, others, vertex]) ** 2 / (potentials[others] - potentials[vertex])
+        ).sum(axis=1)
+        expansion[:, rank] = t * potentials[vertex] + lap[:, vertex, vertex].real - correction / t
+    diagonal = lap[:, idx, idx].real
+    limit = float((diagonal.max(axis=0) - diagonal.min(axis=0)).sum())
+
+    # Measure of the union of the band intervals.
+    measure, top = 0.0, -math.inf
+    for low, high in zip(values.min(axis=0), values.max(axis=0)):
+        measure += max(high - max(low, top), 0.0)
+        top = max(top, high)
+    return LargeCouplingReport(limit, float(measure), float(np.abs(values - expansion).max()))
+
+
+class DiracConeReport(NamedTuple):
+    """Quadratic-remainder audit of the conical touching in the honeycomb fiber."""
+
+    max_error: float
+    max_error_half: float
+    ratio: float
+    touch_eigenvalues: tuple[float, float]
+
+
+def dirac_expansion_check(q1: float, radius: float, samples: int = 64) -> DiracConeReport:
+    """Expand the honeycomb fiber around its conical point.
+
+    With staggered potential (q1, -q1) the fiber equals 3*I plus the 2-D
+    Dirac symbol sigma_1 t_1 + sigma_2 t_2 + q1 sigma_3 up to O(|t|^2); this
+    measures the remainder on circles |t| = radius and radius/2.
+    """
+    spec = hexagonal(q=(q1, -q1))
+    cone = np.array([TWO_PI / 3.0, -TWO_PI / 3.0])
+    touch = np.linalg.eigvalsh(fiber_stack(spec, cone[None], "schrodinger")[0])
+    root3 = math.sqrt(3.0)
+
+    def ring_max(r: float) -> float:
+        angles = TWO_PI * np.arange(samples) / samples
+        t1 = r * np.cos(angles)
+        t2 = r * np.sin(angles)
+        # Inverse of t1 = sqrt(3)(s1 - s2)/2, t2 = -(s1 + s2)/2, the linear
+        # momentum map under which the off-diagonal entry is t1 - i*t2 up to
+        # quadratic terms.
+        thetas = cone + np.stack([t1 / root3 - t2, -t1 / root3 - t2], axis=-1)
+        dirac = np.empty((angles.size, 2, 2), dtype=complex)
+        dirac[:, 0, 0] = q1
+        dirac[:, 0, 1] = t1 - 1j * t2
+        dirac[:, 1, 0] = t1 + 1j * t2
+        dirac[:, 1, 1] = -q1
+        delta = fiber_stack(spec, thetas, "schrodinger") - 3.0 * np.eye(2) - dirac
+        return float(np.sqrt((np.abs(delta) ** 2).sum(axis=(1, 2))).max(initial=0.0))
+
+    max_error = ring_max(radius)
+    max_error_half = ring_max(radius / 2.0)
+    ratio = max_error_half / max_error if max_error > 0.0 else math.nan
+    return DiracConeReport(max_error, max_error_half, ratio, (float(touch[0]), float(touch[1])))

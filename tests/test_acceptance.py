@@ -12,13 +12,10 @@ import numpy as np
 from graphbands import (
     TorusGrid,
     bridge_count,
-    check_first_band_nondegenerate,
     classify,
     compute_band_structure,
-    dirac_expansion_check,
     estimate_suite,
     fiber_eigenvalues,
-    large_coupling_analysis,
     shift_origin,
     stability_constants,
     verify_gap_bound,
@@ -48,6 +45,9 @@ from oracles import (
     char_star,
     char_subdivided_mirror,
     char_triangular,
+    check_first_band_nondegenerate,
+    dirac_expansion_check,
+    large_coupling_analysis,
 )
 
 PI = math.pi

@@ -508,6 +508,19 @@ def test_cli_analyze_overflowing_band_width_exits_two(capsys):
     assert "non-finite number computed for the report" in err
 
 
+def test_cli_analyze_non_finite_error_names_the_report_field(capsys):
+    # The flat-band midpoint 0.5 * (low + high) overflows.
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--q", "1e308,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite number computed for the report at flat_bands[2].value\n"
+
+
+def test_dumps_names_the_path_of_a_non_finite_value():
+    with pytest.raises(NumericError, match=r"for the report at gaps\[1\]\[0\]$"):
+        dumps({"bands": [], "gaps": [[0.0, 1.0], [math.inf, 2.0]]})
+
+
 TOLERANCE_FLAGS = [
     (("analyze", "--builtin", "star(2,3)"), "--flat-tol"),
     (("analyze", "--builtin", "star(2,3)"), "--merge-tol"),

@@ -11,17 +11,10 @@ from graphbands import (
     ParameterError,
     PreconditionError,
     TorusGrid,
-    bipartite_loop_endpoints,
-    check_first_band_nondegenerate,
-    check_flat_band_block,
     classify,
     compute_band_structure,
-    dirac_expansion_check,
     estimate_suite,
     fiber_eigenvalues,
-    find_uniform_extremizers,
-    large_coupling_analysis,
-    loop_band_endpoints,
     stability_constants,
     verify_gap_bound,
     verify_total_band_bound,
@@ -31,7 +24,7 @@ from graphbands import EdgeRecord, PeriodicGraphSpec, VertexInfo
 from graphbands.floquet import fiber_stack
 from graphbands.linalg import eigh_stack
 from graphbands import spectrum
-from graphbands.spectrum import EXTREMIZER_TIE_TOL, REFINE_ITERATIONS
+from graphbands.spectrum import EXTREMIZER_TIE_TOL, REFINE_ITERATIONS, UNIFORM_EXTREMIZER_TOL
 from graphbands.lattices import (
     FiniteGraph,
     bcc,
@@ -43,6 +36,14 @@ from graphbands.lattices import (
     star,
     subdivided,
     triangular,
+)
+
+import oracles
+from oracles import (
+    check_first_band_nondegenerate,
+    check_flat_band_block,
+    dirac_expansion_check,
+    large_coupling_analysis,
 )
 
 PI = math.pi
@@ -251,17 +252,10 @@ GRID_CALLS = {
     "compute_band_structure": lambda g: compute_band_structure(star(2, 3), grid=g),
     "verify_total_band_bound": lambda g: verify_total_band_bound(star(2, 3), grid=g),
     "verify_gap_bound": lambda g: verify_gap_bound(star(2, 3), g),
-    "check_first_band_nondegenerate": lambda g: check_first_band_nondegenerate(star(2, 3), g),
-    "loop_band_endpoints": lambda g: loop_band_endpoints(star(2, 3), g),
-    "large_coupling_analysis": lambda g: large_coupling_analysis(
-        star(2, 3, q=(2.0, 4.0, 0.0)), 100.0, g
-    ),
-    "find_uniform_extremizers": lambda g: find_uniform_extremizers(star(2, 3), grid=g),
     "stability_constants": lambda g: stability_constants(star(2, 3), star(2, 3), grid_a=g),
     "stability_constants:grid_b": lambda g: stability_constants(
         star(2, 3), star(2, 3), grid_b=g
     ),
-    "check_flat_band_block": lambda g: check_flat_band_block(star(2, 3), (0, 2), grid=g),
     "estimate_suite": lambda g: estimate_suite(star(2, 3), grid=g),
 }
 
@@ -297,8 +291,6 @@ def test_positional_argument_after_grid_is_rejected():
     # loudly, not bind to a tolerance.
     with pytest.raises(TypeError):
         stability_constants(star(2, 3), star(2, 3), None, None, 4)
-    with pytest.raises(TypeError):
-        loop_band_endpoints(star(2, 3), None, 4)
 
 
 def test_refine_improves_off_grid_extrema():
@@ -473,54 +465,44 @@ def test_first_band_condition_detection():
     assert condition is True
 
 
+def _loop_corner_rows(spec):
+    # Eigenvalues at theta = 0 and at the flip corner of a loop graph.
+    corners = spectrum._loop_edge_corners(spec, classify(spec))
+    return spectrum.grid_eigenvalues(spec, np.array(corners), "schrodinger")
+
+
 def test_loop_band_endpoints_star():
-    bs = loop_band_endpoints(star(2, 3))
     x = 5.5
     root = math.sqrt(x * x - 8.0)
-    assert np.allclose(
-        band_tuples(bs), [(0.0, x - root), (1.0, 1.0), (3.0, x + root)], atol=1e-12
-    )
-    grid_bs = compute_band_structure(star(2, 3))
-    assert np.allclose(band_tuples(bs), band_tuples(grid_bs), atol=1e-9)
+    expected = [(0.0, x - root), (1.0, 1.0), (3.0, x + root)]
+    assert np.allclose(np.transpose(_loop_corner_rows(star(2, 3))), expected, atol=1e-12)
+    assert np.allclose(band_tuples(compute_band_structure(star(2, 3))), expected, atol=1e-9)
 
 
 def test_loop_band_endpoints_cubic():
     for d in (1, 2, 3):
-        bs = loop_band_endpoints(cubic(d))
-        assert np.allclose(band_tuples(bs), [(0.0, 4.0 * d)], atol=1e-12)
+        assert np.allclose(np.transpose(_loop_corner_rows(cubic(d))), [(0.0, 4.0 * d)], atol=1e-12)
+        assert np.allclose(band_tuples(compute_band_structure(cubic(d))), [(0.0, 4.0 * d)], atol=1e-9)
 
 
 def test_loop_band_endpoints_requires_loop_graph():
-    with pytest.raises(PreconditionError):
-        loop_band_endpoints(hexagonal())
+    # hexagonal crosses cells through edges between two vertices.
+    _, _, reports = estimate_suite(hexagonal())
+    assert "loop-graph-endpoints" not in [r.name for r in reports]
 
 
 def test_loop_band_endpoints_imprecise_fallback():
-    bs = loop_band_endpoints(triangular())
+    # triangular is a loop graph with no flip corner: its lower edges are the
+    # zero fiber's eigenvalues, its upper edges grid maxima.
+    spec = triangular()
+    assert spectrum._loop_edge_corners(spec, classify(spec)) is None
+    bs = compute_band_structure(spec)
     assert np.allclose(band_tuples(bs), [(0.0, 9.0)], atol=1e-9)
+    assert bs.bands[0].low == pytest.approx(fiber_eigenvalues(spec, (0.0, 0.0))[0], abs=1e-12)
 
 
 def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
-    # Without a flip corner the zero fiber is row 0 of the grid solve.  The
-    # reference solves it on its own, as a second call: LAPACK solves each
-    # matrix of a batch alone, so both give the same bits.
-    spec = triangular()
-    grid = TorusGrid.default_for(2)
-    zero = (0.0, 0.0)
-    thetas, _, _ = grid.representatives(spectrum._orbit_group(spec, grid, ("schrodinger",)))
-    _, highs, _, argmaxs = spectrum._envelopes(
-        thetas, spectrum.grid_eigenvalues(spec, thetas, "schrodinger")
-    )
-    expected = spectrum._assemble_structure(
-        "schrodinger",
-        grid,
-        fiber_eigenvalues(spec, zero),
-        highs,
-        [zero] * spec.num_vertices,
-        argmaxs,
-        None,
-        spectrum.FLAT_MERGE_TOL,
-    )
+    # The rows at theta = 0 and at the flip corner come from the grid solve.
     solves = []
     solve = spectrum.eigh_stack
 
@@ -529,46 +511,82 @@ def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
         return solve(stack, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
-    assert loop_band_endpoints(spec) == expected
-    assert solves == [817]
+    estimate_suite(triangular())
+    estimate_suite(star(2, 3))
+    assert solves == [817, 1225]
 
 
 def test_precise_loop_band_sum_identity():
     for spec in (cubic(2), star(2, 4), bipartite_chain(2, 3)):
         cls = classify(spec)
         assert cls.precise_quasimomentum is not None
-        bs = loop_band_endpoints(spec)
-        assert bs.band_length_sum == pytest.approx(
-            2.0 * cls.bridge_count, abs=1e-9
-        )
+        zero_row, flip_row = _loop_corner_rows(spec)
+        assert (flip_row - zero_row).sum() == pytest.approx(2.0 * cls.bridge_count, abs=1e-9)
+        bs = compute_band_structure(spec)
+        assert bs.band_length_sum == pytest.approx(2.0 * cls.bridge_count, abs=1e-9)
 
 
 def test_bipartite_loop_endpoints_match_grid():
+    # Laplacian lower edges at the zero fiber, upper edges their mirror
+    # through the degree.
     for spec in (cubic(2), cubic(3), bipartite_chain(2, 3)):
-        mirrored = bipartite_loop_endpoints(spec)
+        kappa = classify(spec).regular_degree
+        zero_row = fiber_eigenvalues(spec, (0.0,) * spec.dimension, "laplacian")
+        mirrored = np.transpose([zero_row, 2.0 * kappa - zero_row[::-1]])
         grid_bs = compute_band_structure(spec, "laplacian")
-        assert np.allclose(band_tuples(mirrored), band_tuples(grid_bs), atol=1e-9)
+        assert np.allclose(mirrored, band_tuples(grid_bs), atol=1e-9)
 
 
 def test_bipartite_loop_endpoints_name_failing_precondition():
-    with pytest.raises(PreconditionError, match="bipartite"):
-        bipartite_loop_endpoints(triangular())
-    with pytest.raises(PreconditionError, match="regular"):
-        bipartite_loop_endpoints(star(2, 3))
-    with pytest.raises(PreconditionError, match="loop"):
-        bipartite_loop_endpoints(hexagonal())
+    # Not bipartite, not regular, not a loop graph: no mirrored-endpoint row.
+    for spec in (triangular(), star(2, 3), hexagonal()):
+        _, _, reports = estimate_suite(spec)
+        names = [c.name for r in reports for c in r.checks]
+        assert "bipartite-loop-endpoint-match" not in names
+
+
+LOOP_ROWS = [
+    "loop-lower-endpoints-at-zero-point",
+    "loop-upper-endpoints-at-flip-corner",
+    "flip-corner-band-length-identity",
+]
+BIPARTITE_LOOP_ROWS = [
+    "bipartite-gap-floor<=laplacian-gap-sum",
+    "bipartite-band-symmetry",
+    "bipartite-loop-endpoint-match",
+]
+
+
+@pytest.mark.parametrize(
+    "spec, loop_rows, bipartite_rows",
+    [
+        (star(2, 3), LOOP_ROWS + ["flip-corner-measure-identity"], []),
+        (cubic(2), LOOP_ROWS + ["flip-corner-measure-identity"], BIPARTITE_LOOP_ROWS),
+        (bipartite_chain(2, 3), LOOP_ROWS, BIPARTITE_LOOP_ROWS),
+        (triangular(), LOOP_ROWS[:1], []),
+    ],
+    ids=["star-2-3", "cubic-2", "bipartite-chain-2-3", "triangular"],
+)
+def test_loop_and_bipartite_statement_rows(spec, loop_rows, bipartite_rows):
+    # The rows each paper statement gets in analyze, and that they pass;
+    # triangular has no flip corner, so no upper row.
+    _, _, reports = estimate_suite(spec)
+    rows = {r.name: r.checks for r in reports}
+    assert [c.name for c in rows["loop-graph-endpoints"]] == loop_rows
+    assert [c.name for c in rows.get("bipartite-regular-structure", ())] == bipartite_rows
+    assert all(r.passed for r in reports)
 
 
 def test_uniform_extremizers():
     # Phase-flipping loop graphs extremize every branch at 0 and the corner.
-    assert find_uniform_extremizers(star(2, 3)) == ((0.0, 0.0), (PI, PI))
-    assert find_uniform_extremizers(cubic(3)) == ((0.0,) * 3, (PI,) * 3)
-    # Hexagonal branches bottom out at different points; no uniform corner.
-    assert find_uniform_extremizers(hexagonal(), kind="laplacian") == (None, None)
-    # Both branch maxima sit at the all-pi corner even though the minima split.
-    minus, plus = find_uniform_extremizers(bcc(), kind="laplacian")
-    assert minus is None
-    assert plus == (PI, PI, PI)
+    for spec in (star(2, 3), cubic(3)):
+        params = stability_constants(spec, spec).params
+        flip = classify(spec).precise_quasimomentum
+        assert (params["theta_minus_a"], params["theta_plus_a"]) == ((0.0,) * spec.dimension, flip)
+    # The branch minima of hexagonal and of bcc sit at different points.
+    for spec in (hexagonal(), bcc()):
+        with pytest.raises(PreconditionError, match="lower band endpoint"):
+            stability_constants(spec, spec)
 
 
 def test_large_coupling_hexagonal():
@@ -590,11 +608,6 @@ def test_large_coupling_star_limit_and_remainder():
     assert abs(deviations[400.0] - 8.0) < 8.0  # sanity: deviations shrink
     assert 0.2 <= deviations[200.0] / deviations[100.0] <= 0.3
     assert 0.2 <= deviations[400.0] / deviations[200.0] <= 0.3
-
-
-def test_large_coupling_requires_distinct_potentials():
-    with pytest.raises(PreconditionError):
-        large_coupling_analysis(star(2, 3), 100.0)
 
 
 def test_stability_identical_specs():
@@ -636,16 +649,29 @@ def test_stability_requires_uniform_extremizers():
 
 
 def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
-    # The chosen corners re-solved one at a time, each fiber built on its
-    # own, as before the corner scan's batch was reused.
+    # Each corner solved on its own and matched against the grid's band
+    # edges; the chosen corners' fibers built one at a time.
     def fiber(spec, theta, kind="schrodinger"):
         return fiber_stack(spec, np.asarray([theta], dtype=float), kind)[0]
 
     def l1(x, y):
         return float(np.abs(x - y).sum())
 
-    minus_a, plus_a = find_uniform_extremizers(spec_a)
-    minus_b, plus_b = find_uniform_extremizers(spec_b)
+    def uniform_corners(spec):
+        bands = compute_band_structure(spec).bands
+        corners = list(itertools.product((0.0, PI), repeat=spec.dimension))
+        values = [fiber_eigenvalues(spec, corner) for corner in corners]
+        return [
+            next(
+                corner
+                for corner, row in zip(corners, values)
+                if np.abs(row - edges).max() <= UNIFORM_EXTREMIZER_TOL
+            )
+            for edges in (np.array([b.low for b in bands]), np.array([b.high for b in bands]))
+        ]
+
+    minus_a, plus_a = uniform_corners(spec_a)
+    minus_b, plus_b = uniform_corners(spec_b)
     lows_a, highs_a = fiber_eigenvalues(spec_a, minus_a), fiber_eigenvalues(spec_a, plus_a)
     lows_b, highs_b = fiber_eigenvalues(spec_b, minus_b), fiber_eigenvalues(spec_b, plus_b)
     c_total = l1(fiber(spec_a, minus_a), fiber(spec_b, minus_b)) + l1(
@@ -837,13 +863,13 @@ def _dirac_ring_max_reference(q1, r, samples):
 @pytest.mark.parametrize("q1, radius, samples", [(0.5, 1e-2, 64), (0.0, 1e-3, 64), (0.25, 0.3, 7)])
 def test_dirac_rings_batched_match_per_point_reference(monkeypatch, q1, radius, samples):
     built = []
-    build = spectrum.fiber_stack
+    build = oracles.fiber_stack
 
     def counting(spec, thetas, kind):
         built.append(len(thetas))
         return build(spec, thetas, kind)
 
-    monkeypatch.setattr(spectrum, "fiber_stack", counting)
+    monkeypatch.setattr(oracles, "fiber_stack", counting)
     report = dirac_expansion_check(q1, radius, samples)
     # The touching point, then one stack per ring.
     assert built == [1, samples, samples]
@@ -862,8 +888,6 @@ def test_dirac_cone_report():
     assert 0.15 <= report.ratio <= 0.35
     massless = dirac_expansion_check(0.0, 1e-3)
     assert massless.touch_eigenvalues[0] == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ParameterError):
-        dirac_expansion_check(0.5, 0.0)
 
 
 def test_flat_band_block_fcc():
@@ -887,13 +911,6 @@ def test_flat_band_block_star_with_repeated_potential():
     spec = star(2, 4, q=(0.5, 0.5, 0.0, 0.0))
     found = check_flat_band_block(spec, (0, 1, 2))
     assert (1.5, 2) in [(round(v, 9), m) for v, m in found]
-
-
-def test_flat_band_block_validates_split():
-    with pytest.raises(ParameterError):
-        check_flat_band_block(fcc(), (0, 1))
-    with pytest.raises(ParameterError):
-        check_flat_band_block(fcc(), (0, 1, 9))
 
 
 def test_spectrum_minimum_at_zero_everywhere():
