@@ -14,7 +14,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .floquet import fluctuation_split
 from .graph import (
     EdgeRecord,
     GraphClassification,
@@ -74,7 +73,6 @@ __all__ = [
     "degrees",
     "estimate_suite",
     "fiber_eigenvalues",
-    "fluctuation_split",
     "fundamental_bipartite",
     "gf2_solve",
     "integer_lattice_full",

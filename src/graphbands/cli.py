@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
     )
     analyze.add_argument(
-        "--refine", action="store_true", help="refine band extrema beyond the grid"
+        "--refine", action="store_true", help="refine sampled band extrema (no effect on flip-corner loop graphs)"
     )
 
     dispersion = sub.add_parser("dispersion", help="tabulate eigenvalue branches")
@@ -364,6 +364,10 @@ def main(argv=None) -> int:
         return 2
     except (GraphbandsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # a grid or path too large to hold is an input problem
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: {args.command} ran out of memory{detail}\n")
         return 1
 
 

@@ -102,22 +102,3 @@ def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.nd
         return out
     raise ParameterError(f"unknown matrix kind {kind!r}")
 
-
-def fluctuation_split(spec: PeriodicGraphSpec, theta):
-    """Split the Schroedinger fiber into its torus average plus the bridge part.
-
-    The average keeps the full degrees and potentials but only zero-index
-    edges (every cell-crossing phase integrates to zero); the remainder
-    collects -exp(i <index, theta>) over bridges only.  Their sum rebuilds
-    the fiber exactly.  Returns the (mean, fluct) pair of nu x nu matrices.
-    """
-    nv = spec.num_vertices
-    thetas = _theta_rows(spec, theta)[:1]
-    local = [e for e in spec.edges if not any(e.index)]
-    bridges = [e for e in spec.edges if any(e.index)]
-    mean = -_edge_phase_sum(nv, local, thetas)[0]
-    fluct = -_edge_phase_sum(nv, bridges, thetas)[0]
-    idx = np.arange(nv)
-    mean[idx, idx] += np.asarray(degrees(spec), dtype=float)
-    mean[idx, idx] += np.asarray(spec.potentials())
-    return mean, fluct

@@ -1,7 +1,10 @@
 """Band structures over the torus and the quantitative spectral checks.
 
-A band structure samples the fiber matrix on a uniform grid (always extended
-by the 2^d corner points with components in {0, pi}), sorts the eigenvalues
+A loop graph with a flip corner theta* takes the band edges of every
+operator kind from theta = 0 and theta* exactly (`_loop_edge_corners`), and
+its grid is validated but not sampled.  Any other band structure samples
+the fiber matrix on a uniform grid (always extended by the 2^d corner points
+with components in {0, pi}), sorts the eigenvalues
 at each sampled point, and takes per-branch envelopes.  Potentials are real
 and edges carry unit weight, so H(-theta) = conj(H(theta)) has the spectrum
 of H(theta), and each matrix A of the graph's band-symmetry group
@@ -422,21 +425,24 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
     return band_symmetry_group(spec)
 
 
-def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine, at=None):
-    """{kind: (structure, eigenvalues at each point of `at`)} for each of `kinds`.
+def _band_structure(spec, cls, kinds, grid, flat_tol, merge_tol, refine):
+    """{kind: (structure, eigenvalues at theta = 0)} for each of `kinds`.
 
-    A symmetry of the graph keeps degrees and potentials, so the band-symmetry
-    group of H is one of every operator kind, and one orbit sample of the
-    torus serves them all.  Without H among `kinds` the group of the graph
-    without potentials is used (`_orbit_group`).  With no potentials the
-    Laplacian is H, and a Laplacian asked for with H is H's structure.
-    `at` (theta = 0 alone when None) holds grid points or pi corners; the
-    eigenvalues at each are the solved row that represents it, so they cost
-    no solve.  theta = 0 is the first row.
+    `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
+    every kind is a constant matrix minus a nonnegative diagonal times the
+    loops' cosines, so its rows at theta = 0 and theta* are its band edges
+    exactly.  Else one orbit sample serves every kind: a graph symmetry keeps
+    degrees and potentials, so the band-symmetry group of H is one of every
+    kind; without H among `kinds` the group of the graph without potentials
+    is used (`_orbit_group`).  With no potentials a Laplacian asked for with
+    H is H's structure.  theta = 0 is the first row.
     """
     grid = _connected_grid(spec, grid)
-    thetas, index, grid_points = grid.representatives(_orbit_group(spec, grid, kinds))
-    rows = [0] if at is None else [index[(grid_points == p).all(axis=1).argmax()] for p in at]
+    corners = _loop_edge_corners(spec, cls)
+    if corners is None:
+        thetas = grid.representatives(_orbit_group(spec, grid, kinds))[0]
+    else:
+        thetas, refine = np.asarray(corners), False
     structures = {}
     for kind in dict.fromkeys(kinds):
         if kind == "laplacian" and "schrodinger" in structures and not any(spec.potentials()):
@@ -457,7 +463,7 @@ def _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine, at=None):
             lows, highs = extrema[:nu], extrema[nu:]
             argmins, argmaxs = points[:nu], points[nu:]
         structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
-        structures[kind] = structure, values[rows]
+        structures[kind] = structure, values[0]
     return structures
 
 
@@ -469,12 +475,13 @@ def compute_band_structure(
     merge_tol: float = FLAT_MERGE_TOL,
     refine: bool = False,
 ) -> BandStructure:
-    """Sample the fiber over the torus grid and extract bands, flats and gaps.
+    """Bands, flat bands and gaps of the fiber over the torus.
 
-    One point is solved per orbit of the graph's certified band-symmetry
-    group (`TorusGrid.representatives`).
+    A flip-corner loop graph's edges are exact at theta = 0 and theta*; its
+    grid is validated, not sampled, and `refine` has no effect.  Any other
+    graph solves one grid point per band-symmetry orbit (`TorusGrid.representatives`).
     """
-    return _band_structure(spec, (kind,), grid, flat_tol, merge_tol, refine)[kind][0]
+    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, merge_tol, refine)[kind][0]
 
 
 def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateReport:
@@ -541,7 +548,8 @@ def verify_gap_bound(
     check_tol: float = CHECK_TOL,
 ) -> EstimateReport:
     """Total gap length dominates the hull length minus twice the bridge count."""
-    structures = _band_structure(spec, ("schrodinger", "laplacian"), grid, None, FLAT_MERGE_TOL, False)
+    kinds = ("schrodinger", "laplacian")
+    structures = _band_structure(spec, classify(spec), kinds, grid, None, FLAT_MERGE_TOL, False)
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
 
 
@@ -562,25 +570,19 @@ class _CornerScan(NamedTuple):
     upper: int
 
 
-def _scan_corners(spec, edges, label) -> _CornerScan:
+def _scan_corners(spec, bs: BandStructure, label) -> _CornerScan:
     """Solve the 2^d corners of H in one batch and find the uniform extremizers.
 
-    `edges` is the BandStructure whose band edges the corners are measured
-    against, or the pair of corners (`_loop_edge_corners`) whose rows of
-    this scan are the lower and upper band edges exactly.  The chosen lower
-    (resp. upper) corner is the first one at which every branch is within
-    UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band edge.  A side
-    without such a corner raises PreconditionError naming the graph `label`
-    and the corner that comes closest.
+    The chosen lower (resp. upper) corner is the first one at which every
+    branch is within UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band
+    edge in `bs`.  A side without such a corner raises PreconditionError
+    naming the graph `label` and the corner that comes closest.
     """
     corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
     fibers = fiber_stack(spec, np.asarray(corners), "schrodinger")
     values = eigh_stack(fibers)[0]
-    if isinstance(edges, BandStructure):
-        lows = np.asarray([b.low for b in edges.bands])
-        highs = np.asarray([b.high for b in edges.bands])
-    else:
-        lows, highs = (values[corners.index(theta)] for theta in edges)
+    lows = np.asarray([b.low for b in bs.bands])
+    highs = np.asarray([b.high for b in bs.bands])
     chosen = []
     for side, target in (("lower", lows), ("upper", highs)):
         deviation = np.abs(values - target)
@@ -616,12 +618,9 @@ def stability_constants(
     Both graphs must admit uniform lower and upper extremizing corners.  When
     the pair is additionally bipartite-regular (potential-free) or
     precise-vs-bipartite, the specialized two-sided bounds are checked too.
-    The band edges and fibers at the extremizers are those of the corner scan.
-    A loop graph with a flip corner takes its band edges from that scan's
-    rows at 0 and at the flip corner, which are exact (`_loop_edge_corners`),
-    so its grid is validated but not sampled; any other graph's scan is
-    measured against the envelopes of the grid.  A constant that overflows
-    float64 raises NumericError.
+    The band edges and fibers at the extremizers are those of the corner scan,
+    matched against each graph's band structure as `compute_band_structure`
+    takes it.  A constant that overflows float64 raises NumericError.
     """
     if spec_a.num_vertices != spec_b.num_vertices:
         raise PreconditionError(
@@ -630,12 +629,8 @@ def stability_constants(
 
     def scan(spec, grid, label):
         cls = classify(spec)
-        edges = _loop_edge_corners(spec, cls)
-        if edges is None:
-            edges = compute_band_structure(spec, "schrodinger", grid)
-        else:
-            _connected_grid(spec, grid)
-        return cls, _scan_corners(spec, edges, label)
+        structures = _band_structure(spec, cls, ("schrodinger",), grid, None, FLAT_MERGE_TOL, False)
+        return cls, _scan_corners(spec, structures["schrodinger"][0], label)
 
     side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
     # Finite band edges and fibers can still be too far apart to subtract or
@@ -747,11 +742,10 @@ def estimate_suite(
 ):
     """Classification, band structure, and every applicable estimate report.
 
-    The band structures of the operator and of the Laplacian come from one
-    orbit sample of the torus, and their eigenvalues at theta = 0 and at a
-    loop graph's flip corner (`_loop_edge_corners`) from its rows
-    (`_band_structure`).  The Laplacian and normalized operators carry no
-    potential, so for those kinds the reports read the graph without one.
+    The operator's and the Laplacian's band structures and theta = 0 rows
+    come from one `_band_structure` call.  The Laplacian and normalized
+    operators carry no potential, so for those kinds the reports read the
+    graph without one.
     Returns (classification, band_structure, reports).
     """
     cls = classify(spec)
@@ -759,9 +753,8 @@ def estimate_suite(
         # Only H carries the potentials; the reports describe the operator analyzed.
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
-    edge_corners = _loop_edge_corners(spec, cls)
-    structures = _band_structure(spec, kinds, grid, flat_tol, merge_tol, refine, edge_corners)
-    bs, (zero_vals, *flip_vals) = structures[kind]
+    structures = _band_structure(spec, cls, kinds, grid, flat_tol, merge_tol, refine)
+    bs, zero_vals = structures[kind]
     reports = []
 
     if kind == "normalized":
@@ -773,7 +766,7 @@ def estimate_suite(
         reports.append(EstimateReport("normalized-containment", checks))
         return cls, bs, tuple(reports)
 
-    bs0, (zero_vals0, *_) = structures["laplacian"]
+    bs0, zero_vals0 = structures["laplacian"]
     reports.append(_total_band_report(spec, bs, check_tol))
     reports.append(_gap_report(spec, bs, bs0, check_tol))
 
@@ -786,14 +779,13 @@ def estimate_suite(
     reports.append(EstimateReport("spectral-containment", containment))
 
     if cls.is_loop_graph:
-        lows = np.asarray([b.low for b in bs.bands])
-        dev = float(np.abs(lows - zero_vals).max())
-        checks = [_deviation("loop-lower-endpoints-at-zero-point", dev, check_tol)]
-        params = {}
-        if edge_corners is not None:
-            highs = np.asarray([b.high for b in bs.bands])
-            dev = float(np.abs(highs - flip_vals[0]).max())
-            checks.append(_deviation("loop-upper-endpoints-at-flip-corner", dev, check_tol))
+        checks, params = [], {}
+        if cls.precise_quasimomentum is None:
+            # Sampled edges: the lower ones must be the zero fiber's.
+            lows = np.asarray([b.low for b in bs.bands])
+            dev = float(np.abs(lows - zero_vals).max())
+            checks.append(_deviation("loop-lower-endpoints-at-zero-point", dev, check_tol))
+        else:
             two_beta = 2.0 * cls.bridge_count
             checks.append(
                 _deviation(

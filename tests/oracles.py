@@ -4,7 +4,8 @@ The eigenvalue oracle tridiagonalizes with Householder reflectors and then
 locates eigenvalues by bisection on the Sturm sign count, sharing no code
 path with the LAPACK solver under test (`np.linalg.eigvalsh`).  The
 closed-form characteristic polynomials are hand-derived for the built-in
-lattices.  The statement checks at the end (first-band nondegeneracy,
+lattices.  The fluctuation split writes a fiber as its torus average plus
+its bridge part.  The statement checks at the end (first-band nondegeneracy,
 flat-band blocks, strong coupling, the honeycomb's conical point) are
 paper statements that no report row verifies; they sample the theta, -theta
 pairs of the default grid and assert what the paper guarantees.
@@ -17,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from graphbands import TorusGrid, compute_band_structure
-from graphbands.floquet import TWO_PI, fiber_stack
+from graphbands import TorusGrid, compute_band_structure, degrees
+from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
 from graphbands.lattices import hexagonal
 from graphbands.spectrum import FLAT_MERGE_TOL, _default_flat_tol, _flat_groups
 
@@ -169,6 +170,26 @@ def char_subdivided_mirror(d: int, n: int, lam: complex, theta) -> complex:
 
 
 ENTRY_VARIATION_TOL = 1e-9
+
+
+def fluctuation_split(spec, theta):
+    """Split the Schroedinger fiber into its torus average plus the bridge part.
+
+    The average keeps the full degrees and potentials but only zero-index
+    edges (every cell-crossing phase integrates to zero); the remainder
+    collects -exp(i <index, theta>) over bridges only.  Their sum rebuilds
+    the fiber exactly.  Returns the (mean, fluct) pair of nu x nu matrices.
+    """
+    nv = spec.num_vertices
+    thetas = _theta_rows(spec, theta)[:1]
+    local = [e for e in spec.edges if not any(e.index)]
+    bridges = [e for e in spec.edges if any(e.index)]
+    mean = -_edge_phase_sum(nv, local, thetas)[0]
+    fluct = -_edge_phase_sum(nv, bridges, thetas)[0]
+    idx = np.arange(nv)
+    mean[idx, idx] += np.asarray(degrees(spec), dtype=float)
+    mean[idx, idx] += np.asarray(spec.potentials())
+    return mean, fluct
 
 
 def _pairs(spec) -> np.ndarray:

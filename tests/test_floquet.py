@@ -14,7 +14,6 @@ from graphbands import (
     classify,
     degrees,
     fiber_eigenvalues,
-    fluctuation_split,
     oriented_edges,
     shift_origin,
 )
@@ -32,6 +31,7 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
+from oracles import fluctuation_split
 
 PI = np.pi
 

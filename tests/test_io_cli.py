@@ -629,6 +629,38 @@ def test_cli_compare_overflow_is_one_numeric_error(capsys, argv):
     ]
 
 
+@pytest.mark.parametrize(
+    "owner, name, error, argv, line",
+    [
+        (
+            TorusGrid,
+            "points",
+            MemoryError("Unable to allocate 74.5 GiB"),
+            ("analyze", "--builtin", "hexagonal", "--grid", "100000"),
+            "error: analyze ran out of memory: Unable to allocate 74.5 GiB",
+        ),
+        (
+            cli,
+            "_path_points",
+            MemoryError(),
+            ("dispersion", "--builtin", "hexagonal", "--path", "0,0:1,1", "--samples", "1000000000"),
+            "error: dispersion ran out of memory",
+        ),
+    ],
+    ids=["analyze-grid", "dispersion-path"],
+)
+def test_cli_oversized_input_is_one_error_line(capsys, monkeypatch, owner, name, error, argv, line):
+    # The allocation is faked: the real inputs would ask for tens of GiB.
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
 def test_cli_builtin_listing_stable(capsys):
     code1, out1, _ = run_cli(capsys, "builtins")
     code2, out2, _ = run_cli(capsys, "builtins")
@@ -735,6 +767,14 @@ def test_cli_analyze_refine_flag(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["bands"][0]["high"] == pytest.approx(9.0, abs=1e-6)
+
+
+def test_cli_refine_leaves_a_flip_corner_loop_graph_unchanged(capsys):
+    # Its band edges are the rows at theta = 0 and at the flip corner, exactly.
+    code, refined, _ = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--refine")
+    plain_code, plain, _ = run_cli(capsys, "analyze", "--builtin", "star(2,3)")
+    assert code == plain_code == 0
+    assert refined == plain
 
 
 def test_cli_merge_tol_reaches_flat_band_grouping(capsys):

@@ -334,11 +334,11 @@ def _bits(low, high, argmin, argmax):
     "spec, kind, grid",
     [
         (with_potentials(hexagonal(), (1.0, -1.0)), "schrodinger", None),
-        (star(2, 3), "schrodinger", None),
+        (subdivided(2, 2), "laplacian", None),
         (triangular(), "laplacian", TorusGrid(2, 16)),
         (fcc(), "schrodinger", TorusGrid(3, 6)),
     ],
-    ids=["hexagonal-q", "star-2-3", "triangular-16", "fcc-6"],
+    ids=["hexagonal-q", "subdivided-2-2-laplacian", "triangular-16", "fcc-6"],
 )
 def test_batched_refine_matches_one_trial_per_solve(monkeypatch, spec, kind, grid):
     plain = compute_band_structure(spec, kind, grid)
@@ -502,7 +502,8 @@ def test_loop_band_endpoints_imprecise_fallback():
 
 
 def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
-    # The rows at theta = 0 and at the flip corner come from the grid solve.
+    # triangular has no flip corner: one orbit sample serves H and the
+    # Laplacian.  star(2,3) solves theta = 0 and its flip corner only.
     solves = []
     solve = spectrum.eigh_stack
 
@@ -513,7 +514,7 @@ def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
     estimate_suite(triangular())
     estimate_suite(star(2, 3))
-    assert solves == [817, 1225]
+    assert solves == [817, 2]
 
 
 def test_precise_loop_band_sum_identity():
@@ -545,11 +546,7 @@ def test_bipartite_loop_endpoints_name_failing_precondition():
         assert "bipartite-loop-endpoint-match" not in names
 
 
-LOOP_ROWS = [
-    "loop-lower-endpoints-at-zero-point",
-    "loop-upper-endpoints-at-flip-corner",
-    "flip-corner-band-length-identity",
-]
+LOOP_ROWS = ["flip-corner-band-length-identity"]
 BIPARTITE_LOOP_ROWS = [
     "bipartite-gap-floor<=laplacian-gap-sum",
     "bipartite-band-symmetry",
@@ -563,13 +560,14 @@ BIPARTITE_LOOP_ROWS = [
         (star(2, 3), LOOP_ROWS + ["flip-corner-measure-identity"], []),
         (cubic(2), LOOP_ROWS + ["flip-corner-measure-identity"], BIPARTITE_LOOP_ROWS),
         (bipartite_chain(2, 3), LOOP_ROWS, BIPARTITE_LOOP_ROWS),
-        (triangular(), LOOP_ROWS[:1], []),
+        (triangular(), ["loop-lower-endpoints-at-zero-point"], []),
     ],
     ids=["star-2-3", "cubic-2", "bipartite-chain-2-3", "triangular"],
 )
 def test_loop_and_bipartite_statement_rows(spec, loop_rows, bipartite_rows):
-    # The rows each paper statement gets in analyze, and that they pass;
-    # triangular has no flip corner, so no upper row.
+    # The rows each paper statement gets in analyze, and that they pass.
+    # A flip corner's band edges are its rows at 0 and at the corner, so only
+    # triangular, which has none, checks its lower edges against theta = 0.
     _, _, reports = estimate_suite(spec)
     rows = {r.name: r.checks for r in reports}
     assert [c.name for c in rows["loop-graph-endpoints"]] == loop_rows
@@ -649,8 +647,8 @@ def test_stability_requires_uniform_extremizers():
 
 
 def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
-    # Each corner solved on its own and matched against the grid's band
-    # edges; the chosen corners' fibers built one at a time.
+    # Each corner solved on its own and matched against the envelopes of the
+    # whole default grid; the chosen corners' fibers built one at a time.
     def fiber(spec, theta, kind="schrodinger"):
         return fiber_stack(spec, np.asarray([theta], dtype=float), kind)[0]
 
@@ -658,7 +656,9 @@ def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
         return float(np.abs(x - y).sum())
 
     def uniform_corners(spec):
-        bands = compute_band_structure(spec).bands
+        grid = spectrum.grid_eigenvalues(
+            spec, TorusGrid.default_for(spec.dimension).points(), "schrodinger"
+        )
         corners = list(itertools.product((0.0, PI), repeat=spec.dimension))
         values = [fiber_eigenvalues(spec, corner) for corner in corners]
         return [
@@ -667,7 +667,7 @@ def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
                 for corner, row in zip(corners, values)
                 if np.abs(row - edges).max() <= UNIFORM_EXTREMIZER_TOL
             )
-            for edges in (np.array([b.low for b in bands]), np.array([b.high for b in bands]))
+            for edges in (grid.min(axis=0), grid.max(axis=0))
         ]
 
     minus_a, plus_a = uniform_corners(spec_a)
@@ -718,15 +718,15 @@ def _hex_params(params):
     }
 
 
-# Loop graphs with a flip corner solve their four corners only: the rows at
-# 0 and at the flip corner are their band edges.  fcc is not a loop graph and
+# Loop graphs with a flip corner solve theta = 0 and the flip corner for their
+# band edges, then their four corners.  fcc is not a loop graph and
 # keeps one grid per graph: it has 48 band symmetries, 455 orbits of the
 # default 24^3 grid, and then its eight corners.
 @pytest.mark.parametrize(
     "spec_a, spec_b, precise_vs_bipartite, batches",
     [
-        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, [4, 4]),
-        (star(2, 3), bipartite_chain(2, 3), True, [4, 4]),
+        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, [2, 4, 2, 4]),
+        (star(2, 3), bipartite_chain(2, 3), True, [2, 4, 2, 4]),
         (fcc(), fcc(), False, [455, 8, 455, 8]),
     ],
     ids=["star-q-vs-star", "star-vs-bipartite-chain", "fcc-vs-fcc"],
@@ -813,18 +813,25 @@ FLIP_SETTINGS = settings(
 @FLIP_SETTINGS
 @given(flip_loop_quotients(), st.integers(2, 6))
 def test_loop_graph_grid_envelopes_are_the_zero_and_flip_rows(spec, m):
+    # The identity a flip-corner loop graph's band structure rests on, for
+    # every operator kind: the envelopes over every point of the grid are the
+    # rows at theta = 0 and at the flip corner.
     cls = classify(spec)
     assert cls.is_loop_graph and cls.is_connected
     flip = cls.precise_quasimomentum
     assert flip is not None
-    bs = compute_band_structure(spec, "schrodinger", TorusGrid(spec.dimension, m))
-    lows, highs = np.asarray(band_tuples(bs)).T
-    zero_row, flip_row = spectrum.grid_eigenvalues(
-        spec, np.array([(0.0,) * spec.dimension, flip]), "schrodinger"
-    )
-    scale = max(np.abs(lows).max(), np.abs(highs).max())
-    assert np.abs(lows - zero_row).max() <= 1e-12 * (1.0 + scale)
-    assert np.abs(highs - flip_row).max() <= 1e-12 * (1.0 + scale)
+    grid = TorusGrid(spec.dimension, m)
+    for kind in ("schrodinger", "laplacian", "normalized"):
+        values = spectrum.grid_eigenvalues(spec, grid.points(), kind)
+        lows, highs = values.min(axis=0), values.max(axis=0)
+        zero_row, flip_row = spectrum.grid_eigenvalues(
+            spec, np.array([(0.0,) * spec.dimension, flip]), kind
+        )
+        tol = 1e-12 * (1.0 + max(np.abs(lows).max(), np.abs(highs).max()))
+        assert np.abs(lows - zero_row).max() <= tol
+        assert np.abs(highs - flip_row).max() <= tol
+        bs = compute_band_structure(spec, kind, grid)
+        assert np.abs(np.asarray(band_tuples(bs)) - np.transpose([lows, highs])).max() <= tol
 
 
 @FLIP_SETTINGS
