@@ -272,14 +272,14 @@ def _path_points(text: str, dimension: int, samples: int) -> np.ndarray:
         raise ValidationError("a path needs at least two waypoints")
     if samples < 1:
         raise ValidationError("--samples must be >= 1")
-    rows = []
-    for start, stop in zip(waypoints, waypoints[1:]):
-        start = np.asarray(start)
-        stop = np.asarray(stop)
-        for j in range(samples):
-            rows.append(start + (stop - start) * (j / samples))
-    rows.append(np.asarray(waypoints[-1]))
-    return np.asarray(rows)
+    # Each segment is one array, so an oversized --samples fails at its first
+    # allocation.  Sample j of a segment is start + (stop - start) * (j / samples).
+    waypoints = np.asarray(waypoints)
+    fractions = (np.arange(samples) / samples)[:, None]
+    segments = [
+        start + (stop - start) * fractions for start, stop in zip(waypoints, waypoints[1:])
+    ]
+    return np.vstack(segments + [waypoints[-1:]])
 
 
 def _cmd_dispersion(args) -> int:
@@ -292,13 +292,18 @@ def _cmd_dispersion(args) -> int:
         samples = 50 if args.samples is None else args.samples
         solved = thetas = _path_points(args.path, spec.dimension, samples)
         index = np.arange(len(thetas))
+        theta_text = graphio.format_rows(thetas)
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
         grid = _resolve_grid(spec, args.grid)
         solved, index, thetas = grid.representatives(_orbit_group(spec, grid, (args.kind,)))
+        # The grid rows are axis^d, then the pi corners of an odd grid.
+        uniform = grid.points_per_axis**grid.dimension
+        theta_text = graphio.format_grid_rows(grid.axis(), grid.dimension)
+        if len(thetas) > uniform:
+            theta_text = np.concatenate([theta_text, graphio.format_rows(thetas[uniform:])])
     values = grid_eigenvalues(spec, solved, args.kind)
     # Both parts are formatted, and so checked, before the first byte is written.
-    theta_text = graphio.format_rows(thetas)
     value_text = graphio.format_rows(values)
     header = "# " + "\t".join(
         [f"theta_{s + 1}" for s in range(spec.dimension)]

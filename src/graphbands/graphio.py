@@ -4,10 +4,11 @@ Graphs and analysis reports travel as JSON documents.  Serialization is
 byte-deterministic: keys keep their insertion order and every float is
 rendered with 17 significant digits, which round-trips doubles exactly.
 Tables are assembled in numpy: `format_rows` formats each distinct value of
-a column once and joins the cells of every row with bytes operations, and
-`stream_rows` writes the rows in blocks of `TABLE_BLOCK_ROWS`, so no
-per-row Python string is built.  The text is the same as one `%.17g` per
-cell joined by tabs.
+a column once and joins the cells of every row with bytes operations,
+`format_grid_rows` joins the theta rows of a full grid from the texts of its
+m axis values, and `stream_rows` writes the rows in blocks of
+`TABLE_BLOCK_ROWS`, so no per-row Python string is built.  The text is the
+same as one `%.17g` per cell joined by tabs.
 Parsing is strict; unknown fields are rejected with the offending path.
 """
 
@@ -52,6 +53,22 @@ def format_rows(table) -> np.ndarray:
         template = b"%.17g\n" if j == 0 else b"\t%.17g\n"
         texts = np.array((template * len(values) % tuple(values)).split(b"\n")[:-1], dtype="S")
         rows = texts[inverse] if j == 0 else np.strings.add(rows, texts[inverse])
+    return rows
+
+
+def format_grid_rows(axis, dimension: int) -> np.ndarray:
+    """`format_rows` of the grid axis^dimension in row-major order, built from
+    the texts of the axis values alone.
+
+    Row k of the grid holds the axis values of the base-m digits of k, so its
+    text is their texts joined by tabs: one broadcast join per further axis.
+    The rows may be padded wider than `format_rows` pads them.
+    """
+    text = format_rows(np.asarray(axis)[:, None])
+    cell = np.strings.add(b"\t", text)
+    rows = text
+    for _ in range(dimension - 1):
+        rows = np.strings.add(rows[:, None], cell).ravel()
     return rows
 
 

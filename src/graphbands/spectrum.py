@@ -86,9 +86,12 @@ class TorusGrid:
             m = 12
         return TorusGrid(dimension, m)
 
+    def axis(self) -> np.ndarray:
+        """The m values of each axis; `points()` begins with axis^d in row-major order."""
+        return TWO_PI * (np.arange(self.points_per_axis) / self.points_per_axis)
+
     def points(self) -> np.ndarray:
-        axis = TWO_PI * (np.arange(self.points_per_axis) / self.points_per_axis)
-        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
+        mesh = np.meshgrid(*([self.axis()] * self.dimension), indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
         if self.points_per_axis % 2 == 0:
             # TWO_PI * 0.5 == math.pi exactly, so every corner is a grid point.
@@ -134,26 +137,38 @@ class TorusGrid:
         images = {tuple(zip(*matrix)) for matrix in group} | {identity}
         images |= {tuple(tuple(-x for x in row) for row in matrix) for matrix in images}
         images.discard(identity)
+        # int32 holds every integer below while the grid has fewer than 2^31
+        # rows: each is a reduced coordinate (< m), a sum of d of them
+        # (< d*m <= m^d), a linear index (< m^d) or a row count (<= size).
+        # The products c*k of a matrix entry and an axis value are taken in
+        # intp on the m axis values and reduced mod m before they meet int32.
+        dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.intp
         # Image coordinate j of k is (row_j . k) mod m.  The matrices share
         # few rows, so each (row, j) term is built once, on the axes the row
         # touches, and then spread over the grid in index order.
         shape = (m,) * d
-        axes = [np.arange(m).reshape([m if i == s else 1 for i in range(d)]) for s in range(d)]
+        axis = np.arange(m)
         terms = {}
         for row, j in {(row, j) for matrix in images for j, row in enumerate(matrix)}:
-            term = np.empty(shape, dtype=np.intp)
-            term[...] = (sum(c * axes[i] for i, c in enumerate(row) if c) % m) * strides[j]
+            coordinate = sum(
+                (c * axis % m).astype(dtype).reshape([m if i == s else 1 for i in range(d)])
+                for s, c in enumerate(row)
+                if c
+            )
+            term = np.empty(shape, dtype=dtype)
+            term[...] = coordinate % m * strides[j]
             terms[row, j] = term.ravel()
-        orbit_min = np.arange(m**d)
+        orbit_min = np.arange(m**d, dtype=dtype)
+        buffer = np.empty(m**d, dtype=dtype)
         for matrix in images:
             image = terms[matrix[0], 0]
             for j in range(1, d):
-                image = image + terms[matrix[j], j]
+                image = np.add(image, terms[matrix[j], j], out=buffer)
             np.minimum(orbit_min, image, out=orbit_min)
         keep = np.ones(pts.shape[0], dtype=bool)
-        keep[: m**d] = orbit_min == np.arange(m**d)
+        keep[: m**d] = orbit_min == np.arange(m**d, dtype=dtype)
         # The row of each kept point in theta, then of each point's minimum.
-        index = np.cumsum(keep) - 1
+        index = np.cumsum(keep, dtype=dtype) - 1
         index[: m**d] = index[orbit_min]
         return pts[keep], index, pts
 

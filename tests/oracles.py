@@ -308,3 +308,17 @@ def dirac_expansion_check(q1: float, radius: float, samples: int = 64) -> DiracC
     max_error_half = ring_max(radius / 2.0)
     ratio = max_error_half / max_error if max_error > 0.0 else math.nan
     return DiracConeReport(max_error, max_error_half, ratio, (float(touch[0]), float(touch[1])))
+
+
+def path_points_per_sample(waypoints, samples: int) -> np.ndarray:
+    """The sampled `dispersion --path`, one row per sample: sample j of the
+    segment from a to b is a + (b - a) * (j / samples), and the last waypoint
+    closes the path."""
+    rows = []
+    for start, stop in zip(waypoints, waypoints[1:]):
+        start = np.asarray(start, dtype=float)
+        stop = np.asarray(stop, dtype=float)
+        for j in range(samples):
+            rows.append(start + (stop - start) * (j / samples))
+    rows.append(np.asarray(waypoints[-1], dtype=float))
+    return np.asarray(rows)

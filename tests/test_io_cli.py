@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbands import (
     EdgeRecord,
@@ -25,6 +27,7 @@ from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
     format_float,
+    format_grid_rows,
     format_rows,
     load_graph,
     parse_graph,
@@ -42,6 +45,7 @@ from graphbands.lattices import (
     star,
     subdivided,
 )
+from oracles import path_points_per_sample
 
 PI = math.pi
 
@@ -324,6 +328,66 @@ def test_cli_dispersion_out_file_holds_the_stdout_bytes(tmp_path, capsys):
     assert out_file.read_bytes() == printed.encode()
 
 
+@pytest.mark.parametrize("m", [2, 3, 12, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_theta_text_matches_the_formatted_points(d, m):
+    grid = TorusGrid(d, m)
+    points = grid.points()
+    rows = format_grid_rows(grid.axis(), d)
+    assert len(rows) == m**d
+    # Row widths may differ; the texts are compared after the padding goes.
+    assert rows.tolist() == format_rows(points[: m**d]).tolist()
+
+
+def test_cli_grid_theta_text_crosses_a_block_and_ends_with_the_pi_corners(capsys, monkeypatch):
+    # 129^2 + 3 rows: more than one TABLE_BLOCK_ROWS block, and the rows of
+    # the odd grid's pi corners come last.
+    texts = []
+    stream = graphio.stream_rows
+
+    def capture(left, right, index):
+        texts.append(left)
+        return stream(left, right, index)
+
+    monkeypatch.setattr(graphio, "stream_rows", capture)
+    code, _, _ = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--grid", "129")
+    assert code == 0
+    points = TorusGrid(2, 129).points()
+    assert graphio.TABLE_BLOCK_ROWS < len(points) == 129**2 + 3
+    assert texts[0].tolist() == format_rows(points).tolist()
+    pi = b"3.1415926535897931"
+    assert texts[0][-3:].tolist() == [b"0\t" + pi, pi + b"\t0", pi + b"\t" + pi]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--builtin", "triangular"),
+        ("--builtin", "fcc", "--grid", "7"),
+        ("--builtin", "star(2,6)", "--grid", "12", "--kind", "laplacian"),
+    ],
+)
+def test_cli_full_grid_dispersion_builds_the_grid_and_solves_once(capsys, monkeypatch, argv):
+    # The benchmark tracer times these two calls as its grid.points and
+    # spectrum.grid_eigenvalues spans.
+    calls = {"points": 0, "grid_eigenvalues": 0}
+    points, solve = TorusGrid.points, cli.grid_eigenvalues
+
+    def counting_points(self):
+        calls["points"] += 1
+        return points(self)
+
+    def counting_solve(*args, **kwargs):
+        calls["grid_eigenvalues"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(TorusGrid, "points", counting_points)
+    monkeypatch.setattr(cli, "grid_eigenvalues", counting_solve)
+    code, _, _ = run_cli(capsys, "dispersion", *argv)
+    assert code == 0
+    assert calls == {"points": 1, "grid_eigenvalues": 1}
+
+
 def test_stream_rows_joins_every_block(monkeypatch):
     thetas = np.arange(10.0)[:, None] / 3.0
     values = np.array([[-0.0, 1e300], [5e-324, 2.5]])
@@ -418,6 +482,24 @@ def test_cli_potential_free_dispersion_solves_the_orbits_without_potentials(
     assert code == plain_code == 0
     assert solves == [455, 455]
     assert with_q == plain
+
+
+_angles = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(_angles, min_size=d, max_size=d), min_size=2, max_size=5)
+    ),
+    st.integers(1, 60),
+)
+def test_path_points_match_the_per_sample_formula(waypoints, samples):
+    text = ":".join(",".join(repr(x) for x in stop) for stop in waypoints)
+    points = cli._path_points(text, len(waypoints[0]), samples)
+    expected = path_points_per_sample(waypoints, samples)
+    assert points.shape == ((len(waypoints) - 1) * samples + 1, len(waypoints[0]))
+    assert points.tobytes() == expected.tobytes()
 
 
 def test_cli_dispersion_rejects_path_with_grid(capsys):

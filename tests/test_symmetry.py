@@ -128,6 +128,19 @@ def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
             assert ours.tobytes() == half.tobytes()
 
 
+@pytest.mark.parametrize("spec, m", [(hexagonal(), 96), (triangular(), 13), (fcc(), 7), (cubic(1), 9)])
+def test_orbit_map_is_the_same_in_32_and_64_bit_indices(monkeypatch, spec, m):
+    grid = TorusGrid(spec.dimension, m)
+    group = band_symmetry_group(spec)
+    narrow = grid.representatives(group)
+    # A grid reported above 2^31 - 1 points takes the intp path.
+    monkeypatch.setattr(TorusGrid, "size", property(lambda self: 2**31))
+    wide = grid.representatives(group)
+    assert narrow[1].dtype == np.int32 and wide[1].dtype == np.intp
+    assert np.array_equal(narrow[1], wide[1])
+    assert narrow[0].tobytes() == wide[0].tobytes()
+
+
 def test_small_grids_skip_the_search(monkeypatch):
     monkeypatch.setattr(symmetry, "band_symmetry_group", lambda spec: pytest.fail("searched"))
     assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ()
