@@ -25,10 +25,8 @@ from .graph import (
     degrees,
     fundamental_bipartite,
     is_connected_periodic,
-    minimize_bridges,
     oriented_edges,
     periodic_bipartite,
-    shift_origin,
     with_potentials,
 )
 from .linalg import gf2_solve, integer_lattice_full
@@ -78,10 +76,8 @@ __all__ = [
     "integer_lattice_full",
     "is_connected_periodic",
     "lattices",
-    "minimize_bridges",
     "oriented_edges",
     "periodic_bipartite",
-    "shift_origin",
     "stability_constants",
     "verify_gap_bound",
     "verify_total_band_bound",

@@ -25,15 +25,12 @@ from .graph import PeriodicGraphSpec, with_potentials
 from .lattices import builtin_catalog, parse_builtin
 from .spectrum import (
     CHECK_TOL,
-    FLAT_MERGE_TOL,
     TorusGrid,
     _orbit_group,
     estimate_suite,
     grid_eigenvalues,
     stability_constants,
 )
-
-GRID_ENV_VAR = "GRAPHBANDS_GRID"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -73,12 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="band structure plus all applicable checks")
     add_input(analyze)
-    analyze.add_argument("--flat-tol", type=_tolerance, help="flat-band width tolerance")
     analyze.add_argument(
-        "--merge-tol",
+        "--flat-tol",
         type=_tolerance,
-        default=FLAT_MERGE_TOL,
-        help="flat-value merge tolerance",
+        help="flat-band tolerance: the width of a flat branch, the distance of two "
+        "branches at one flat value and the smallest gap",
     )
     analyze.add_argument(
         "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
@@ -103,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--q-a", help="potentials override for the first graph")
     compare.add_argument("--q-b", help="potentials override for the second graph")
     compare.add_argument("--grid", type=int, help="points per torus axis")
-    compare.add_argument("--check-tol", type=_tolerance, default=CHECK_TOL)
+    compare.add_argument(
+        "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
+    )
     compare.add_argument("--out", help="output path (default: stdout)")
 
     sub.add_parser("builtins", help="list builtin lattice generators")
@@ -161,12 +159,6 @@ def _resolve_spec(positional, builtin, q_text) -> tuple[PeriodicGraphSpec, dict]
 def _resolve_grid(spec: PeriodicGraphSpec, flag_value) -> TorusGrid:
     if flag_value is not None:
         return TorusGrid(spec.dimension, flag_value)
-    env = os.environ.get(GRID_ENV_VAR)
-    if env:
-        try:
-            return TorusGrid(spec.dimension, int(env))
-        except ValueError:
-            raise ValidationError(f"{GRID_ENV_VAR} must be an integer") from None
     return TorusGrid.default_for(spec.dimension)
 
 
@@ -229,7 +221,6 @@ def _cmd_analyze(args) -> int:
         grid=grid,
         check_tol=args.check_tol,
         flat_tol=args.flat_tol,
-        merge_tol=args.merge_tol,
         refine=args.refine,
     )
     all_pass = all(report.passed for report in reports)

@@ -13,14 +13,13 @@ own.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ParameterError, PreconditionError, ValidationError
+from .errors import ValidationError
 from .linalg import gf2_solve, integer_lattice_full
 
 
@@ -84,9 +83,6 @@ class PeriodicGraphSpec:
 
     def potentials(self) -> tuple[float, ...]:
         return tuple(v.potential for v in self.vertices)
-
-    def has_positions(self) -> bool:
-        return all(v.position is not None for v in self.vertices)
 
     # cached_property stores into the instance __dict__, which a frozen
     # dataclass allows; the fields, equality and hash are untouched.
@@ -203,60 +199,6 @@ def bridge_count(spec: PeriodicGraphSpec) -> tuple[int, tuple[OrientedEdge, ...]
 def is_loop_graph(spec: PeriodicGraphSpec) -> bool:
     """True iff every cell-crossing edge is a loop (tail == head)."""
     return spec._structure.is_loop_graph
-
-
-def shift_origin(spec: PeriodicGraphSpec, offset) -> PeriodicGraphSpec:
-    """Re-express the quotient graph in a coordinate system moved by `offset`.
-
-    Positions become fractional parts of (position - offset) and each edge
-    index picks up the difference of the integer parts at its endpoints.
-    Loop indices never change.
-    """
-    if not spec.has_positions():
-        raise PreconditionError("positions required: every vertex needs one to shift the origin")
-    shift = tuple(float(x) for x in offset)
-    if len(shift) != spec.dimension:
-        raise ParameterError(
-            f"shift vector has length {len(shift)}, expected {spec.dimension}"
-        )
-    floors = []
-    new_vertices = []
-    for vertex in spec.vertices:
-        moved = tuple(p - b for p, b in zip(vertex.position, shift))
-        floor = tuple(math.floor(x) for x in moved)
-        frac = tuple(x - f for x, f in zip(moved, floor))
-        floors.append(floor)
-        new_vertices.append(replace(vertex, position=frac))
-    new_edges = []
-    for e in spec.edges:
-        delta = tuple(
-            t + fh - ft for t, fh, ft in zip(e.index, floors[e.head], floors[e.tail])
-        )
-        new_edges.append(EdgeRecord(e.tail, e.head, delta))
-    return PeriodicGraphSpec(spec.dimension, tuple(new_vertices), tuple(new_edges))
-
-
-def minimize_bridges(spec: PeriodicGraphSpec):
-    """Search origin shifts for the one yielding the fewest oriented bridges.
-
-    Candidate shifts per axis are 0 and the midpoints between consecutive
-    distinct vertex coordinates; ties resolve to the lexicographically
-    smallest shift vector.  Returns (best_shift, shifted_spec).
-    """
-    if not spec.has_positions():
-        raise PreconditionError("positions required: every vertex needs one to minimize bridges")
-    axis_candidates = []
-    for s in range(spec.dimension):
-        coords = sorted({v.position[s] for v in spec.vertices})
-        mids = [(a + b) / 2.0 for a, b in zip(coords, coords[1:])]
-        axis_candidates.append(sorted({0.0, *mids}))
-    best = None
-    for shift in itertools.product(*axis_candidates):
-        candidate = shift_origin(spec, shift)
-        count, _ = bridge_count(candidate)
-        if best is None or count < best[0]:
-            best = (count, shift, candidate)
-    return best[1], best[2]
 
 
 def _spanning_tree_offsets(spec: PeriodicGraphSpec):

@@ -22,7 +22,9 @@ in grid order, within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so
 ties between symmetry-equivalent points do not depend on the last bits of
 the eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
-intervals missing from the union of the open bands.
+intervals missing from the union of the open bands.  One tolerance, the
+structure's flat_tol, decides which branches are flat, which adjacent flat
+branches share one value, and which open bands touch.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .graph import (
 from .linalg import eigh_stack
 
 FLAT_TOL_COEFF = 1e-9
-FLAT_MERGE_TOL = 1e-7
 CHECK_TOL = 1e-8
 UNIFORM_EXTREMIZER_TOL = 1e-8
 EXTREMIZER_TIE_TOL = 1e-12
@@ -281,7 +282,7 @@ def _loop_edge_corners(spec: PeriodicGraphSpec, cls) -> tuple | None:
 
 
 def _default_flat_tol(lows, highs) -> float:
-    """Flat-band width tolerance relative to the largest band-edge magnitude."""
+    """Flat-band tolerance relative to the largest band-edge magnitude."""
     scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
     return FLAT_TOL_COEFF * (1.0 + scale)
 
@@ -332,12 +333,12 @@ def _interval_union(opens, min_gap: float):
     return float(measure), tuple(gaps)
 
 
-def _flat_groups(lows, highs, tol: float, merge_tol: float):
+def _flat_groups(lows, highs, tol: float):
     """(indices of open branches, [(value, multiplicity)] of flat bands).
 
     A branch is flat when its width is at most tol; adjacent flat branches
-    whose midpoints differ by at most merge_tol form one flat band valued at
-    the mean of their midpoints.
+    whose midpoints differ by at most tol form one flat band valued at the
+    mean of their midpoints.
     """
     opens = []
     groups: list[list[float]] = []
@@ -345,7 +346,7 @@ def _flat_groups(lows, highs, tol: float, merge_tol: float):
     for n, (low, high) in enumerate(zip(lows, highs)):
         if high - low <= tol:
             value = 0.5 * (low + high)
-            if previous_flat and abs(groups[-1][-1] - value) <= merge_tol:
+            if previous_flat and abs(groups[-1][-1] - value) <= tol:
                 groups[-1].append(value)
             else:
                 groups.append([value])
@@ -364,16 +365,13 @@ def _assemble_structure(
     argmins,
     argmaxs,
     flat_tol: float | None,
-    merge_tol: float,
 ) -> BandStructure:
     tol = flat_tol if flat_tol is not None else _default_flat_tol(lows, highs)
     bands = tuple(
         BandInterval(n + 1, float(lows[n]), float(highs[n]), argmins[n], argmaxs[n])
         for n in range(len(lows))
     )
-    opens, groups = _flat_groups(
-        [b.low for b in bands], [b.high for b in bands], tol, merge_tol
-    )
+    opens, groups = _flat_groups([b.low for b in bands], [b.high for b in bands], tol)
     open_bands = [bands[n] for n in opens]
     flats = tuple(FlatBand(value, mult) for value, mult in groups)
     measure, gaps = _interval_union([(b.low, b.high) for b in open_bands], tol)
@@ -440,7 +438,7 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
     return band_symmetry_group(spec)
 
 
-def _band_structure(spec, cls, kinds, grid, flat_tol, merge_tol, refine):
+def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     """{kind: (structure, eigenvalues at theta = 0)} for each of `kinds`.
 
     `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
@@ -477,7 +475,7 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, merge_tol, refine):
             )
             lows, highs = extrema[:nu], extrema[nu:]
             argmins, argmaxs = points[:nu], points[nu:]
-        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, merge_tol)
+        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol)
         structures[kind] = structure, values[0]
     return structures
 
@@ -487,7 +485,6 @@ def compute_band_structure(
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
     flat_tol: float | None = None,
-    merge_tol: float = FLAT_MERGE_TOL,
     refine: bool = False,
 ) -> BandStructure:
     """Bands, flat bands and gaps of the fiber over the torus.
@@ -496,7 +493,7 @@ def compute_band_structure(
     grid is validated, not sampled, and `refine` has no effect.  Any other
     graph solves one grid point per band-symmetry orbit (`TorusGrid.representatives`).
     """
-    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, merge_tol, refine)[kind][0]
+    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[kind][0]
 
 
 def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateReport:
@@ -564,14 +561,8 @@ def verify_gap_bound(
 ) -> EstimateReport:
     """Total gap length dominates the hull length minus twice the bridge count."""
     kinds = ("schrodinger", "laplacian")
-    structures = _band_structure(spec, classify(spec), kinds, grid, None, FLAT_MERGE_TOL, False)
+    structures = _band_structure(spec, classify(spec), kinds, grid, None, False)
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
-
-
-def _mirrored_endpoints(zero_values: np.ndarray, kappa: int):
-    """(lows, highs) of a bipartite regular loop graph of degree kappa: the
-    zero-fiber Laplacian eigenvalues and their mirror through kappa."""
-    return zero_values, 2.0 * kappa - zero_values[::-1]
 
 
 class _CornerScan(NamedTuple):
@@ -644,7 +635,7 @@ def stability_constants(
 
     def scan(spec, grid, label):
         cls = classify(spec)
-        structures = _band_structure(spec, cls, ("schrodinger",), grid, None, FLAT_MERGE_TOL, False)
+        structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
         return cls, _scan_corners(spec, structures["schrodinger"][0], label)
 
     side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
@@ -752,7 +743,6 @@ def estimate_suite(
     *,
     check_tol: float = CHECK_TOL,
     flat_tol: float | None = None,
-    merge_tol: float = FLAT_MERGE_TOL,
     refine: bool = False,
 ):
     """Classification, band structure, and every applicable estimate report.
@@ -768,7 +758,7 @@ def estimate_suite(
         # Only H carries the potentials; the reports describe the operator analyzed.
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
-    structures = _band_structure(spec, cls, kinds, grid, flat_tol, merge_tol, refine)
+    structures = _band_structure(spec, cls, kinds, grid, flat_tol, refine)
     bs, zero_vals = structures[kind]
     reports = []
 
@@ -841,11 +831,11 @@ def estimate_suite(
             symmetry_dev = float(np.abs(lows0 + highs0[::-1] - 2.0 * kappa).max())
             checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, check_tol))
         if cls.is_loop_graph:
-            # Lower edges are the zero fiber's eigenvalues, upper edges their mirror.
-            lows_m, highs_m = _mirrored_endpoints(zero_vals0, kappa)
+            # Lower edges are the zero fiber's eigenvalues, upper edges their
+            # mirror through kappa.
             dev = max(
-                float(np.abs(lows_m - lows0).max()),
-                float(np.abs(highs_m - highs0).max()),
+                float(np.abs(zero_vals0 - lows0).max()),
+                float(np.abs(2.0 * kappa - zero_vals0[::-1] - highs0).max()),
             )
             checks.append(_deviation("bipartite-loop-endpoint-match", dev, check_tol))
         reports.append(EstimateReport("bipartite-regular-structure", tuple(checks)))

@@ -5,23 +5,34 @@ locates eigenvalues by bisection on the Sturm sign count, sharing no code
 path with the LAPACK solver under test (`np.linalg.eigvalsh`).  The
 closed-form characteristic polynomials are hand-derived for the built-in
 lattices.  The fluctuation split writes a fiber as its torus average plus
-its bridge part.  The statement checks at the end (first-band nondegeneracy,
-flat-band blocks, strong coupling, the honeycomb's conical point) are
-paper statements that no report row verifies; they sample the theta, -theta
-pairs of the default grid and assert what the paper guarantees.
+its bridge part, and the origin shift re-expresses a quotient in a cell
+whose origin has moved, for the invariance tests.  The statement checks at
+the end (first-band nondegeneracy, flat-band blocks, strong coupling, the
+honeycomb's conical point) are paper statements that no report row
+verifies; they sample the theta, -theta pairs of the default grid and
+assert what the paper guarantees.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from graphbands import TorusGrid, compute_band_structure, degrees
+from graphbands import (
+    EdgeRecord,
+    ParameterError,
+    PeriodicGraphSpec,
+    PreconditionError,
+    TorusGrid,
+    compute_band_structure,
+    degrees,
+)
 from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
 from graphbands.lattices import hexagonal
-from graphbands.spectrum import FLAT_MERGE_TOL, _default_flat_tol, _flat_groups
+from graphbands.spectrum import _default_flat_tol, _flat_groups
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -192,6 +203,32 @@ def fluctuation_split(spec, theta):
     return mean, fluct
 
 
+def shift_origin(spec: PeriodicGraphSpec, offset) -> PeriodicGraphSpec:
+    """Re-express the quotient graph in a coordinate system moved by `offset`.
+
+    Positions become fractional parts of (position - offset) and each edge
+    index picks up the difference of the integer parts at its endpoints.
+    Loop indices never change.
+    """
+    if any(v.position is None for v in spec.vertices):
+        raise PreconditionError("positions required: every vertex needs one to shift the origin")
+    shift = tuple(float(x) for x in offset)
+    if len(shift) != spec.dimension:
+        raise ParameterError(f"shift vector has length {len(shift)}, expected {spec.dimension}")
+    floors = []
+    new_vertices = []
+    for vertex in spec.vertices:
+        moved = tuple(p - b for p, b in zip(vertex.position, shift))
+        floor = tuple(math.floor(x) for x in moved)
+        floors.append(floor)
+        new_vertices.append(replace(vertex, position=tuple(x - f for x, f in zip(moved, floor))))
+    new_edges = []
+    for e in spec.edges:
+        delta = tuple(t + fh - ft for t, fh, ft in zip(e.index, floors[e.head], floors[e.tail]))
+        new_edges.append(EdgeRecord(e.tail, e.head, delta))
+    return PeriodicGraphSpec(spec.dimension, tuple(new_vertices), tuple(new_edges))
+
+
 def _pairs(spec) -> np.ndarray:
     """The theta, -theta representatives of the default grid."""
     return TorusGrid.default_for(spec.dimension).representatives()[0]
@@ -220,7 +257,7 @@ def check_flat_band_block(spec, split, kind="schrodinger"):
     split = list(split)
     values = np.linalg.eigvalsh(fiber_stack(spec, _pairs(spec), kind)[:, split][:, :, split])
     lows, highs = values.min(axis=0), values.max(axis=0)
-    _, groups = _flat_groups(lows.tolist(), highs.tolist(), _default_flat_tol(lows, highs), FLAT_MERGE_TOL)
+    _, groups = _flat_groups(lows.tolist(), highs.tolist(), _default_flat_tol(lows, highs))
     found = tuple((value, mult) for value, mult in groups if mult >= 2)
     flats = compute_band_structure(spec, kind).flat_bands
     for value, mult in found:

@@ -16,7 +16,6 @@ from graphbands import (
     compute_band_structure,
     estimate_suite,
     fiber_eigenvalues,
-    shift_origin,
     stability_constants,
     verify_gap_bound,
     verify_total_band_bound,
@@ -48,6 +47,7 @@ from oracles import (
     check_first_band_nondegenerate,
     dirac_expansion_check,
     large_coupling_analysis,
+    shift_origin,
 )
 
 PI = math.pi

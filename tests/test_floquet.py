@@ -15,7 +15,6 @@ from graphbands import (
     degrees,
     fiber_eigenvalues,
     oriented_edges,
-    shift_origin,
 )
 from graphbands.floquet import _edge_phase_sum, fiber_stack
 from graphbands.linalg import eigh_stack
@@ -31,7 +30,7 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
-from oracles import fluctuation_split
+from oracles import fluctuation_split, shift_origin
 
 PI = np.pi
 

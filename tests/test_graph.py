@@ -13,10 +13,8 @@ from graphbands import (
     fiber_eigenvalues,
     fundamental_bipartite,
     is_connected_periodic,
-    minimize_bridges,
     oriented_edges,
     periodic_bipartite,
-    shift_origin,
     with_potentials,
 )
 from graphbands.lattices import (
@@ -31,6 +29,7 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
+from oracles import shift_origin
 
 PI = np.pi
 
@@ -196,19 +195,6 @@ def test_shift_origin_round_trip_restores_indices():
     assert [e.index for e in back.edges] == [e.index for e in spec.edges]
     for a, b in zip(back.vertices, spec.vertices):
         assert np.allclose(a.position, b.position, atol=1e-12)
-
-
-def test_minimize_bridges_cubic_already_minimal():
-    best, spec_star = minimize_bridges(cubic(3))
-    assert best == (0.0, 0.0, 0.0)
-    assert bridge_count(spec_star)[0] == 6
-
-
-def test_minimize_bridges_recovers_hexagonal_count():
-    worse = shift_origin(hexagonal(), (0.2, 0.2))
-    assert bridge_count(worse)[0] == 6
-    best, recovered = minimize_bridges(worse)
-    assert bridge_count(recovered)[0] == 4
 
 
 def test_connectivity_of_builtins():

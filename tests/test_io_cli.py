@@ -164,7 +164,6 @@ def test_cli_reports_byte_identical_across_interpreters():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop(cli.GRID_ENV_VAR, None)
 
     def run(argv, hash_seed):
         done = subprocess.run(
@@ -193,11 +192,12 @@ def test_cli_rejects_removed_jobs_option(capsys):
     for argv in (
         ("analyze", "--builtin", "star(2,3)", "--jobs", "2"),
         ("compare", "star(2,3)", "star(2,3)", "--jobs", "2"),
+        ("analyze", "--builtin", "star(2,3)", "--merge-tol", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "unrecognized arguments: --jobs" in err
+        assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_cli_analyze_subdivided_3_3_is_finite(capsys):
@@ -212,11 +212,12 @@ def test_cli_analyze_subdivided_3_3_is_finite(capsys):
     assert all(math.isfinite(x) for x in numbers)
 
 
-def test_cli_grid_env_var(tmp_path, capsys, monkeypatch):
+def test_cli_ignores_grid_environment_variable(capsys, monkeypatch):
+    # Only --grid sets the grid; a variable left in the shell changes nothing.
     monkeypatch.setenv("GRAPHBANDS_GRID", "12")
     code, out, _ = run_cli(capsys, "analyze", "--builtin", "hexagonal")
     assert code == 0
-    assert json.loads(out)["grid"]["points_per_axis"] == 12
+    assert json.loads(out)["grid"]["points_per_axis"] == 96
 
 
 def test_cli_dispersion_path_touches_at_cone(capsys):
@@ -591,11 +592,12 @@ def test_cli_analyze_overflowing_band_width_exits_two(capsys):
 
 
 def test_cli_analyze_non_finite_error_names_the_report_field(capsys):
-    # The flat-band midpoint 0.5 * (low + high) overflows.
+    # The flat-band midpoint 0.5 * (low + high) overflows.  The flat tolerance
+    # here is 1e299, so the first two branches count as one flat band.
     code, out, err = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--q", "1e308,0,0")
     assert code == 2
     assert out == ""
-    assert err == "error: non-finite number computed for the report at flat_bands[2].value\n"
+    assert err == "error: non-finite number computed for the report at flat_bands[1].value\n"
 
 
 def test_dumps_names_the_path_of_a_non_finite_value():
@@ -605,13 +607,17 @@ def test_dumps_names_the_path_of_a_non_finite_value():
 
 TOLERANCE_FLAGS = [
     (("analyze", "--builtin", "star(2,3)"), "--flat-tol"),
-    (("analyze", "--builtin", "star(2,3)"), "--merge-tol"),
     (("analyze", "--builtin", "star(2,3)"), "--check-tol"),
     (("compare", "star(2,3)", "star(2,3)"), "--check-tol"),
 ]
 
 
-@pytest.mark.parametrize("argv, flag", TOLERANCE_FLAGS)
+# Explicit ids, so that a row's test id does not move when another row goes.
+@pytest.mark.parametrize(
+    "argv, flag",
+    TOLERANCE_FLAGS,
+    ids=["argv0---flat-tol", "argv2---check-tol", "argv3---check-tol"],
+)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
 def test_cli_rejects_bad_tolerances(capsys, argv, flag, value):
     # `--flag=value`, so argparse does not take "-inf" for an option.
@@ -859,15 +865,20 @@ def test_cli_refine_leaves_a_flip_corner_loop_graph_unchanged(capsys):
     assert refined == plain
 
 
-def test_cli_merge_tol_reaches_flat_band_grouping(capsys):
+def test_cli_flat_tol_reaches_flat_band_grouping(capsys):
     # The two flat branches of star(2,4) at 1 differ in their last bits, so
-    # --merge-tol 0 keeps them apart where the default merges them.
+    # --flat-tol 0 keeps them apart where the default merges them.
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "star(2,4)", "--grid", "12")
+    assert code == 0
+    (flat,) = json.loads(out)["flat_bands"]
+    assert flat["multiplicity"] == 2
+    assert flat["value"] == pytest.approx(1.0, abs=1e-12)
     code, out, _ = run_cli(
-        capsys, "analyze", "--builtin", "star(2,4)", "--grid", "12", "--merge-tol", "0"
+        capsys, "analyze", "--builtin", "star(2,4)", "--grid", "12", "--flat-tol", "0"
     )
     assert code == 0
     expected = compute_band_structure(
-        star(2, 4), "schrodinger", TorusGrid(2, 12), merge_tol=0.0
+        star(2, 4), "schrodinger", TorusGrid(2, 12), flat_tol=0.0
     )
     assert json.loads(out)["flat_bands"] == [
         {"value": fb.value, "multiplicity": fb.multiplicity} for fb in expected.flat_bands
