@@ -1,13 +1,15 @@
 """Graph file schema and deterministic report serialization.
 
 Graphs and analysis reports travel as JSON documents.  Serialization is
-byte-deterministic: keys keep their insertion order and every float is
-rendered with 17 significant digits, which round-trips doubles exactly.
-Tables are assembled in numpy: `format_rows` formats each distinct value of
-a column once and joins the cells of every row with bytes operations,
-`format_grid_rows` joins the theta rows of a full grid from the texts of its
-m axis values, and `stream_rows` writes the rows in blocks of
-`TABLE_BLOCK_ROWS`, so no per-row Python string is built.  The text is the
+byte-deterministic and written in one pass by `dumps`: one key per line in
+insertion order, an array of scalars alone on one line, ASCII text with
+`\\uXXXX` escapes, and every float as `%.17g`, which round-trips doubles
+exactly.  A non-finite value raises NumericError naming its report path, so
+the command exits 2.  Tables are assembled in numpy: `format_rows` formats
+each distinct value of a column once and joins the cells of every row with
+bytes operations, `format_grid_rows` joins the theta rows of a full grid from
+the texts of its m axis values, and `stream_rows` writes the rows in blocks
+of `TABLE_BLOCK_ROWS`, so no per-row Python string is built.  The text is the
 same as one `%.17g` per cell joined by tabs.
 Parsing is strict; unknown fields are rejected with the offending path.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -89,76 +92,93 @@ def stream_rows(left: np.ndarray, right: np.ndarray, index: np.ndarray):
 
 
 def dumps(document) -> str:
-    """Render a JSON document with deterministic float formatting."""
-    pieces: list[str] = []
-    _emit(document, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Render a JSON document as deterministic, ASCII-only text.
+
+    The layout: an object puts one key per line and an array holding an
+    object or array puts one item per line, indented two spaces a level; an
+    array of scalars alone goes on one line.  Strings and keys are written
+    with `\\uXXXX` escapes for every non-ASCII character, floats as `%.17g`,
+    which round-trips doubles exactly.  A non-finite float raises
+    NumericError naming its report path, such as `flat_bands[1].value`, which
+    the command line reports with exit code 2.  Any other value type raises
+    ValidationError.
+    """
+    try:
+        return _text(document, "") + "\n"
+    except NumericError as exc:
+        steps = _nonfinite_steps(document)
+        if not steps:  # the document is the value
+            raise
+        # A key of the document itself is named without its leading dot.
+        path = "".join(steps).removeprefix(".")
+        raise NumericError(f"{exc} at {path}") from None
 
 
-def _located(exc: NumericError, step: str) -> NumericError:
-    """`exc` with `step` prefixed to the report path its message ends with."""
-    message, _, path = str(exc).partition(" at ")
-    return NumericError(f"{message} at {step}{path}")
+_LEAVES = {
+    float: format_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+}
 
 
-def _emit(node, out: list[str], depth: int) -> None:
-    """Append the text of `node`.  A NumericError raised below names the
-    path of the value it failed on, such as `flat_bands[2].value`."""
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
+def _text(node, pad: str) -> str:
+    """Text of `node`, whose line starts with the indentation `pad`.
+
+    Values of the exact types in `_LEAVES` are written by them; every other
+    value goes through `isinstance` tests, so subclasses such as np.float64
+    are written as their base type.
+    """
+    leaf = _LEAVES.get(type(node))
+    if leaf is not None:
+        return leaf(node)
     if isinstance(node, dict):
         if not node:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            try:
-                _emit(value, out, depth + 1)
-            except NumericError as exc:
-                raise _located(exc, f".{key}" if depth else str(key)) from None
-            out.append(",\n" if i < len(node) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, value in node.items():
+            leaf = _LEAVES.get(type(value))
+            text = leaf(value) if leaf is not None else _text(value, inner)
+            items.append(f"{inner}{encode_basestring_ascii(str(key))}: {text}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(node, (list, tuple)):
         if not node:
-            out.append("[]")
-            return
-        flat = all(not isinstance(x, (dict, list, tuple)) for x in node)
-        if flat:
-            try:
-                out.append("[" + ", ".join(_scalar(x) for x in node) + "]")
-            except NumericError as exc:
-                bad = next(
-                    i for i, x in enumerate(node) if isinstance(x, float) and not math.isfinite(x)
-                )
-                raise _located(exc, f"[{bad}]") from None
-            return
-        out.append("[\n")
-        for i, value in enumerate(node):
-            out.append(inner)
-            try:
-                _emit(value, out, depth + 1)
-            except NumericError as exc:
-                raise _located(exc, f"[{i}]") from None
-            out.append(",\n" if i < len(node) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(node))
-
-
-def _scalar(node) -> str:
-    if node is None:
-        return "null"
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, int):
+            return "[]"
+        try:
+            return "[" + ", ".join([_LEAVES[type(x)](x) for x in node]) + "]"
+        except KeyError:  # an item of another type: nested, a subclass or unsupported
+            pass
+        if any(isinstance(x, (dict, list, tuple)) for x in node):
+            inner = pad + "  "
+            return "[\n" + ",\n".join([inner + _text(x, inner) for x in node]) + "\n" + pad + "]"
+        return "[" + ", ".join([_text(x, pad) for x in node]) + "]"
+    if isinstance(node, int):  # bool cannot be subclassed: it is a leaf
         return str(node)
     if isinstance(node, float):
         return format_float(node)
     if isinstance(node, str):
-        return json.dumps(node)
+        return encode_basestring_ascii(node)
     raise ValidationError(f"cannot serialize value of type {type(node).__name__}")
+
+
+def _nonfinite_steps(node):
+    """Path steps, such as `[".flat_bands", "[1]", ".value"]`, to the first
+    non-finite float under `node` in document order, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else []
+    if isinstance(node, dict):
+        children = ((f".{key}", value) for key, value in node.items())
+    elif isinstance(node, (list, tuple)):
+        children = ((f"[{i}]", value) for i, value in enumerate(node))
+    else:
+        return None
+    for step, value in children:
+        steps = _nonfinite_steps(value)
+        if steps is not None:
+            return [step, *steps]
+    return None
 
 
 def graph_to_document(spec: PeriodicGraphSpec) -> dict:

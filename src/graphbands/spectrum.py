@@ -305,8 +305,8 @@ def _envelopes(thetas: np.ndarray, values: np.ndarray):
     tie = EXTREMIZER_TIE_TOL * (1.0 + scale)
     low_idx = (values <= lows + tie).argmax(axis=0)
     high_idx = (values >= highs - tie).argmax(axis=0)
-    argmins = [tuple(float(x) for x in thetas[i]) for i in low_idx]
-    argmaxs = [tuple(float(x) for x in thetas[i]) for i in high_idx]
+    argmins = list(map(tuple, thetas[low_idx].tolist()))
+    argmaxs = list(map(tuple, thetas[high_idx].tolist()))
     return lows, highs, argmins, argmaxs
 
 

@@ -10,11 +10,15 @@ whose origin has moved, for the invariance tests.  The statement checks at
 the end (first-band nondegeneracy, flat-band blocks, strong coupling, the
 honeycomb's conical point) are paper statements that no report row
 verifies; they sample the theta, -theta pairs of the default grid and
-assert what the paper guarantees.
+assert what the paper guarantees.  `reference_dumps` is the report writer
+as it was before `graphio.dumps` wrote in one typed pass: a recursive
+writer with an `isinstance` chain per scalar, kept as the reference its
+output and errors must match.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -23,14 +27,17 @@ import numpy as np
 
 from graphbands import (
     EdgeRecord,
+    NumericError,
     ParameterError,
     PeriodicGraphSpec,
     PreconditionError,
     TorusGrid,
+    ValidationError,
     compute_band_structure,
     degrees,
 )
 from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
+from graphbands.graphio import format_float
 from graphbands.lattices import hexagonal
 from graphbands.spectrum import _default_flat_tol, _flat_groups
 
@@ -359,3 +366,76 @@ def path_points_per_sample(waypoints, samples: int) -> np.ndarray:
             rows.append(start + (stop - start) * (j / samples))
     rows.append(np.asarray(waypoints[-1], dtype=float))
     return np.asarray(rows)
+
+
+def reference_dumps(document) -> str:
+    """Render a JSON document with deterministic float formatting."""
+    pieces: list[str] = []
+    _emit(document, pieces, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _located(exc: NumericError, step: str) -> NumericError:
+    """`exc` with `step` prefixed to the report path its message ends with."""
+    message, _, path = str(exc).partition(" at ")
+    return NumericError(f"{message} at {step}{path}")
+
+
+def _emit(node, out: list[str], depth: int) -> None:
+    """Append the text of `node`.  A NumericError raised below names the
+    path of the value it failed on, such as `flat_bands[2].value`."""
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
+    if isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(node.items()):
+            out.append(f"{inner}{json.dumps(str(key))}: ")
+            try:
+                _emit(value, out, depth + 1)
+            except NumericError as exc:
+                raise _located(exc, f".{key}" if depth else str(key)) from None
+            out.append(",\n" if i < len(node) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        flat = all(not isinstance(x, (dict, list, tuple)) for x in node)
+        if flat:
+            try:
+                out.append("[" + ", ".join(_scalar(x) for x in node) + "]")
+            except NumericError as exc:
+                bad = next(
+                    i for i, x in enumerate(node) if isinstance(x, float) and not math.isfinite(x)
+                )
+                raise _located(exc, f"[{bad}]") from None
+            return
+        out.append("[\n")
+        for i, value in enumerate(node):
+            out.append(inner)
+            try:
+                _emit(value, out, depth + 1)
+            except NumericError as exc:
+                raise _located(exc, f"[{i}]") from None
+            out.append(",\n" if i < len(node) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_scalar(node))
+
+
+def _scalar(node) -> str:
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, float):
+        return format_float(node)
+    if isinstance(node, str):
+        return json.dumps(node)
+    raise ValidationError(f"cannot serialize value of type {type(node).__name__}")

@@ -45,7 +45,7 @@ from graphbands.lattices import (
     star,
     subdivided,
 )
-from oracles import path_points_per_sample
+from oracles import path_points_per_sample, reference_dumps
 
 PI = math.pi
 
@@ -603,6 +603,96 @@ def test_cli_analyze_non_finite_error_names_the_report_field(capsys):
 def test_dumps_names_the_path_of_a_non_finite_value():
     with pytest.raises(NumericError, match=r"for the report at gaps\[1\]\[0\]$"):
         dumps({"bands": [], "gaps": [[0.0, 1.0], [math.inf, 2.0]]})
+    flat_bands = [{"value": 1.0, "multiplicity": 2}, {"value": math.inf, "multiplicity": 1}]
+    with pytest.raises(NumericError) as excinfo:
+        dumps({"flat_bands": flat_bands})
+    assert str(excinfo.value) == "non-finite number computed for the report at flat_bands[1].value"
+
+
+def test_dumps_writes_a_list_holding_a_float_subclass_on_one_line():
+    assert dumps({"x": [np.float64(1.5), 2.0]}) == '{\n  "x": [1.5, 2]\n}\n'
+
+
+def test_dumps_escapes_non_ascii_keys():
+    assert dumps({"é": "é"}) == '{\n  "\\u00e9": "\\u00e9"\n}\n'
+
+
+# Random report-like documents for the writer against `reference_dumps`.
+_report_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308]),
+)
+_report_texts = st.one_of(st.text(), st.sampled_from(["é", "\x00\t\n\x1f", "\u2028 \U0001f600"]))
+_report_scalars = st.one_of(
+    _report_floats,
+    _report_floats.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _report_texts,
+)
+_report_documents = st.recursive(
+    _report_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_report_texts, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _written(write, document):
+    """The text `write` renders, or the type and message of its error."""
+    try:
+        return write(document)
+    except (NumericError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _put_at_random_path(data, node, value):
+    """`node` with `value` in place of one of its nodes, chosen by draws."""
+    if isinstance(node, dict) and node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(node)))
+        return {**node, key: _put_at_random_path(data, node[key], value)}
+    if isinstance(node, (list, tuple)) and node and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(node) - 1))
+        items = list(node)
+        items[i] = _put_at_random_path(data, items[i], value)
+        return type(node)(items)
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_documents)
+def test_dumps_matches_the_reference_writer(document):
+    assert dumps(document) == reference_dumps(document)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(_report_texts, _report_documents, min_size=1, max_size=4),
+    st.sampled_from([math.inf, -math.inf, math.nan, np.float64(-math.inf)]),
+    st.data(),
+)
+def test_dumps_names_a_non_finite_value_as_the_reference_does(document, bad, data):
+    document = _put_at_random_path(data, document, bad)
+    written = _written(dumps, document)
+    assert written == _written(reference_dumps, document)
+    assert written[0] is NumericError
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(_report_texts, _report_documents, min_size=1, max_size=4),
+    st.sampled_from([np.int64(3), np.bool_(True), {1, 2}]),
+    st.data(),
+)
+def test_dumps_rejects_an_unsupported_type_as_the_reference_does(document, bad, data):
+    document = _put_at_random_path(data, document, bad)
+    written = _written(dumps, document)
+    assert written == _written(reference_dumps, document)
+    assert written[0] is ValidationError
 
 
 TOLERANCE_FLAGS = [

@@ -304,6 +304,27 @@ def test_refine_improves_off_grid_extrema():
     assert refined.bands[0].high <= 9.0 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "spec, refine, corners",
+    [
+        (hexagonal(), False, False),
+        (star(2, 3), False, True),
+        (hexagonal(q=(1.0, -1.0)), True, False),
+    ],
+    ids=["grid", "corners", "refine"],
+)
+def test_extremizers_are_tuples_of_exact_floats(spec, refine, corners):
+    # graphio.dumps writes exact floats and tuples without isinstance tests.
+    assert (spectrum._loop_edge_corners(spec, classify(spec)) is not None) == corners
+    bs = compute_band_structure(spec, refine=refine)
+    points = [point for band in bs.bands for point in (band.argmin, band.argmax)]
+    assert len(points) == 2 * spec.num_vertices
+    for point in points:
+        assert type(point) is tuple
+        assert len(point) == spec.dimension
+        assert all(type(x) is float for x in point)
+
+
 def _refine_extremum_reference(spec, kind, branch, theta, step, want_max):
     # The one-trial-per-solve coordinate descent that the lockstep batch
     # replaced; it must give the same bits.
