@@ -29,7 +29,6 @@ from .graph import (
     periodic_bipartite,
     with_potentials,
 )
-from .linalg import gf2_solve, integer_lattice_full
 from .spectrum import (
     BandInterval,
     BandStructure,
@@ -72,8 +71,6 @@ __all__ = [
     "estimate_suite",
     "fiber_eigenvalues",
     "fundamental_bipartite",
-    "gf2_solve",
-    "integer_lattice_full",
     "is_connected_periodic",
     "lattices",
     "oriented_edges",

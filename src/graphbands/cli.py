@@ -10,6 +10,7 @@ grid and tolerances.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import math
@@ -199,17 +200,7 @@ def _checks_doc(reports):
 
 
 def _classification_doc(cls):
-    return {
-        "is_connected": cls.is_connected,
-        "is_regular": cls.is_regular,
-        "regular_degree": cls.regular_degree,
-        "max_degree": cls.max_degree,
-        "fundamental_bipartite": cls.fundamental_bipartite,
-        "periodic_bipartite": cls.periodic_bipartite,
-        "is_loop_graph": cls.is_loop_graph,
-        "precise_quasimomentum": cls.precise_quasimomentum,
-        "bridge_count": cls.bridge_count,
-    }
+    return {f.name: getattr(cls, f.name) for f in dataclasses.fields(cls)}
 
 
 def _cmd_analyze(args) -> int:

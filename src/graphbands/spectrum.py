@@ -439,7 +439,8 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
 
 
 def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
-    """{kind: (structure, eigenvalues at theta = 0)} for each of `kinds`.
+    """(thetas, {kind: (structure, values)}) for each of `kinds`: the sample
+    solved and the sorted eigenvalue rows of each kind there.
 
     `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
     every kind is a constant matrix minus a nonnegative diagonal times the
@@ -448,7 +449,8 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     degrees and potentials, so the band-symmetry group of H is one of every
     kind; without H among `kinds` the group of the graph without potentials
     is used (`_orbit_group`).  With no potentials a Laplacian asked for with
-    H is H's structure.  theta = 0 is the first row.
+    H is H's structure.  theta = 0 is the first row.  `refine` moves the
+    edges off the sample; thetas and values stay the sample's.
     """
     grid = _connected_grid(spec, grid)
     corners = _loop_edge_corners(spec, cls)
@@ -476,8 +478,8 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
             lows, highs = extrema[:nu], extrema[nu:]
             argmins, argmaxs = points[:nu], points[nu:]
         structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol)
-        structures[kind] = structure, values[0]
-    return structures
+        structures[kind] = structure, values
+    return thetas, structures
 
 
 def compute_band_structure(
@@ -493,7 +495,7 @@ def compute_band_structure(
     grid is validated, not sampled, and `refine` has no effect.  Any other
     graph solves one grid point per band-symmetry orbit (`TorusGrid.representatives`).
     """
-    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[kind][0]
+    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[1][kind][0]
 
 
 def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateReport:
@@ -561,37 +563,39 @@ def verify_gap_bound(
 ) -> EstimateReport:
     """Total gap length dominates the hull length minus twice the bridge count."""
     kinds = ("schrodinger", "laplacian")
-    structures = _band_structure(spec, classify(spec), kinds, grid, None, False)
+    structures = _band_structure(spec, classify(spec), kinds, grid, None, False)[1]
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
 
 
 class _CornerScan(NamedTuple):
-    """The {0, pi}^d corners, their fibers and sorted eigenvalue rows of H,
-    and the indices of the chosen lower and upper extremizing corners."""
+    """The chosen lower and upper extremizing corners of H, in that order,
+    with their fibers and sorted eigenvalue rows."""
 
-    corners: list[tuple[float, ...]]
+    points: list[tuple[float, ...]]
     fibers: np.ndarray
     values: np.ndarray
-    lower: int
-    upper: int
 
 
-def _scan_corners(spec, bs: BandStructure, label) -> _CornerScan:
-    """Solve the 2^d corners of H in one batch and find the uniform extremizers.
+def _scan_corners(spec, thetas, values, bs: BandStructure, label) -> _CornerScan:
+    """The uniform extremizers of H among the corners of its band-edge sample.
 
-    The chosen lower (resp. upper) corner is the first one at which every
-    branch is within UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band
-    edge in `bs`.  A side without such a corner raises PreconditionError
-    naming the graph `label` and the corner that comes closest.
+    `thetas` and `values` are the sample and rows of H that `_band_structure`
+    solved for `bs`.  Its corners are all of {0, pi}^d, or the first of each
+    symmetry orbit in grid order, or theta = 0 and theta* alone for a
+    flip-corner loop graph, whose other corners miss its upper edges.  The
+    chosen lower (resp. upper) corner is the first one at which every branch
+    is within UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band edge in
+    `bs`.  A side without such a corner raises PreconditionError naming the
+    graph `label` and the corner that comes closest.  H is built at the two
+    chosen corners only.
     """
-    corners = list(itertools.product((0.0, math.pi), repeat=spec.dimension))
-    fibers = fiber_stack(spec, np.asarray(corners), "schrodinger")
-    values = eigh_stack(fibers)[0]
+    at_corner = ((thetas == 0.0) | (thetas == math.pi)).all(axis=1)
+    corners, rows = thetas[at_corner], values[at_corner]
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
     chosen = []
     for side, target in (("lower", lows), ("upper", highs)):
-        deviation = np.abs(values - target)
+        deviation = np.abs(rows - target)
         worst = deviation.max(axis=1)
         hits = np.flatnonzero(worst <= UNIFORM_EXTREMIZER_TOL)
         if hits.size:
@@ -600,10 +604,12 @@ def _scan_corners(spec, bs: BandStructure, label) -> _CornerScan:
             best = int(worst.argmin())
             raise PreconditionError(
                 f"graph {label}: no corner point attains every {side} band endpoint "
-                f"(best corner {corners[best]} misses band "
+                f"(best corner {tuple(corners[best].tolist())} misses band "
                 f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
             )
-    return _CornerScan(corners, fibers, values, *chosen)
+    points = corners[chosen]
+    fibers = fiber_stack(spec, points, "schrodinger")
+    return _CornerScan(list(map(tuple, points.tolist())), fibers, rows[chosen])
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -624,9 +630,9 @@ def stability_constants(
     Both graphs must admit uniform lower and upper extremizing corners.  When
     the pair is additionally bipartite-regular (potential-free) or
     precise-vs-bipartite, the specialized two-sided bounds are checked too.
-    The band edges and fibers at the extremizers are those of the corner scan,
-    matched against each graph's band structure as `compute_band_structure`
-    takes it.  A constant that overflows float64 raises NumericError.
+    Each graph's extremizers are matched among the corners of the sample
+    its band edges are solved on, as `compute_band_structure` takes them
+    (`_scan_corners`).  A constant that overflows float64 raises NumericError.
     """
     if spec_a.num_vertices != spec_b.num_vertices:
         raise PreconditionError(
@@ -635,8 +641,9 @@ def stability_constants(
 
     def scan(spec, grid, label):
         cls = classify(spec)
-        structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
-        return cls, _scan_corners(spec, structures["schrodinger"][0], label)
+        thetas, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
+        bs, values = structures["schrodinger"]
+        return cls, _scan_corners(spec, thetas, values, bs, label)
 
     side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
     # Finite band edges and fibers can still be too far apart to subtract or
@@ -651,10 +658,10 @@ def stability_constants(
 
 def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -> EstimateReport:
     """The checks and constants of `stability_constants` from both corner scans."""
-    lows_a, highs_a = scan_a.values[scan_a.lower], scan_a.values[scan_a.upper]
-    lows_b, highs_b = scan_b.values[scan_b.lower], scan_b.values[scan_b.upper]
-    c_total = _entry_l1(scan_a.fibers[scan_a.lower], scan_b.fibers[scan_b.lower]) + _entry_l1(
-        scan_a.fibers[scan_a.upper], scan_b.fibers[scan_b.upper]
+    lows_a, highs_a = scan_a.values
+    lows_b, highs_b = scan_b.values
+    c_total = _entry_l1(scan_a.fibers[0], scan_b.fibers[0]) + _entry_l1(
+        scan_a.fibers[1], scan_b.fibers[1]
     )
 
     gaps_a = lows_a[1:] - highs_a[:-1]
@@ -673,17 +680,18 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
     ]
     params = {
         "c_total": c_total,
-        "theta_minus_a": scan_a.corners[scan_a.lower],
-        "theta_plus_a": scan_a.corners[scan_a.upper],
-        "theta_minus_b": scan_b.corners[scan_b.lower],
-        "theta_plus_b": scan_b.corners[scan_b.upper],
+        "theta_minus_a": scan_a.points[0],
+        "theta_plus_a": scan_a.points[1],
+        "theta_minus_b": scan_b.points[0],
+        "theta_plus_b": scan_b.points[1],
     }
 
     zero_a = all(q == 0.0 for q in spec_a.potentials())
     zero_b = all(q == 0.0 for q in spec_b.potentials())
 
-    # A bipartite side has no potentials, so corner 0 (theta = 0) of its
-    # scan holds its Laplacian zero fiber.
+    # theta = 0 attains a loop graph's lower edges and is its first sample
+    # row, so it is a loop graph's lower corner.  A bipartite side has no
+    # potentials, so its lower fiber is its Laplacian zero fiber.
     bip_a = cls_a.periodic_bipartite and cls_a.is_regular and cls_a.is_loop_graph and zero_a
     bip_b = cls_b.periodic_bipartite and cls_b.is_regular and cls_b.is_loop_graph and zero_b
     if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
@@ -706,13 +714,13 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
         )
         params["c_bipartite_pair"] = c_pair
 
-    def mixed_case(precise_scan, precise_cls, lows_p, highs_p, gaps_p, bip_scan, bip_cls, gaps_q):
+    def mixed_case(precise_scan, lows_p, highs_p, gaps_p, bip_scan, bip_cls, gaps_q):
         kappa = bip_cls.regular_degree
-        # The flip point is one of the corners.
-        flip = precise_scan.corners.index(precise_cls.precise_quasimomentum)
+        # The precise side is a flip-corner loop graph: its corners are
+        # theta = 0 and theta*.
         base = bip_scan.fibers[0]
         c_mixed = _entry_l1(precise_scan.fibers[0], base) + _entry_l1(
-            precise_scan.fibers[flip] + base,
+            precise_scan.fibers[1] + base,
             2.0 * kappa * np.eye(len(base)),
         )
         lhs_edges = (
@@ -729,9 +737,9 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
         params["c_precise_vs_bipartite"] = c_mixed
 
     if cls_a.precise_quasimomentum is not None and bip_b:
-        mixed_case(scan_a, cls_a, lows_a, highs_a, gaps_a, scan_b, cls_b, gaps_b)
+        mixed_case(scan_a, lows_a, highs_a, gaps_a, scan_b, cls_b, gaps_b)
     elif cls_b.precise_quasimomentum is not None and bip_a:
-        mixed_case(scan_b, cls_b, lows_b, highs_b, gaps_b, scan_a, cls_a, gaps_a)
+        mixed_case(scan_b, lows_b, highs_b, gaps_b, scan_a, cls_a, gaps_a)
 
     return EstimateReport("stability-bounds", tuple(checks), params)
 
@@ -758,7 +766,8 @@ def estimate_suite(
         # Only H carries the potentials; the reports describe the operator analyzed.
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
-    structures = _band_structure(spec, cls, kinds, grid, flat_tol, refine)
+    solved = _band_structure(spec, cls, kinds, grid, flat_tol, refine)[1]
+    structures = {k: (structure, values[0]) for k, (structure, values) in solved.items()}
     bs, zero_vals = structures[kind]
     reports = []
 

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from graphbands import (
-    NumericError,
-    TorusGrid,
-    fiber_eigenvalues,
-    gf2_solve,
-    integer_lattice_full,
-)
+from graphbands import NumericError, TorusGrid, fiber_eigenvalues
 from graphbands.cli import main as cli_main
 from graphbands.lattices import hexagonal, star, subdivided
 from graphbands.floquet import fiber_stack
-from graphbands.linalg import eigh_stack
+from graphbands.linalg import eigh_stack, gf2_solve, integer_lattice_full
 
 from oracles import random_hermitian, sturm_eigenvalues
 

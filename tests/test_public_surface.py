@@ -34,8 +34,6 @@ PUBLIC_NAMES = [
     "estimate_suite",
     "fiber_eigenvalues",
     "fundamental_bipartite",
-    "gf2_solve",
-    "integer_lattice_full",
     "is_connected_periodic",
     "lattices",
     "oriented_edges",

@@ -667,9 +667,10 @@ def test_stability_requires_uniform_extremizers():
         stability_constants(hexagonal(), hexagonal())
 
 
-def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
+def _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid=None):
     # Each corner solved on its own and matched against the envelopes of the
-    # whole default grid; the chosen corners' fibers built one at a time.
+    # whole grid (the default one when grid is None); the chosen corners'
+    # fibers built one at a time.
     def fiber(spec, theta, kind="schrodinger"):
         return fiber_stack(spec, np.asarray([theta], dtype=float), kind)[0]
 
@@ -677,18 +678,17 @@ def _stability_reference(spec_a, spec_b, precise_vs_bipartite):
         return float(np.abs(x - y).sum())
 
     def uniform_corners(spec):
-        grid = spectrum.grid_eigenvalues(
-            spec, TorusGrid.default_for(spec.dimension).points(), "schrodinger"
-        )
+        points = (grid or TorusGrid.default_for(spec.dimension)).points()
+        values = spectrum.grid_eigenvalues(spec, points, "schrodinger")
         corners = list(itertools.product((0.0, PI), repeat=spec.dimension))
-        values = [fiber_eigenvalues(spec, corner) for corner in corners]
+        rows = [fiber_eigenvalues(spec, corner) for corner in corners]
         return [
             next(
                 corner
-                for corner, row in zip(corners, values)
+                for corner, row in zip(corners, rows)
                 if np.abs(row - edges).max() <= UNIFORM_EXTREMIZER_TOL
             )
-            for edges in (grid.min(axis=0), grid.max(axis=0))
+            for edges in (values.min(axis=0), values.max(axis=0))
         ]
 
     minus_a, plus_a = uniform_corners(spec_a)
@@ -739,23 +739,33 @@ def _hex_params(params):
     }
 
 
-# Loop graphs with a flip corner solve theta = 0 and the flip corner for their
-# band edges, then their four corners.  fcc is not a loop graph and
-# keeps one grid per graph: it has 48 band symmetries, 455 orbits of the
-# default 24^3 grid, and then its eight corners.
+# Each graph solves its band-edge sample once and builds H at its two chosen
+# corners.  Loop graphs with a flip corner solve theta = 0 and the flip
+# corner.  fcc is not a loop graph: it has 48 band symmetries and 455 orbits
+# of the default 24^3 grid.  Grid 12 solves 868 theta, -theta pairs (too few
+# for the symmetry search), so every corner is in the sample; odd grid 13
+# solves 1,099 pairs plus its 7 appended pi corners.
 @pytest.mark.parametrize(
-    "spec_a, spec_b, precise_vs_bipartite, batches",
+    "spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches",
     [
-        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, [2, 4, 2, 4]),
-        (star(2, 3), bipartite_chain(2, 3), True, [2, 4, 2, 4]),
-        (fcc(), fcc(), False, [455, 8, 455, 8]),
+        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, None, [2, 2], [2, 2, 2, 2]),
+        (star(2, 3), bipartite_chain(2, 3), True, None, [2, 2], [2, 2, 2, 2]),
+        (fcc(), fcc(), False, None, [455, 455], [455, 2, 455, 2]),
+        (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 2, 868, 2]),
+        (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 2, 1106, 2]),
     ],
-    ids=["star-q-vs-star", "star-vs-bipartite-chain", "fcc-vs-fcc"],
+    ids=[
+        "star-q-vs-star",
+        "star-vs-bipartite-chain",
+        "fcc-vs-fcc",
+        "fcc-vs-fcc-grid-12",
+        "fcc-vs-fcc-grid-13",
+    ],
 )
 def test_stability_reuses_the_corner_solves(
-    monkeypatch, spec_a, spec_b, precise_vs_bipartite, batches
+    monkeypatch, spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches
 ):
-    checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite)
+    checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid)
     solves = []
     solve = spectrum.eigh_stack
 
@@ -772,9 +782,10 @@ def test_stability_reuses_the_corner_solves(
 
     monkeypatch.setattr(spectrum, "eigh_stack", counting)
     monkeypatch.setattr(spectrum, "fiber_stack", building)
-    report = stability_constants(spec_a, spec_b)
-    # The theta = 0 Laplacian fiber of the bipartite side is its corner 0.
-    assert solves == fibers == batches
+    report = stability_constants(spec_a, spec_b, grid, grid)
+    # The theta = 0 Laplacian fiber of the bipartite side is its lower corner's.
+    assert solves == solve_batches
+    assert fibers == fiber_batches
     assert [(c.name, c.lhs.hex(), c.rhs.hex()) for c in report.checks] == [
         (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
     ]
