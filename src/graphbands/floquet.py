@@ -86,14 +86,18 @@ def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.nd
     deg = np.asarray(degrees(spec), dtype=float)
     nv = spec.num_vertices
     idx = np.arange(nv)
+    if kind == "normalized" and (deg < 1).any():
+        raise PreconditionError("normalized operator needs every degree >= 1")
+    # The phase sum is negated and scaled in place: the same ufuncs on the
+    # same operands as fresh arrays, so the same bits, without a full-size
+    # temporary per step.
+    out = np.negative(adjacency, out=adjacency)
     if kind == "normalized":
-        if (deg < 1).any():
-            raise PreconditionError("normalized operator needs every degree >= 1")
         weights = 1.0 / np.sqrt(deg)
-        out = -adjacency * weights[None, :, None] * weights[None, None, :]
+        out *= weights[None, :, None]
+        out *= weights[None, None, :]
         out[:, idx, idx] += 1.0
         return out
-    out = -adjacency
     out[:, idx, idx] += deg
     if kind == "laplacian":
         return out

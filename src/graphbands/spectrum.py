@@ -53,12 +53,18 @@ CHECK_TOL = 1e-8
 UNIFORM_EXTREMIZER_TOL = 1e-8
 EXTREMIZER_TIE_TOL = 1e-12
 REFINE_ITERATIONS = 40
-# Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) the
-# band-symmetry search and the orbit map cost more than the solves they
-# save, and only the pairs are merged.  Measured crossover, analyze on the
-# decorated graphs of the point_calls benchmark (one OpenBLAS thread): the
-# search pays from 300-1,150 pairs in 2-D and 1,400-2,050 in 3-D.  The
-# default grids (4,610 and 6,916 pairs) lie above, grid 12 (74, 868) below.
+# Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) only the
+# pairs are merged, without the band-symmetry search and the orbit map.
+# Measured crossover of analyze with the search forced on and off (one
+# OpenBLAS thread, 2 vCPUs): on the 24 decorated 2-D graphs of the
+# point_calls benchmark (seed 11) that sample a grid, the search pays from
+# 130-1,570 pairs (mostly 290-1,154); on 8 decorated fcc and bcc graphs
+# drawn the same way and on fcc, bcc and subdivided(3,2), from 260-1,376
+# (fcc 504, bcc 1,376).  The search used to pay from 290-1,570 and
+# 504-2,920.  The threshold stays at 2,000, where the search pays for every
+# graph measured: lowering it would change which grids are orbit-sampled
+# and so the last bits of their reports.  The default grids (4,610 and
+# 6,916 pairs) lie above, grid 12 (74, 868) below.
 SYMMETRY_SEARCH_MIN_POINTS = 2000
 
 
@@ -126,52 +132,93 @@ class TorusGrid:
         grid are all kept.  With no group, the orbits are the pairs k, -k:
         (m^d + 2^d)/2 points for even m.
 
+        The orbit minimum is taken over the images' rows as a tree: images
+        that share their leading rows share one partial sum, a row with one
+        nonzero entry (every row of a signed permutation) stays an axis
+        array broadcast over the grid, so the full-grid passes are one add
+        and one minimum per distinct first row (6 for the 48 elements of
+        the cube's group) rather than per image.  Indices are int16 for
+        grids of at most 32,767 points, int32 up to 2^31 - 1, else intp.
+
         theta holds the kept rows of `points()` in grid order.  index gives,
         for each row of `points()`, the row of theta that represents it, so
         `values[index]` spreads values solved at theta over the whole grid.
-        points is `points()` itself, built once for both.
+        points is `points()` itself, built once for both.  theta is taken
+        from it rather than rebuilt from the kept indices: `points()` is the
+        first full-grid allocation, so an oversized grid fails there before
+        any orbit array is built, and it is the one call that makes the
+        grid's points.
         """
         pts = self.points()
         m, d = self.points_per_axis, self.dimension
+        n = m**d
         strides = [m ** (d - 1 - j) for j in range(d)]
+        # The narrowest of int16 and int32 that holds every row count
+        # (<= size) holds every integer below: each is a reduced coordinate
+        # (< m), a sum of d of them (< d*m <= m^d), a partial linear index or
+        # a linear index (< m^d).  The products c*k of a matrix entry and an
+        # axis value are taken in intp on the m axis values and reduced mod
+        # m before they meet the narrow type.
+        dtype = np.int16 if self.size < 2**15 else np.int32 if self.size < 2**31 else np.intp
         identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         images = {tuple(zip(*matrix)) for matrix in group} | {identity}
-        images |= {tuple(tuple(-x for x in row) for row in matrix) for matrix in images}
-        images.discard(identity)
-        # int32 holds every integer below while the grid has fewer than 2^31
-        # rows: each is a reduced coordinate (< m), a sum of d of them
-        # (< d*m <= m^d), a linear index (< m^d) or a row count (<= size).
-        # The products c*k of a matrix entry and an axis value are taken in
-        # intp on the m axis values and reduced mod m before they meet int32.
-        dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.intp
-        # Image coordinate j of k is (row_j . k) mod m.  The matrices share
-        # few rows, so each (row, j) term is built once, on the axes the row
-        # touches, and then spread over the grid in index order.
-        shape = (m,) * d
+        rows = {row for image in images for row in image}
+        negated = {row: tuple(-x for x in row) for row in rows}
+        images |= {tuple(map(negated.get, image)) for image in images}
         axis = np.arange(m)
-        terms = {}
-        for row, j in {(row, j) for matrix in images for j, row in enumerate(matrix)}:
-            coordinate = sum(
-                (c * axis % m).astype(dtype).reshape([m if i == s else 1 for i in range(d)])
-                for s, c in enumerate(row)
-                if c
-            )
-            term = np.empty(shape, dtype=dtype)
-            term[...] = coordinate % m * strides[j]
-            terms[row, j] = term.ravel()
-        orbit_min = np.arange(m**d, dtype=dtype)
-        buffer = np.empty(m**d, dtype=dtype)
-        for matrix in images:
-            image = terms[matrix[0], 0]
-            for j in range(1, d):
-                image = np.add(image, terms[matrix[j], j], out=buffer)
-            np.minimum(orbit_min, image, out=orbit_min)
+        entries = {c for row in rows for c in row if c}
+        residues = {c: (c * axis % m).astype(dtype) for c in entries | {-c for c in entries}}
+        shapes = [[m if i == s else 1 for i in range(d)] for s in range(d)]
+
+        def term(row, j):
+            # (row . k mod m) * stride_j on the axes the row touches,
+            # broadcast along the others: a row with one nonzero entry
+            # gives an axis array, not a full-grid one.
+            touched = [residues[c].reshape(shapes[s]) for s, c in enumerate(row) if c]
+            coordinate = touched[0]
+            for other in touched[1:]:
+                # Two residues add up to less than 2m: one masked subtraction
+                # reduces the sum, cheaper than a remainder, which divides.
+                coordinate = coordinate + other
+                np.subtract(coordinate, m, out=coordinate, where=coordinate >= m)
+            return coordinate * strides[j]
+
+        least_of = {}
+
+        def least(tails):
+            # The least partial linear index, over coordinates d - t to d - 1,
+            # of the images whose last t rows are one of `tails`: the minimum
+            # over the next row of (its term + the least over the tails that
+            # follow it).  Images that share leading rows share one partial
+            # sum, and equal sets of tails one minimum; a minimum of
+            # integers does not depend on how it is grouped.
+            if tails in least_of:
+                return least_of[tails]
+            j = d - len(next(iter(tails)))
+            following: dict = {}
+            for tail in tails:
+                following.setdefault(tail[0], set()).add(tail[1:])
+            best = None
+            for row, rest in following.items():
+                index = term(row, j)
+                if j + 1 < d:
+                    index = index + least(frozenset(rest))
+                best = index if best is None else np.minimum(best, index)
+            least_of[tails] = best
+            return best
+
+        # The identity is among the images, so the least linear index over
+        # the orbit of k is at most k.
+        orbit_min = np.broadcast_to(least(frozenset(images)), (m,) * d).reshape(n)
         keep = np.ones(pts.shape[0], dtype=bool)
-        keep[: m**d] = orbit_min == np.arange(m**d, dtype=dtype)
-        # The row of each kept point in theta, then of each point's minimum.
-        index = np.cumsum(keep, dtype=dtype) - 1
-        index[: m**d] = index[orbit_min]
-        return pts[keep], index, pts
+        keep[:n] = orbit_min == np.arange(n, dtype=dtype)
+        kept = np.flatnonzero(keep)
+        # The row of each kept point in theta, then of each point's minimum,
+        # which is kept.
+        index = np.empty(pts.shape[0], dtype=dtype)
+        index[kept] = np.arange(len(kept), dtype=dtype)
+        index[:n] = index.take(orbit_min)
+        return pts.take(kept, axis=0), index, pts
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ and shifts that the search finds, or is a product of such matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -42,34 +44,73 @@ def _matvec(matrix: Matrix, vector) -> tuple[int, ...]:
 
 
 def _matmul(left: Matrix, right: Matrix) -> Matrix:
-    columns = tuple(zip(*right))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in left)
+    """left @ right for a unimodular `left` (no zero row): each product row
+    adds up the rows of `right` that the nonzero entries of a `left` row
+    pick, and a unit entry takes its row as it is, so a product of signed
+    permutations multiplies nothing."""
+    product = []
+    for row in left:
+        total = None
+        for c, picked in zip(row, right):
+            if c:
+                if c != 1:
+                    picked = tuple([c * x for x in picked])
+                total = picked if total is None else tuple(map(operator.add, total, picked))
+        product.append(total)
+    return tuple(product)
 
 
-def _candidate_matrices(dimension: int) -> list[Matrix]:
-    """The unimodular matrices tried as band symmetries; they do not depend on the graph.
+def _signed_permutation_order(perm: tuple[int, ...], signs: tuple[int, ...]) -> int:
+    """The order of the matrix with entry signs[i] at (i, perm[i]): the lcm
+    over the cycles of perm of the cycle length, doubled when the signs
+    along the cycle multiply to -1."""
+    order, seen = 1, set()
+    for start in range(len(perm)):
+        length, sign, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            length, sign, i = length + 1, sign * signs[i], perm[i]
+        if length:
+            order = math.lcm(order, length if sign == 1 else 2 * length)
+    return order
+
+
+@functools.cache
+def _candidate_matrices(dimension: int) -> tuple[Matrix, ...]:
+    """The unimodular matrices tried as band symmetries; they do not depend
+    on the graph, so each dimension's table is built once per process.
 
     In 2-D: the 24 matrices of finite order with entries in {-1, 0, 1},
     which hold the point groups of the square basis and of both hexagonal
-    bases (60 and 120 degrees).  Otherwise: the 2^d d! signed permutations.
+    bases (60 and 120 degrees).  Otherwise: the 2^d d! signed
+    permutations, highest element order first, so that the first matrices
+    found generate much of the group: in 3-D the elements of order 6 come
+    first, and a graph with the full group of the cube (fcc, bcc, cubic)
+    is certified by 3 searches where the table order took 5.
     """
     if dimension == 2:
         # det -1 has finite order iff the trace is 0; det 1 iff |trace| <= 1
         # or the matrix is +-I.
-        return [
+        return tuple(
             ((a, b), (c, d))
             for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
             if (a * d - b * c == -1 and a + d == 0)
             or (a * d - b * c == 1 and (abs(a + d) <= 1 or (b == c == 0 and a == d)))
-        ]
-    return [
+        )
+    table = [
+        (perm, signs)
+        for perm in itertools.permutations(range(dimension))
+        for signs in itertools.product((1, -1), repeat=dimension)
+    ]
+    # A stable sort: elements of one order keep the table order.
+    table.sort(key=lambda entry: _signed_permutation_order(*entry), reverse=True)
+    return tuple(
         tuple(
             tuple(sign if col == p else 0 for col in range(dimension))
             for p, sign in zip(perm, signs)
         )
-        for perm in itertools.permutations(range(dimension))
-        for signs in itertools.product((1, -1), repeat=dimension)
-    ]
+        for perm, signs in table
+    )
 
 
 def _canonical_edge(tail: int, head: int, index: tuple[int, ...]):
@@ -86,7 +127,8 @@ class _AutomorphismSearch:
     nothing because composing with a lattice translation moves every shift
     by the same vector.  Each later vertex takes its image and shift from
     the image of its DFS tree edge, and every edge to an already placed
-    vertex is checked as it is placed.
+    vertex is checked as it is placed.  `find` maps each distinct edge index
+    through the matrix once, and the checks read those images.
     """
 
     def __init__(self, spec: PeriodicGraphSpec):
@@ -104,6 +146,7 @@ class _AutomorphismSearch:
             for indices in row.values():
                 indices.sort()
         self.edges = sorted(_canonical_edge(e.tail, e.head, e.index) for e in spec.edges)
+        self.indices = {n for targets in self.out for _, n in targets}
         sizes = Counter(self.vertex_class)
         root = min(range(nv), key=lambda v: (sizes[self.vertex_class[v]], v))
         self.order = [root]
@@ -119,13 +162,13 @@ class _AutomorphismSearch:
             else:
                 stack.pop()
 
-    def _options(self, depth, matrix, perm, shifts, used):
+    def _options(self, depth, image, perm, shifts, used):
         v = self.order[depth]
         if depth == 0:
             same = [w for w in range(len(perm)) if self.vertex_class[w] == self.vertex_class[v]]
             return iter([(w, self.zero) for w in same])
         parent, n = self.tree[v]
-        image_n = _matvec(matrix, n)
+        image_n = image[n]
         options = {}
         for w, m in self.out[perm[parent]]:
             if not used[w] and self.vertex_class[w] == self.vertex_class[v]:
@@ -133,26 +176,31 @@ class _AutomorphismSearch:
                 options.setdefault((w, shift), None)
         return iter(options)
 
-    def _consistent(self, v, matrix, perm, shifts) -> bool:
+    def _consistent(self, v, image, perm, shifts) -> bool:
         w, tv = perm[v], shifts[v]
         target = self.between[w]
         for u, indices in self.between[v].items():
             if perm[u] < 0:
                 continue
-            tu = shifts[u]
-            mapped = sorted(
-                tuple(a + b - c for a, b, c in zip(_matvec(matrix, n), tu, tv))
-                for n in indices
-            )
-            if mapped != target.get(perm[u]):
+            expected = target.get(perm[u])
+            if expected is None or len(expected) != len(indices):
+                return False
+            delta = tuple(map(operator.sub, shifts[u], tv))
+            if any(delta):
+                mapped = sorted(tuple(map(operator.add, image[n], delta)) for n in indices)
+            else:
+                mapped = sorted(map(image.__getitem__, indices))
+            if mapped != expected:
                 return False
         return True
 
     def find(self, matrix: Matrix) -> LatticeSymmetry | None:
         """A symmetry with this matrix, or None when there is none."""
+        # Each distinct edge index is mapped through the matrix once.
+        image = {n: _matvec(matrix, n) for n in self.indices}
         nv = len(self.order)
         perm, shifts, used = [-1] * nv, [None] * nv, [False] * nv
-        stack = [self._options(0, matrix, perm, shifts, used)]
+        stack = [self._options(0, image, perm, shifts, used)]
         while stack:
             depth = len(stack) - 1
             v = self.order[depth]
@@ -163,7 +211,7 @@ class _AutomorphismSearch:
                 if used[w]:
                     continue
                 perm[v], shifts[v], used[w] = w, shift, True
-                if self._consistent(v, matrix, perm, shifts):
+                if self._consistent(v, image, perm, shifts):
                     break
                 used[w] = False
                 perm[v], shifts[v] = -1, None
@@ -171,27 +219,23 @@ class _AutomorphismSearch:
                 stack.pop()
                 continue
             if depth + 1 < nv:
-                stack.append(self._options(depth + 1, matrix, perm, shifts, used))
+                stack.append(self._options(depth + 1, image, perm, shifts, used))
                 continue
-            candidate = LatticeSymmetry(matrix, tuple(perm), tuple(shifts))
-            if self._maps_edges_onto_themselves(candidate):
-                return candidate
+            if self._maps_edges_onto_themselves(image, perm, shifts):
+                return LatticeSymmetry(matrix, tuple(perm), tuple(shifts))
         return None
 
-    def _maps_edges_onto_themselves(self, sym: LatticeSymmetry) -> bool:
+    def _maps_edges_onto_themselves(self, image, perm, shifts) -> bool:
         """The certificate: the image of the edge multiset is the edge multiset."""
-        image = sorted(
+        mapped = sorted(
             _canonical_edge(
-                sym.perm[t],
-                sym.perm[h],
-                tuple(
-                    a + b - c
-                    for a, b, c in zip(_matvec(sym.matrix, n), sym.shifts[h], sym.shifts[t])
-                ),
+                perm[t],
+                perm[h],
+                tuple(a + b - c for a, b, c in zip(image[n], shifts[h], shifts[t])),
             )
             for t, h, n in self.edges
         )
-        return image == self.edges
+        return mapped == self.edges
 
 
 def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
@@ -203,7 +247,12 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
     certify a product), so it may hold matrices outside the candidate table.
     A candidate already in the group is not searched, nor one in a coset
     A.H of a candidate A that failed against the group H of that moment (if
-    A.h were a symmetry, so would A be).  Exact integer work: the result
+    A.h were a symmetry, so would A be).  So the set of matrices does not
+    depend on the order in which the candidates are tried, only the number
+    of searches does: the 3-D table tries elements of order 6 first, and
+    the cube's 48 elements need 3 searches.  Each search maps every
+    distinct edge index through its matrix once, and products of signed
+    permutations are taken by picking rows.  Exact integer work: the result
     depends on nothing but the graph.  A graph whose cover is not connected
     gets the identity alone: its group can be infinite.
     """

@@ -18,8 +18,11 @@ output and errors must match.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -37,6 +40,7 @@ from graphbands import (
     degrees,
 )
 from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
+from graphbands.graph import is_connected_periodic, oriented_edges
 from graphbands.graphio import format_float
 from graphbands.lattices import hexagonal
 from graphbands.spectrum import _default_flat_tol, _flat_groups
@@ -439,3 +443,211 @@ def _scalar(node) -> str:
     if isinstance(node, str):
         return json.dumps(node)
     raise ValidationError(f"cannot serialize value of type {type(node).__name__}")
+
+
+# Reference orbit map and band-symmetry search: the implementations from
+# before the orbit map shared partial sums and the search mapped each edge
+# index once per candidate, kept so that the package's must return the same
+# theta bytes, index and matrix set.
+
+
+def reference_representatives(grid: TorusGrid, group=()):
+    """(theta, index, points) of `TorusGrid.representatives`: one full-grid
+    term per (image row, coordinate) and one full pass per image."""
+    pts = grid.points()
+    m, d = grid.points_per_axis, grid.dimension
+    strides = [m ** (d - 1 - j) for j in range(d)]
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    images = {tuple(zip(*matrix)) for matrix in group} | {identity}
+    images |= {tuple(tuple(-x for x in row) for row in matrix) for matrix in images}
+    images.discard(identity)
+    dtype = np.int32 if grid.size <= np.iinfo(np.int32).max else np.intp
+    shape = (m,) * d
+    axis = np.arange(m)
+    terms = {}
+    for row, j in {(row, j) for matrix in images for j, row in enumerate(matrix)}:
+        coordinate = sum(
+            (c * axis % m).astype(dtype).reshape([m if i == s else 1 for i in range(d)])
+            for s, c in enumerate(row)
+            if c
+        )
+        term = np.empty(shape, dtype=dtype)
+        term[...] = coordinate % m * strides[j]
+        terms[row, j] = term.ravel()
+    orbit_min = np.arange(m**d, dtype=dtype)
+    buffer = np.empty(m**d, dtype=dtype)
+    for matrix in images:
+        image = terms[matrix[0], 0]
+        for j in range(1, d):
+            image = np.add(image, terms[matrix[j], j], out=buffer)
+        np.minimum(orbit_min, image, out=orbit_min)
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[: m**d] = orbit_min == np.arange(m**d, dtype=dtype)
+    index = np.cumsum(keep, dtype=dtype) - 1
+    index[: m**d] = index[orbit_min]
+    return pts[keep], index, pts
+
+
+def _ref_matvec(matrix, vector):
+    return tuple(sum(map(operator.mul, row, vector)) for row in matrix)
+
+
+def _ref_matmul(left, right):
+    columns = tuple(zip(*right))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in left)
+
+
+def reference_candidate_matrices(dimension: int) -> list:
+    """The 24 finite-order matrices with entries in {-1, 0, 1} in 2-D, else
+    the signed permutations, in the order the reference search tries them."""
+    if dimension == 2:
+        return [
+            ((a, b), (c, d))
+            for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+            if (a * d - b * c == -1 and a + d == 0)
+            or (a * d - b * c == 1 and (abs(a + d) <= 1 or (b == c == 0 and a == d)))
+        ]
+    return [
+        tuple(
+            tuple(sign if col == p else 0 for col in range(dimension))
+            for p, sign in zip(perm, signs)
+        )
+        for perm in itertools.permutations(range(dimension))
+        for signs in itertools.product((1, -1), repeat=dimension)
+    ]
+
+
+def _ref_canonical_edge(tail, head, index):
+    return min((tail, head, index), (head, tail, tuple(-x for x in index)))
+
+
+class ReferenceAutomorphismSearch:
+    """The backtracking search of `symmetry._AutomorphismSearch`, mapping
+    each edge index through the matrix wherever it is read."""
+
+    def __init__(self, spec: PeriodicGraphSpec):
+        nv = spec.num_vertices
+        self.zero = (0,) * spec.dimension
+        deg = degrees(spec)
+        self.vertex_class = [(v.potential, deg[j]) for j, v in enumerate(spec.vertices)]
+        self.out = [[] for _ in range(nv)]
+        self.between = [{} for _ in range(nv)]
+        for e in oriented_edges(spec):
+            self.out[e.tail].append((e.head, e.index))
+            self.between[e.tail].setdefault(e.head, []).append(e.index)
+        for row in self.between:
+            for indices in row.values():
+                indices.sort()
+        self.edges = sorted(_ref_canonical_edge(e.tail, e.head, e.index) for e in spec.edges)
+        sizes = Counter(self.vertex_class)
+        root = min(range(nv), key=lambda v: (sizes[self.vertex_class[v]], v))
+        self.order = [root]
+        self.tree = {}
+        stack = [(root, iter(self.out[root]))]
+        while stack:
+            for w, n in stack[-1][1]:
+                if w not in self.tree and w != root:
+                    self.tree[w] = (stack[-1][0], n)
+                    self.order.append(w)
+                    stack.append((w, iter(self.out[w])))
+                    break
+            else:
+                stack.pop()
+
+    def _options(self, depth, matrix, perm, shifts, used):
+        v = self.order[depth]
+        if depth == 0:
+            same = [w for w in range(len(perm)) if self.vertex_class[w] == self.vertex_class[v]]
+            return iter([(w, self.zero) for w in same])
+        parent, n = self.tree[v]
+        image_n = _ref_matvec(matrix, n)
+        options = {}
+        for w, m in self.out[perm[parent]]:
+            if not used[w] and self.vertex_class[w] == self.vertex_class[v]:
+                shift = tuple(a - b + c for a, b, c in zip(m, image_n, shifts[parent]))
+                options.setdefault((w, shift), None)
+        return iter(options)
+
+    def _consistent(self, v, matrix, perm, shifts) -> bool:
+        w, tv = perm[v], shifts[v]
+        target = self.between[w]
+        for u, indices in self.between[v].items():
+            if perm[u] < 0:
+                continue
+            tu = shifts[u]
+            mapped = sorted(
+                tuple(a + b - c for a, b, c in zip(_ref_matvec(matrix, n), tu, tv))
+                for n in indices
+            )
+            if mapped != target.get(perm[u]):
+                return False
+        return True
+
+    def find(self, matrix):
+        """(perm, shifts) of a symmetry with this matrix, or None."""
+        nv = len(self.order)
+        perm, shifts, used = [-1] * nv, [None] * nv, [False] * nv
+        stack = [self._options(0, matrix, perm, shifts, used)]
+        while stack:
+            depth = len(stack) - 1
+            v = self.order[depth]
+            if perm[v] >= 0:
+                used[perm[v]] = False
+                perm[v], shifts[v] = -1, None
+            for w, shift in stack[-1]:
+                if used[w]:
+                    continue
+                perm[v], shifts[v], used[w] = w, shift, True
+                if self._consistent(v, matrix, perm, shifts):
+                    break
+                used[w] = False
+                perm[v], shifts[v] = -1, None
+            else:
+                stack.pop()
+                continue
+            if depth + 1 < nv:
+                stack.append(self._options(depth + 1, matrix, perm, shifts, used))
+                continue
+            if self._maps_edges_onto_themselves(matrix, perm, shifts):
+                return tuple(perm), tuple(shifts)
+        return None
+
+    def _maps_edges_onto_themselves(self, matrix, perm, shifts) -> bool:
+        image = sorted(
+            _ref_canonical_edge(
+                perm[t],
+                perm[h],
+                tuple(a + b - c for a, b, c in zip(_ref_matvec(matrix, n), shifts[h], shifts[t])),
+            )
+            for t, h, n in self.edges
+        )
+        return image == self.edges
+
+
+def reference_band_symmetry_group(spec: PeriodicGraphSpec) -> tuple:
+    """The matrices of `symmetry.band_symmetry_group`, identity first: the
+    candidates in table order, closed by Dimino's algorithm."""
+    d = spec.dimension
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    if not is_connected_periodic(spec):
+        return (identity,)
+    group = {identity: None}
+    search = ReferenceAutomorphismSearch(spec)
+    generators = []
+    failed = set()
+    for matrix in reference_candidate_matrices(d):
+        if matrix in group or matrix in failed:
+            continue
+        if search.find(matrix) is None:
+            failed.update(_ref_matmul(matrix, h) for h in group)
+            continue
+        generators.append(matrix)
+        old = list(group)
+        pending = [matrix]
+        while pending:
+            r = pending.pop()
+            if r in group:
+                continue
+            group.update(dict.fromkeys(_ref_matmul(r, h) for h in old))
+            pending.extend(p for p in (_ref_matmul(g, r) for g in generators) if p not in group)
+    return tuple(group)

@@ -250,6 +250,28 @@ def test_one_orientation_fill_matches_two_orientation_reference(spec):
     assert np.abs(mean + fluct - ham).max() < 1e-14
 
 
+@pytest.mark.parametrize("spec", LOOPY_SPECS + ALL_SPECS + [star(2, 3, q=(1.0, -2.0, 0.5))])
+def test_operator_kinds_are_the_out_of_place_formulas_bit_for_bit(spec):
+    # fiber_stack negates and scales the phase sum in place; the bits must
+    # be those of the expressions written on fresh arrays.
+    rng = np.random.default_rng(16)
+    thetas = rng.uniform(0.0, 2 * PI, size=(9, spec.dimension))
+    adjacency = fiber_stack(spec, thetas, "adjacency")
+    deg = np.asarray(degrees(spec), dtype=float)
+    idx = np.arange(spec.num_vertices)
+    weights = 1.0 / np.sqrt(deg)
+    normalized = -adjacency * weights[None, :, None] * weights[None, None, :]
+    normalized[:, idx, idx] += 1.0
+    laplacian = -adjacency
+    laplacian[:, idx, idx] += deg
+    schrodinger = laplacian.copy()
+    schrodinger[:, idx, idx] += np.asarray(spec.potentials())
+    expected = {"normalized": normalized, "laplacian": laplacian, "schrodinger": schrodinger}
+    for kind, reference in expected.items():
+        stack = fiber_stack(spec, thetas, kind)
+        assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
+
+
 # Random loop graphs: nu <= 5, d <= 3.  A zero-index spanning tree and one
 # unit loop per axis keep the cover connected, as in test_symmetry's
 # quotients(); the other edges are zero-index edges (loops among them) and

@@ -26,6 +26,7 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
+from oracles import reference_band_symmetry_group, reference_representatives
 
 
 def _edge_multiset(edges):
@@ -130,15 +131,58 @@ def test_no_symmetry_beyond_time_reversal_gives_the_half_torus():
 
 @pytest.mark.parametrize("spec, m", [(hexagonal(), 96), (triangular(), 13), (fcc(), 7), (cubic(1), 9)])
 def test_orbit_map_is_the_same_in_32_and_64_bit_indices(monkeypatch, spec, m):
+    # And in 16-bit ones: each of these grids has at most 2^15 - 1 points.
     grid = TorusGrid(spec.dimension, m)
     group = band_symmetry_group(spec)
     narrow = grid.representatives(group)
-    # A grid reported above 2^31 - 1 points takes the intp path.
+    # A grid reported above 2^15 - 1 points takes the int32 path, and one
+    # above 2^31 - 1 the intp path.
+    monkeypatch.setattr(TorusGrid, "size", property(lambda self: 2**15))
+    middle = grid.representatives(group)
     monkeypatch.setattr(TorusGrid, "size", property(lambda self: 2**31))
     wide = grid.representatives(group)
-    assert narrow[1].dtype == np.int32 and wide[1].dtype == np.intp
-    assert np.array_equal(narrow[1], wide[1])
-    assert narrow[0].tobytes() == wide[0].tobytes()
+    assert narrow[1].dtype == np.int16
+    assert middle[1].dtype == np.int32 and wide[1].dtype == np.intp
+    assert np.array_equal(narrow[1], middle[1]) and np.array_equal(narrow[1], wide[1])
+    assert narrow[0].tobytes() == middle[0].tobytes() == wide[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, found, failed",
+    [
+        (fcc(), 3, 0),
+        (bcc(), 3, 0),
+        (cubic(3), 3, 0),
+        (subdivided(3, 3), 3, 0),
+        # 2-D: the searches of the table order, which the 2-D table keeps.
+        (hexagonal(), 3, 4),
+        (triangular(), 3, 7),
+        (star(2, 6), 3, 9),
+        (subdivided(2, 4), 3, 9),
+        (star(2, 3), 3, 9),
+        (bipartite_chain(2, 3), 3, 9),
+    ],
+    ids=lambda x: str(x) if isinstance(x, int) else None,
+)
+def test_certificate_searches_per_group(monkeypatch, spec, found, failed):
+    # The 3-D table tries the elements of highest order first, so three
+    # successful searches certify the 48 elements of the cube's group.
+    searches = Counter()
+    find = _AutomorphismSearch.find
+
+    def counted(self, matrix):
+        result = find(self, matrix)
+        searches[result is not None] += 1
+        return result
+
+    monkeypatch.setattr(_AutomorphismSearch, "find", counted)
+    band_symmetry_group(spec)
+    assert searches[True] <= found and searches[False] <= failed
+
+
+def test_candidate_tables_are_built_once():
+    assert _candidate_matrices(3) is _candidate_matrices(3)
+    assert len(_candidate_matrices(2)) == 24 and len(set(_candidate_matrices(3))) == 48
 
 
 def test_small_grids_skip_the_search(monkeypatch):
@@ -278,3 +322,27 @@ def test_importing_the_cli_leaves_the_search_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, graphbands.cli; sys.exit('graphbands.symmetry' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@PROPERTY_SETTINGS
+@given(quotients())
+def test_search_matches_the_reference_search(spec):
+    group = band_symmetry_group(spec)
+    reference = reference_band_symmetry_group(spec)
+    assert group[0] == reference[0]
+    assert len(group) == len(reference) and set(group) == set(reference)
+
+
+@PROPERTY_SETTINGS
+@given(quotients(), st.integers(2, 40), st.booleans())
+def test_orbit_map_matches_the_reference_orbit_map(spec, m, with_group):
+    # Even and odd m, d <= 3, with the drawn graph's group or with time
+    # reversal alone.
+    grid = TorusGrid(spec.dimension, m)
+    group = band_symmetry_group(spec) if with_group else ()
+    theta, index, points = grid.representatives(group)
+    ref_theta, ref_index, ref_points = reference_representatives(grid, group)
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert points.tobytes() == ref_points.tobytes()
+    assert np.array_equal(index, ref_index)
+    assert index.dtype == (np.int16 if grid.size < 2**15 else np.int32)
