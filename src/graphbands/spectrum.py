@@ -98,18 +98,25 @@ class TorusGrid:
         return TWO_PI * (np.arange(self.points_per_axis) / self.points_per_axis)
 
     def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*([self.axis()] * self.dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        if self.points_per_axis % 2 == 0:
-            # TWO_PI * 0.5 == math.pi exactly, so every corner is a grid point.
-            return pts
-        # Odd m: pi is not an axis value, so append each corner holding a pi.
+        m, d = self.points_per_axis, self.dimension
+        # Odd m: pi is not an axis value, so each corner holding a pi is
+        # appended.  For even m, TWO_PI * 0.5 == math.pi exactly, so every
+        # corner is a grid point.
         extras = [
             corner
-            for corner in itertools.product((0.0, math.pi), repeat=self.dimension)
-            if math.pi in corner
+            for corner in itertools.product((0.0, math.pi), repeat=d)
+            if m % 2 and math.pi in corner
         ]
-        return np.vstack([pts, np.asarray(extras)])
+        # One array: coordinate j of the uniform rows is the axis along grid
+        # dimension j, broadcast over the others.
+        pts = np.empty((m**d + len(extras), d))
+        uniform = pts[: m**d].reshape((m,) * d + (d,))
+        axis = self.axis()
+        for j in range(d):
+            uniform[..., j] = axis.reshape([m if i == j else 1 for i in range(d)])
+        if extras:
+            pts[m**d :] = extras
+        return pts
 
     @property
     def size(self) -> int:
@@ -166,8 +173,8 @@ class TorusGrid:
         negated = {row: tuple(-x for x in row) for row in rows}
         images |= {tuple(map(negated.get, image)) for image in images}
         axis = np.arange(m)
-        entries = {c for row in rows for c in row if c}
-        residues = {c: (c * axis % m).astype(dtype) for c in entries | {-c for c in entries}}
+        entries = {sign * c for row in rows for c in row if c for sign in (1, -1)}
+        residues = {c: (c * axis % m).astype(dtype) for c in entries}
         shapes = [[m if i == s else 1 for i in range(d)] for s in range(d)]
 
         def term(row, j):

@@ -182,15 +182,9 @@ class _AutomorphismSearch:
         for u, indices in self.between[v].items():
             if perm[u] < 0:
                 continue
-            expected = target.get(perm[u])
-            if expected is None or len(expected) != len(indices):
-                return False
             delta = tuple(map(operator.sub, shifts[u], tv))
-            if any(delta):
-                mapped = sorted(tuple(map(operator.add, image[n], delta)) for n in indices)
-            else:
-                mapped = sorted(map(image.__getitem__, indices))
-            if mapped != expected:
+            mapped = sorted(tuple(map(operator.add, image[n], delta)) for n in indices)
+            if mapped != target.get(perm[u]):
                 return False
         return True
 
