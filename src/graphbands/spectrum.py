@@ -168,10 +168,12 @@ class TorusGrid:
         # m before they meet the narrow type.
         dtype = np.int16 if self.size < 2**15 else np.int32 if self.size < 2**31 else np.intp
         identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        images = {tuple(zip(*matrix)) for matrix in group} | {identity}
+        images = frozenset(tuple(zip(*matrix)) for matrix in group) | {identity}
         rows = {row for image in images for row in image}
         negated = {row: tuple(-x for x in row) for row in rows}
-        images |= {tuple(map(negated.get, image)) for image in images}
+        if tuple(map(negated.get, identity)) not in images:
+            # k -> -k is not in the group yet: join it.
+            images |= {tuple(map(negated.get, image)) for image in images}
         axis = np.arange(m)
         entries = {sign * c for row in rows for c in row if c for sign in (1, -1)}
         residues = {c: (c * axis % m).astype(dtype) for c in entries}
@@ -216,7 +218,7 @@ class TorusGrid:
 
         # The identity is among the images, so the least linear index over
         # the orbit of k is at most k.
-        orbit_min = np.broadcast_to(least(frozenset(images)), (m,) * d).reshape(n)
+        orbit_min = np.broadcast_to(least(images), (m,) * d).reshape(n)
         keep = np.ones(pts.shape[0], dtype=bool)
         keep[:n] = orbit_min == np.arange(n, dtype=dtype)
         kept = np.flatnonzero(keep)
