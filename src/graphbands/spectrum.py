@@ -68,6 +68,34 @@ REFINE_ITERATIONS = 40
 SYMMETRY_SEARCH_MIN_POINTS = 2000
 
 
+def _least_partial_index(tails, d, term, least_of):
+    """The least partial linear index, over coordinates d - t to d - 1, of
+    the images whose last t rows are one of `tails`.
+
+    It is the minimum over the next row of (its `term(row, j)` + the least
+    over the tails that follow that row).  Images that share leading rows
+    share one partial sum, and equal sets of tails one minimum, kept in
+    `least_of`; a minimum of integers does not depend on how it is grouped.
+    A module function rather than a nested one: a nested function that
+    calls itself is a reference cycle, which would keep every call's arrays
+    until the garbage collector runs.
+    """
+    if tails in least_of:
+        return least_of[tails]
+    j = d - len(next(iter(tails)))
+    following: dict = {}
+    for tail in tails:
+        following.setdefault(tail[0], set()).add(tail[1:])
+    best = None
+    for row, rest in following.items():
+        index = term(row, j)
+        if j + 1 < d:
+            index = index + _least_partial_index(frozenset(rest), d, term, least_of)
+        best = index if best is None else np.minimum(best, index)
+    least_of[tails] = best
+    return best
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform per-axis sampling of the torus plus the {0, pi}^d corner set."""
@@ -192,33 +220,10 @@ class TorusGrid:
                 np.subtract(coordinate, m, out=coordinate, where=coordinate >= m)
             return coordinate * strides[j]
 
-        least_of = {}
-
-        def least(tails):
-            # The least partial linear index, over coordinates d - t to d - 1,
-            # of the images whose last t rows are one of `tails`: the minimum
-            # over the next row of (its term + the least over the tails that
-            # follow it).  Images that share leading rows share one partial
-            # sum, and equal sets of tails one minimum; a minimum of
-            # integers does not depend on how it is grouped.
-            if tails in least_of:
-                return least_of[tails]
-            j = d - len(next(iter(tails)))
-            following: dict = {}
-            for tail in tails:
-                following.setdefault(tail[0], set()).add(tail[1:])
-            best = None
-            for row, rest in following.items():
-                index = term(row, j)
-                if j + 1 < d:
-                    index = index + least(frozenset(rest))
-                best = index if best is None else np.minimum(best, index)
-            least_of[tails] = best
-            return best
-
         # The identity is among the images, so the least linear index over
         # the orbit of k is at most k.
-        orbit_min = np.broadcast_to(least(images), (m,) * d).reshape(n)
+        least = _least_partial_index(images, d, term, {})
+        orbit_min = np.broadcast_to(least, (m,) * d).reshape(n)
         keep = np.ones(pts.shape[0], dtype=bool)
         keep[:n] = orbit_min == np.arange(n, dtype=dtype)
         kept = np.flatnonzero(keep)

@@ -1,5 +1,6 @@
 """The certified band-symmetry group and the orbit representatives it gives."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -183,6 +184,21 @@ def test_certificate_searches_per_group(monkeypatch, spec, found, failed):
 def test_candidate_tables_are_built_once():
     assert _candidate_matrices(3) is _candidate_matrices(3)
     assert len(_candidate_matrices(2)) == 24 and len(set(_candidate_matrices(3))) == 48
+
+
+@pytest.mark.parametrize("spec, m", [(fcc(), 24), (hexagonal(), 13), (cubic(1), 9)])
+def test_orbit_map_leaves_no_reference_cycles(spec, m):
+    # Its arrays are freed on return, not kept until the collector runs.
+    grid = TorusGrid(spec.dimension, m)
+    group = band_symmetry_group(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        grid.representatives(group)
+        grid.representatives()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_small_grids_skip_the_search(monkeypatch):
