@@ -190,8 +190,9 @@ class TorusGrid:
         strides = [m ** (d - 1 - j) for j in range(d)]
         # The narrowest of int16 and int32 that holds every row count
         # (<= size) holds every integer below: each is a reduced coordinate
-        # (< m), a sum of d of them (< d*m <= m^d), a partial linear index or
-        # a linear index (< m^d).  The products c*k of a matrix entry and an
+        # (< m), a sum of two of them (< 2m <= m^d; rows have one nonzero
+        # entry when d = 1), a partial linear index or a linear index
+        # (< m^d).  The products c*k of a matrix entry and an
         # axis value are taken in intp on the m axis values and reduced mod
         # m before they meet the narrow type.
         dtype = np.int16 if self.size < 2**15 else np.int32 if self.size < 2**31 else np.intp

@@ -46,8 +46,8 @@ def _matvec(matrix: Matrix, vector) -> tuple[int, ...]:
 def _matmul(left: Matrix, right: Matrix) -> Matrix:
     """left @ right for a unimodular `left` (no zero row): each product row
     adds up the rows of `right` that the nonzero entries of a `left` row
-    pick, and a unit entry takes its row as it is, so a product of signed
-    permutations multiplies nothing."""
+    pick, scaled by the entry, and an entry 1 takes its row as it is, so a
+    product of signed permutations only picks and negates rows."""
     product = []
     for row in left:
         total = None
@@ -85,7 +85,7 @@ def _candidate_matrices(dimension: int) -> tuple[Matrix, ...]:
     bases (60 and 120 degrees).  Otherwise: the 2^d d! signed
     permutations, highest element order first, so that the first matrices
     found generate much of the group: in 3-D the elements of order 6 come
-    first, and a graph with the full group of the cube (fcc, bcc, cubic)
+    first, and a graph with the full group of the cube (fcc, bcc, cubic(3))
     is certified by 3 searches where the table order took 5.
     """
     if dimension == 2:
@@ -245,10 +245,9 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
     depend on the order in which the candidates are tried, only the number
     of searches does: the 3-D table tries elements of order 6 first, and
     the cube's 48 elements need 3 searches.  Each search maps every
-    distinct edge index through its matrix once, and products of signed
-    permutations are taken by picking rows.  Exact integer work: the result
-    depends on nothing but the graph.  A graph whose cover is not connected
-    gets the identity alone: its group can be infinite.
+    distinct edge index through its matrix once.  Exact integer work: the
+    result depends on nothing but the graph.  A graph whose cover is not
+    connected gets the identity alone: its group can be infinite.
     """
     d = spec.dimension
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
