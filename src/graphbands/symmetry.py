@@ -113,11 +113,6 @@ def _candidate_matrices(dimension: int) -> tuple[Matrix, ...]:
     )
 
 
-def _canonical_edge(tail: int, head: int, index: tuple[int, ...]):
-    """One key for the two orientations of an unoriented edge."""
-    return min((tail, head, index), (head, tail, tuple(-x for x in index)))
-
-
 class _AutomorphismSearch:
     """Finds, for a given matrix A, a vertex permutation and per-vertex shifts
     that map the edge multiset onto itself, by exact backtracking.
@@ -127,8 +122,12 @@ class _AutomorphismSearch:
     nothing because composing with a lattice translation moves every shift
     by the same vector.  Each later vertex takes its image and shift from
     the image of its DFS tree edge, and every edge to an already placed
-    vertex is checked as it is placed.  `find` maps each distinct edge index
-    through the matrix once, and the checks read those images.
+    vertex is checked as it is placed.  These placement checks are the
+    certificate: each vertex pair that has an edge gets its mapped edge
+    multiset compared when its later vertex is placed, and the permutation
+    is a bijection, so a complete placement maps the edge multiset onto
+    itself.  `find` maps each distinct edge index through the matrix once,
+    and the checks read those images.
     """
 
     def __init__(self, spec: PeriodicGraphSpec):
@@ -145,7 +144,6 @@ class _AutomorphismSearch:
         for row in self.between:
             for indices in row.values():
                 indices.sort()
-        self.edges = sorted(_canonical_edge(e.tail, e.head, e.index) for e in spec.edges)
         self.indices = {n for targets in self.out for _, n in targets}
         sizes = Counter(self.vertex_class)
         root = min(range(nv), key=lambda v: (sizes[self.vertex_class[v]], v))
@@ -189,7 +187,8 @@ class _AutomorphismSearch:
         return True
 
     def find(self, matrix: Matrix) -> LatticeSymmetry | None:
-        """A symmetry with this matrix, or None when there is none."""
+        """A symmetry with this matrix, or None when there is none: the
+        first complete placement, which the placement checks certify."""
         # Each distinct edge index is mapped through the matrix once.
         image = {n: _matvec(matrix, n) for n in self.indices}
         nv = len(self.order)
@@ -212,24 +211,10 @@ class _AutomorphismSearch:
             else:
                 stack.pop()
                 continue
-            if depth + 1 < nv:
-                stack.append(self._options(depth + 1, image, perm, shifts, used))
-                continue
-            if self._maps_edges_onto_themselves(image, perm, shifts):
+            if depth + 1 == nv:
                 return LatticeSymmetry(matrix, tuple(perm), tuple(shifts))
+            stack.append(self._options(depth + 1, image, perm, shifts, used))
         return None
-
-    def _maps_edges_onto_themselves(self, image, perm, shifts) -> bool:
-        """The certificate: the image of the edge multiset is the edge multiset."""
-        mapped = sorted(
-            _canonical_edge(
-                perm[t],
-                perm[h],
-                tuple(a + b - c for a, b, c in zip(image[n], shifts[h], shifts[t])),
-            )
-            for t, h, n in self.edges
-        )
-        return mapped == self.edges
 
 
 def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:

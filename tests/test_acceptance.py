@@ -19,16 +19,13 @@ from graphbands import (
     stability_constants,
     verify_gap_bound,
     verify_total_band_bound,
-    with_potentials,
 )
 from graphbands.cli import main as cli_main
 from graphbands.floquet import fiber_stack
 from graphbands.lattices import (
-    FiniteGraph,
     bcc,
     bipartite_chain,
     cubic,
-    decorate,
     fcc,
     hexagonal,
     star,
@@ -49,6 +46,7 @@ from oracles import (
     large_coupling_analysis,
     shift_origin,
 )
+from quotients import decorated_loop_graphs
 
 PI = math.pi
 
@@ -218,18 +216,8 @@ def test_criterion_08_estimate_suite():
         for spec in BUILTIN_SUITE:
             _, _, reports = estimate_suite(spec)
             assert all(r.passed for r in reports), spec
-        rng = np.random.default_rng(80)
         grid = TorusGrid(2, 48)
-        for _ in range(50):
-            base = [cubic(2), triangular(), star(2, 2)][int(rng.integers(3))]
-            extra = int(rng.integers(2, 5))
-            attachment = FiniteGraph(
-                extra, tuple((int(rng.integers(0, i)), i) for i in range(1, extra))
-            )
-            spec = decorate(base, attachment, int(rng.integers(base.num_vertices)))
-            spec = with_potentials(
-                spec, rng.uniform(-3.0, 3.0, size=spec.num_vertices)
-            )
+        for spec in decorated_loop_graphs(80, 50):
             assert classify(spec).is_loop_graph
             _, _, reports = estimate_suite(spec, grid=grid)
             assert all(r.passed for r in reports)

@@ -3,7 +3,6 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from graphbands import (
     EdgeRecord,
@@ -31,6 +30,7 @@ from graphbands.lattices import (
     triangular,
 )
 from oracles import fluctuation_split, shift_origin
+from quotients import quotients
 
 PI = np.pi
 
@@ -272,32 +272,8 @@ def test_operator_kinds_are_the_out_of_place_formulas_bit_for_bit(spec):
         assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
 
 
-# Random loop graphs: nu <= 5, d <= 3.  A zero-index spanning tree and one
-# unit loop per axis keep the cover connected, as in test_symmetry's
-# quotients(); the other edges are zero-index edges (loops among them) and
-# crossing loops, so every bridge is a loop.
-@st.composite
-def loop_quotients(draw):
-    d = draw(st.integers(1, 3))
-    nv = draw(st.integers(1, 5))
-    potentials = draw(st.lists(st.floats(-3.0, 3.0), min_size=nv, max_size=nv))
-    zero = (0,) * d
-    vertex = st.integers(0, nv - 1)
-    index = st.tuples(*[st.integers(-3, 3)] * d)
-    edges = [(draw(st.integers(0, j - 1)), j, zero) for j in range(1, nv)]
-    loop_vertices = draw(st.lists(vertex, min_size=d, max_size=d))
-    edges += [(u, u, tuple(int(s == t) for t in range(d))) for s, u in enumerate(loop_vertices)]
-    edges += [(t, h, zero) for t, h in draw(st.lists(st.tuples(vertex, vertex), max_size=3))]
-    edges += [(u, u, n) for u, n in draw(st.lists(st.tuples(vertex, index), max_size=4))]
-    return PeriodicGraphSpec(
-        d,
-        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
-        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
-    )
-
-
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(loop_quotients())
+@given(quotients("loop"))
 def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
     assert classify(spec).is_loop_graph
     rng = np.random.default_rng(15)

@@ -368,25 +368,13 @@ def test_cli_grid_theta_text_crosses_a_block_and_ends_with_the_pi_corners(capsys
         ("--builtin", "star(2,6)", "--grid", "12", "--kind", "laplacian"),
     ],
 )
-def test_cli_full_grid_dispersion_builds_the_grid_and_solves_once(capsys, monkeypatch, argv):
+def test_cli_full_grid_dispersion_builds_the_grid_and_solves_once(capsys, calls, argv):
     # The benchmark tracer times these two calls as its grid.points and
     # spectrum.grid_eigenvalues spans.
-    calls = {"points": 0, "grid_eigenvalues": 0}
-    points, solve = TorusGrid.points, cli.grid_eigenvalues
-
-    def counting_points(self):
-        calls["points"] += 1
-        return points(self)
-
-    def counting_solve(*args, **kwargs):
-        calls["grid_eigenvalues"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(TorusGrid, "points", counting_points)
-    monkeypatch.setattr(cli, "grid_eigenvalues", counting_solve)
+    points, solves = calls(TorusGrid, "points"), calls(cli, "grid_eigenvalues")
     code, _, _ = run_cli(capsys, "dispersion", *argv)
     assert code == 0
-    assert calls == {"points": 1, "grid_eigenvalues": 1}
+    assert len(points) == len(solves) == 1
 
 
 def test_stream_rows_joins_every_block(monkeypatch):
@@ -467,16 +455,9 @@ def test_cli_full_grid_dispersion_solves_one_point_per_orbit(
 
 @pytest.mark.parametrize("kind", ["laplacian", "normalized"])
 def test_cli_potential_free_dispersion_solves_the_orbits_without_potentials(
-    capsys, monkeypatch, kind
+    capsys, calls, kind
 ):
-    solves = []
-    solve = spectrum.eigh_stack
-
-    def counting(stack, *args, **kwargs):
-        solves.append(len(stack))
-        return solve(stack, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    solves = calls(spectrum, "eigh_stack", len)
     argv = ("dispersion", "--builtin", "fcc", "--kind", kind)
     code, with_q, _ = run_cli(capsys, *argv, "--q", "1,2,3,0")
     plain_code, plain, _ = run_cli(capsys, *argv)
@@ -1016,18 +997,11 @@ def test_cli_analyze_potential_free_kinds_ignore_potentials(capsys, kind, builti
     ],
     ids=["potential-free", "with-potentials", "cubic(2)", "bipartite_chain(2,3)", "cubic(3)"],
 )
-def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, monkeypatch, argv, solves):
+def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, calls, argv, solves):
     # One grid solve per band structure (Schroedinger, and Laplacian when
     # potentials are present); theta = 0 is its first row, never re-solved,
     # also not for the mirrored endpoints of bipartite regular loop graphs.
-    calls = []
-    solve = spectrum.eigh_stack
-
-    def counting(stack, *args, **kwargs):
-        calls.append(len(stack))
-        return solve(stack, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    made = calls(spectrum, "eigh_stack", len)
     code, _, _ = run_cli(capsys, "analyze", *argv)
     assert code == 0
-    assert len(calls) == solves
+    assert len(made) == solves

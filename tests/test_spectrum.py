@@ -45,6 +45,7 @@ from oracles import (
     dirac_expansion_check,
     large_coupling_analysis,
 )
+from quotients import decorated_loop_graphs, quotients
 
 PI = math.pi
 
@@ -361,7 +362,7 @@ def _bits(low, high, argmin, argmax):
     ],
     ids=["hexagonal-q", "subdivided-2-2-laplacian", "triangular-16", "fcc-6"],
 )
-def test_batched_refine_matches_one_trial_per_solve(monkeypatch, spec, kind, grid):
+def test_batched_refine_matches_one_trial_per_solve(calls, spec, kind, grid):
     plain = compute_band_structure(spec, kind, grid)
     step = 2.0 * PI / plain.grid.points_per_axis
     expected = []
@@ -370,14 +371,7 @@ def test_batched_refine_matches_one_trial_per_solve(monkeypatch, spec, kind, gri
         high, argmax = _refine_extremum_reference(spec, kind, n, band.argmax, step, True)
         expected.append(_bits(low, high, argmin, argmax))
 
-    solves = []
-    solve = spectrum.eigh_stack
-
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    solves = calls(spectrum, "eigh_stack")
     refined = compute_band_structure(spec, kind, grid, refine=True)
     assert [_bits(b.low, b.high, b.argmin, b.argmax) for b in refined.bands] == expected
     # One solve for the grid, one for the start points, one per trial batch.
@@ -433,43 +427,28 @@ def test_gap_bound_trivial_for_hexagonal():
     ],
     ids=["estimate_suite", "verify_gap_bound"],
 )
-def test_schrodinger_and_laplacian_share_one_torus_sample(monkeypatch, call):
+def test_schrodinger_and_laplacian_share_one_torus_sample(calls, call):
     # With potentials both H and its Laplacian are solved, from one
     # connectivity test, one band-symmetry search and one grid.
-    counts = {}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for owner, name in (
-        (spectrum, "is_connected_periodic"),
-        (spectrum, "_orbit_group"),
-        (spectrum, "eigh_stack"),
-        (TorusGrid, "points"),
-    ):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    seen = {
+        name: calls(owner, name)
+        for owner, name in (
+            (spectrum, "is_connected_periodic"),
+            (spectrum, "_orbit_group"),
+            (spectrum, "eigh_stack"),
+            (TorusGrid, "points"),
+        )
+    }
     call()
+    counts = {name: len(made) for name, made in seen.items()}
     assert counts == {"is_connected_periodic": 1, "_orbit_group": 1, "points": 1, "eigh_stack": 2}
 
 
 @pytest.mark.parametrize("kind", ["laplacian", "normalized"])
-def test_potential_free_kinds_solve_the_orbits_of_the_graph_without_potentials(
-    monkeypatch, kind
-):
+def test_potential_free_kinds_solve_the_orbits_of_the_graph_without_potentials(calls, kind):
     # Potentials break fcc's symmetry (2,197 orbits on the default grid), but
     # these operators ignore them and keep the 455 orbits of fcc().
-    solves = []
-    solve = spectrum.eigh_stack
-
-    def counting(stack, *args, **kwargs):
-        solves.append(len(stack))
-        return solve(stack, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    solves = calls(spectrum, "eigh_stack", len)
     with_q = compute_band_structure(fcc(q=(1.0, 2.0, 3.0, 0.0)), kind)
     plain = compute_band_structure(fcc(), kind)
     assert solves == [455, 455]
@@ -522,17 +501,10 @@ def test_loop_band_endpoints_imprecise_fallback():
     assert bs.bands[0].low == pytest.approx(fiber_eigenvalues(spec, (0.0, 0.0))[0], abs=1e-12)
 
 
-def test_loop_band_endpoints_fallback_solves_the_grid_once(monkeypatch):
+def test_loop_band_endpoints_fallback_solves_the_grid_once(calls):
     # triangular has no flip corner: one orbit sample serves H and the
     # Laplacian.  star(2,3) solves theta = 0 and its flip corner only.
-    solves = []
-    solve = spectrum.eigh_stack
-
-    def counting(stack, *args, **kwargs):
-        solves.append(len(stack))
-        return solve(stack, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
+    solves = calls(spectrum, "eigh_stack", len)
     estimate_suite(triangular())
     estimate_suite(star(2, 3))
     assert solves == [817, 2]
@@ -763,25 +735,11 @@ def _hex_params(params):
     ],
 )
 def test_stability_reuses_the_corner_solves(
-    monkeypatch, spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches
+    calls, spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches
 ):
     checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid)
-    solves = []
-    solve = spectrum.eigh_stack
-
-    def counting(stack, *args, **kwargs):
-        solves.append(len(stack))
-        return solve(stack, *args, **kwargs)
-
-    fibers = []
-    build = spectrum.fiber_stack
-
-    def building(spec, thetas, kind):
-        fibers.append(len(thetas))
-        return build(spec, thetas, kind)
-
-    monkeypatch.setattr(spectrum, "eigh_stack", counting)
-    monkeypatch.setattr(spectrum, "fiber_stack", building)
+    solves = calls(spectrum, "eigh_stack", len)
+    fibers = calls(spectrum, "fiber_stack", lambda spec, thetas, kind: len(thetas))
     report = stability_constants(spec_a, spec_b, grid, grid)
     # The theta = 0 Laplacian fiber of the bipartite side is its lower corner's.
     assert solves == solve_batches
@@ -792,58 +750,13 @@ def test_stability_reuses_the_corner_solves(
     assert _hex_params(report.params) == _hex_params(params)
 
 
-# Random connected loop graphs with a flip corner: nu <= 5, d <= 3.  The
-# vertices hang on a zero-index tree.  A nonzero x in {0, 1}^d is drawn and
-# every loop index n gets <n, x> odd, so pi x flips every loop.  Axis s
-# carries the loop e_s when x_s = 1 and e_s + e_t, for one t with x_t = 1,
-# otherwise; these generate Z^d, so the cover is connected.  Extra loops have
-# random indices, moved by e_t to odd parity where needed.
-@st.composite
-def flip_loop_quotients(draw, d=None, nv=None):
-    d = draw(st.integers(1, 3)) if d is None else d
-    nv = draw(st.integers(1, 5)) if nv is None else nv
-    mask = draw(st.integers(1, 2**d - 1))
-    x = [(mask >> s) & 1 for s in range(d)]
-    t = x.index(1)
-    zero = (0,) * d
-
-    def unit(s):
-        return tuple(int(r == s) for r in range(d))
-
-    def odd(n):
-        if sum(a * b for a, b in zip(n, x)) % 2:
-            return n
-        return tuple(a + b for a, b in zip(n, unit(t)))
-
-    potentials = draw(st.lists(st.floats(-3.0, 3.0), min_size=nv, max_size=nv))
-    vertex = st.integers(0, nv - 1)
-    loops = [unit(s) if x[s] else odd(unit(s)) for s in range(d)]
-    loops += [odd(n) for n in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=3))]
-    edges = [(draw(st.integers(0, j - 1)), j, zero) for j in range(1, nv)]
-    edges += [(u, v, zero) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2))]
-    for n in loops:
-        u = draw(vertex)
-        edges.append((u, u, n))
-    return PeriodicGraphSpec(
-        d,
-        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
-        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
-    )
-
-
-@st.composite
-def flip_loop_pairs(draw):
-    d, nv = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    return draw(flip_loop_quotients(d, nv)), draw(flip_loop_quotients(d, nv))
-
-
 FLIP_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
 @FLIP_SETTINGS
-@given(flip_loop_quotients(), st.integers(2, 6))
+@given(quotients("flip"), st.integers(2, 6))
 def test_loop_graph_grid_envelopes_are_the_zero_and_flip_rows(spec, m):
     # The identity a flip-corner loop graph's band structure rests on, for
     # every operator kind: the envelopes over every point of the grid are the
@@ -867,9 +780,9 @@ def test_loop_graph_grid_envelopes_are_the_zero_and_flip_rows(spec, m):
 
 
 @FLIP_SETTINGS
-@given(flip_loop_pairs())
-def test_loop_graph_stability_matches_the_grid_reference(pair):
-    spec_a, spec_b = pair
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_loop_graph_stability_matches_the_grid_reference(d, nv, data):
+    spec_a, spec_b = data.draw(quotients("flip", d, nv)), data.draw(quotients("flip", d, nv))
     # With potentials on A, the only special case left is A precise against
     # a bipartite regular B without potentials.
     assume(any(spec_a.potentials()))
@@ -900,15 +813,8 @@ def _dirac_ring_max_reference(q1, r, samples):
 
 
 @pytest.mark.parametrize("q1, radius, samples", [(0.5, 1e-2, 64), (0.0, 1e-3, 64), (0.25, 0.3, 7)])
-def test_dirac_rings_batched_match_per_point_reference(monkeypatch, q1, radius, samples):
-    built = []
-    build = oracles.fiber_stack
-
-    def counting(spec, thetas, kind):
-        built.append(len(thetas))
-        return build(spec, thetas, kind)
-
-    monkeypatch.setattr(oracles, "fiber_stack", counting)
+def test_dirac_rings_batched_match_per_point_reference(calls, q1, radius, samples):
+    built = calls(oracles, "fiber_stack", lambda spec, thetas, kind: len(thetas))
     report = dirac_expansion_check(q1, radius, samples)
     # The touching point, then one stack per ring.
     assert built == [1, samples, samples]
@@ -1045,15 +951,8 @@ def test_bipartite_spectrum_symmetry_with_odd_potential():
 
 
 def test_decorated_random_graphs_respect_estimates():
-    rng = np.random.default_rng(34)
     grid = TorusGrid(2, 24)
-    for _ in range(10):
-        base = [cubic(2), triangular(), star(2, 2)][int(rng.integers(3))]
-        extra = int(rng.integers(2, 5))
-        edges = [(i, int(rng.integers(0, i))) for i in range(1, extra)]
-        attachment = FiniteGraph(extra, tuple((b, a) for a, b in edges))
-        spec = decorate(base, attachment, int(rng.integers(base.num_vertices)))
-        spec = with_potentials(spec, rng.uniform(-3.0, 3.0, size=spec.num_vertices))
+    for spec in decorated_loop_graphs(34, 10):
         report = verify_total_band_bound(spec, grid=grid)
         assert report.passed
         gap_report = verify_gap_bound(spec, grid=grid)

@@ -27,7 +27,12 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
-from oracles import reference_band_symmetry_group, reference_representatives
+from oracles import (
+    ReferenceAutomorphismSearch,
+    reference_band_symmetry_group,
+    reference_representatives,
+)
+from quotients import FAMILIES, quotients
 
 
 def _edge_multiset(edges):
@@ -206,34 +211,6 @@ def test_small_grids_skip_the_search(monkeypatch):
     assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ()
 
 
-# Random small quotients with connected covers: nu <= 5, d <= 3.  A random
-# spanning tree and one unit loop per axis keep the cover connected; half of
-# the draws close the edge multiset under a random candidate matrix, so that
-# groups beyond {+-I} occur.
-@st.composite
-def quotients(draw):
-    d = draw(st.integers(1, 3))
-    nv = draw(st.integers(1, 5))
-    potentials = draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=nv, max_size=nv))
-    vertex = st.integers(0, nv - 1)
-    index = st.tuples(*[st.integers(-1, 1)] * d)
-    edges = [(draw(st.integers(0, j - 1)), j, draw(index)) for j in range(1, nv)]
-    loop_vertices = draw(st.lists(vertex, min_size=d, max_size=d))
-    edges += [(u, u, tuple(int(s == t) for t in range(d))) for s, u in enumerate(loop_vertices)]
-    edges += draw(st.lists(st.tuples(vertex, vertex, index), max_size=4))
-    if draw(st.booleans()):
-        a = np.asarray(draw(st.sampled_from(_candidate_matrices(d))))
-        powers = [np.eye(d, dtype=int)]
-        while not np.array_equal(powers[-1] @ a, powers[0]):
-            powers.append(powers[-1] @ a)
-        edges = [(t, h, tuple(int(x) for x in p @ n)) for t, h, n in edges for p in powers]
-    return PeriodicGraphSpec(
-        d,
-        tuple(VertexInfo(f"v{j}", q) for j, q in enumerate(potentials)),
-        tuple(EdgeRecord(t, h, n) for t, h, n in edges),
-    )
-
-
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -362,3 +339,59 @@ def test_orbit_map_matches_the_reference_orbit_map(spec, m, with_group):
     assert points.tobytes() == ref_points.tobytes()
     assert np.array_equal(index, ref_index)
     assert index.dtype == (np.int16 if grid.size < 2**15 else np.int32)
+
+
+@PROPERTY_SETTINGS
+@given(quotients())
+def test_each_candidate_search_agrees_with_the_reference_search(spec):
+    # The placement checks are the certificate: whatever the search returns
+    # maps the graph onto itself, and it finds a symmetry for every matrix
+    # the reference search, which also checks the whole edge multiset, does.
+    search, reference = _AutomorphismSearch(spec), ReferenceAutomorphismSearch(spec)
+    for a in _candidate_matrices(spec.dimension):
+        found = search.find(a)
+        assert (found is None) == (reference.find(a) is None)
+        assert found is None or _maps_graph_onto_itself(spec, found)
+
+
+def _edges_mapped(spec, edge, vertices=None):
+    return PeriodicGraphSpec(
+        spec.dimension,
+        spec.vertices if vertices is None else vertices,
+        tuple(EdgeRecord(*edge(e.tail, e.head, e.index)) for e in spec.edges),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_relabelling_reversal_shifts_and_bases_keep_groups_and_spectra(family, data):
+    spec = data.draw(quotients(family))
+    d, nv = spec.dimension, spec.num_vertices
+    perm = data.draw(st.permutations(range(nv)))
+    shifts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=nv, max_size=nv))
+    basis = np.asarray(data.draw(st.sampled_from(_candidate_matrices(d))))
+    thetas = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=3 * d, max_size=3 * d))
+    thetas = np.reshape(thetas, (3, d))
+    vertices = [None] * nv
+    for j, vertex in enumerate(spec.vertices):
+        vertices[perm[j]] = vertex
+    # Three descriptions of the same periodic graph: relabelled vertices,
+    # reversed edges (t, h, n) -> (h, t, -n), and vertex j moved by shifts[j].
+    same = [
+        _edges_mapped(spec, lambda t, h, n: (perm[t], perm[h], n), tuple(vertices)),
+        _edges_mapped(spec, lambda t, h, n: (h, t, np.negative(n))),
+        _edges_mapped(spec, lambda t, h, n: (t, h, np.add(n, shifts[h]) - shifts[t])),
+    ]
+    # Indices B n give H_B(theta) = H(B^T theta).  The 2-D group is searched
+    # in a fixed candidate table, so it is not basis-covariant: spectra only.
+    based = _edges_mapped(spec, lambda t, h, n: (t, h, basis @ n))
+    for kind in ("schrodinger", "laplacian", "normalized"):
+        values = spectrum.grid_eigenvalues(spec, thetas, kind)
+        cases = [(other, values) for other in same]
+        cases.append((based, spectrum.grid_eigenvalues(spec, thetas @ basis, kind)))
+        for other, expected in cases:
+            error = spectrum.grid_eigenvalues(other, thetas, kind) - expected
+            assert np.abs(error).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+    group = set(band_symmetry_group(spec))
+    assert all(set(band_symmetry_group(other)) == group for other in same)
