@@ -18,20 +18,22 @@ FAMILIES = ("general", "loop", "flip")
 def quotients(draw, family="general", d=None, nv=None):
     """A quotient with a connected cover: d <= 3 and nu <= 5 unless given.
 
-    A spanning tree and one loop per axis keep the cover connected, and up to
-    four extra draws (u, v, n) follow.  The family sets the rest:
+    A spanning tree and one loop per axis keep the cover connected, and extra
+    edges follow.  The family sets the rest:
 
     - "general": potentials 0 or 1, index entries in [-1, 1], every tree edge
-      and extra edge (u, v, n) has a random index, and half of the draws
-      close the edge multiset under the powers of a random candidate matrix,
-      so that groups beyond {+-I} occur;
+      and each of up to four extra edges (u, v, n) has a random index, and
+      half of the draws close the edge multiset under the powers of a random
+      candidate matrix, so that groups beyond {+-I} occur;
     - "loop": potentials in [-3, 3], index entries in [-3, 3], the tree edges
-      have index 0, and an extra draw adds the edge (u, v, 0) and the loop
-      (u, u, n), so only loops cross cells: a loop graph;
-    - "flip": a loop family graph with a flip corner pi x.  A nonzero x in
-      {0, 1}^d is drawn, and a nonzero loop index n with <n, x> even is
-      moved by e_t, t the first axis with x_t = 1, so pi x flips every loop
-      that crosses cells; the axis loops e_s or e_s + e_t still generate Z^d.
+      have index 0, and up to three extra edges (u, v, 0) and, drawn on their
+      own, up to four extra loops (u, u, n) follow, so only loops cross
+      cells: a loop graph;
+    - "flip": a loop family graph with a flip corner pi x, with up to two
+      extra edges and three extra loops.  A nonzero x in {0, 1}^d is drawn,
+      and a loop index n with <n, x> even, 0 included, is moved by e_t, t
+      the first axis with x_t = 1, so pi x flips every loop; the axis loops
+      e_s or e_s + e_t still generate Z^d.
     """
     general = family == "general"
     d = draw(st.integers(1, 3)) if d is None else d
@@ -46,7 +48,7 @@ def quotients(draw, family="general", d=None, nv=None):
     x = [(mask >> s) & 1 for s in range(d)]
 
     def loop_index(n):
-        if not mask or not any(n) or sum(a * b for a, b in zip(n, x)) % 2:
+        if not mask or sum(a * b for a, b in zip(n, x)) % 2:
             return n
         t = x.index(1)
         return tuple(a + int(s == t) for s, a in enumerate(n))
@@ -57,8 +59,13 @@ def quotients(draw, family="general", d=None, nv=None):
     for s in range(d):
         u = draw(vertex)
         edges.append((u, u, loop_index(tuple(int(r == s) for r in range(d)))))
-    for u, v, n in draw(st.lists(st.tuples(vertex, vertex, index), max_size=4)):
-        edges += [(u, v, n)] if general else [(u, v, zero), (u, u, loop_index(n))]
+    if general:
+        edges += draw(st.lists(st.tuples(vertex, vertex, index), max_size=4))
+    else:
+        zeros, loops = (2, 3) if mask else (3, 4)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=zeros))
+        crossing = draw(st.lists(st.tuples(vertex, index), max_size=loops))
+        edges += [(u, v, zero) for u, v in pairs] + [(u, u, loop_index(n)) for u, n in crossing]
     if general and draw(st.booleans()):
         a = np.asarray(draw(st.sampled_from(_candidate_matrices(d))))
         powers = [np.eye(d, dtype=int)]
@@ -85,3 +92,9 @@ def decorated_loop_graphs(seed, count):
         spec = decorate(base, tree, int(rng.integers(base.num_vertices)))
         specs.append(with_potentials(spec, rng.uniform(-3.0, 3.0, size=spec.num_vertices)))
     return specs
+
+
+def reverse_edges(spec):
+    """The same periodic graph with every edge (t, h, n) written (h, t, -n)."""
+    edges = tuple(EdgeRecord(e.head, e.tail, tuple(-x for x in e.index)) for e in spec.edges)
+    return PeriodicGraphSpec(spec.dimension, spec.vertices, edges)

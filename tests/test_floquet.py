@@ -30,7 +30,7 @@ from graphbands.lattices import (
     triangular,
 )
 from oracles import fluctuation_split, shift_origin
-from quotients import quotients
+from quotients import quotients, reverse_edges
 
 PI = np.pi
 
@@ -298,13 +298,6 @@ def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
 BENCH_BUILTINS = ("hexagonal", "fcc", "star(2,6)", "subdivided(2,4)")
 
 
-def _reverse_edges(spec):
-    reversed_edges = tuple(
-        EdgeRecord(e.head, e.tail, tuple(-x for x in e.index)) for e in spec.edges
-    )
-    return PeriodicGraphSpec(spec.dimension, spec.vertices, reversed_edges)
-
-
 @pytest.mark.parametrize(
     "spec",
     [parse_builtin(b) for b in BENCH_BUILTINS] + LOOPY_SPECS,
@@ -312,7 +305,7 @@ def _reverse_edges(spec):
 )
 def test_edge_reversal_invariance(spec):
     # (t, h, n) -> (h, t, -n) describes the same unoriented periodic graph.
-    reversed_spec = _reverse_edges(spec)
+    reversed_spec = reverse_edges(spec)
     assert classify(reversed_spec) == classify(spec)
     count, bridges = bridge_count(spec)
     reversed_count, reversed_bridges = bridge_count(reversed_spec)

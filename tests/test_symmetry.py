@@ -32,7 +32,7 @@ from oracles import (
     reference_band_symmetry_group,
     reference_representatives,
 )
-from quotients import FAMILIES, quotients
+from quotients import FAMILIES, quotients, reverse_edges
 
 
 def _edge_multiset(edges):
@@ -380,7 +380,7 @@ def test_relabelling_reversal_shifts_and_bases_keep_groups_and_spectra(family, d
     # reversed edges (t, h, n) -> (h, t, -n), and vertex j moved by shifts[j].
     same = [
         _edges_mapped(spec, lambda t, h, n: (perm[t], perm[h], n), tuple(vertices)),
-        _edges_mapped(spec, lambda t, h, n: (h, t, np.negative(n))),
+        reverse_edges(spec),
         _edges_mapped(spec, lambda t, h, n: (t, h, np.add(n, shifts[h]) - shifts[t])),
     ]
     # Indices B n give H_B(theta) = H(B^T theta).  The 2-D group is searched
