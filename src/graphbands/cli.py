@@ -2,9 +2,12 @@
 
 Exit codes: 0 when every applicable check passes, 1 for input problems,
 2 when a verified inequality is violated, the eigensolver fails or a computed
-value is not finite (a bug or a tolerance problem, never silent).  Tolerances
-must be finite and >= 0.  Reports are byte-deterministic for fixed inputs,
-grid and tolerances.
+value is not finite (a bug or a rounding problem, never silent).  A check
+allows the eigensolver's rounding and no more: 16 * nu * eps * (1 + scale),
+where scale is the largest band-edge magnitude.  --flat-tol, a finite number
+>= 0 that defaults to the same rounding tolerance, sets only which bands are
+flat and which touch.  Reports are byte-deterministic for fixed inputs, grid
+and --flat-tol.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from . import graphio
 from .errors import GraphbandsError, NumericError, ValidationError
 from .graph import PeriodicGraphSpec, with_potentials
 from .lattices import builtin_catalog, parse_builtin
-from .spectrum import (
-    CHECK_TOL,
-    TorusGrid,
-    _orbit_group,
-    estimate_suite,
-    grid_eigenvalues,
-    stability_constants,
-)
+from .spectrum import TorusGrid, _orbit_group, estimate_suite, grid_eigenvalues, stability_constants
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -40,7 +36,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for the tolerance flags: a finite float >= 0."""
+    """argparse type for --flat-tol: a finite float >= 0."""
     try:
         value = float(text)
     except ValueError:
@@ -78,9 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "branches at one flat value and the smallest gap",
     )
     analyze.add_argument(
-        "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
-    )
-    analyze.add_argument(
         "--refine", action="store_true", help="refine sampled band extrema (no effect on flip-corner loop graphs)"
     )
 
@@ -100,9 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--q-a", help="potentials override for the first graph")
     compare.add_argument("--q-b", help="potentials override for the second graph")
     compare.add_argument("--grid", type=int, help="points per torus axis")
-    compare.add_argument(
-        "--check-tol", type=_tolerance, default=CHECK_TOL, help="allowed slack on checks"
-    )
     compare.add_argument("--out", help="output path (default: stdout)")
 
     sub.add_parser("builtins", help="list builtin lattice generators")
@@ -210,7 +200,6 @@ def _cmd_analyze(args) -> int:
         spec,
         kind=args.kind,
         grid=grid,
-        check_tol=args.check_tol,
         flat_tol=args.flat_tol,
         refine=args.refine,
     )
@@ -301,13 +290,7 @@ def _cmd_compare(args) -> int:
     spec_b, desc_b = _resolve_spec(args.input_b, None, args.q_b)
     grid_a = _resolve_grid(spec_a, args.grid)
     grid_b = _resolve_grid(spec_b, args.grid)
-    report = stability_constants(
-        spec_a,
-        spec_b,
-        grid_a=grid_a,
-        grid_b=grid_b,
-        check_tol=args.check_tol,
-    )
+    report = stability_constants(spec_a, spec_b, grid_a=grid_a, grid_b=grid_b)
     document = {
         "format_version": graphio.REPORT_FORMAT_VERSION,
         "command": "compare",

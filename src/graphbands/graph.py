@@ -248,30 +248,25 @@ def _cover_connected(spec: PeriodicGraphSpec) -> bool:
     return integer_lattice_full(cycle_vectors, spec.dimension)
 
 
-def fundamental_bipartite(spec: PeriodicGraphSpec) -> bool:
-    """2-colorability of the quotient multigraph, ignoring indices."""
+def _coloring_system(spec: PeriodicGraphSpec):
+    """Rows and right-hand sides over GF(2) of c(tail) + c(head) + <p, index>
+    = 1, one per edge: the first nu columns hold a cell coloring c, the last
+    d a parity vector p.  A loop's coloring columns cancel."""
     nv = spec.num_vertices
-    adjacency = [[] for _ in range(nv)]
+    rows = []
     for e in spec.edges:
-        if e.tail == e.head:
-            return False
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    color = [None] * nv
-    for root in range(nv):
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if color[v] is None:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+        row = [0] * nv + [x & 1 for x in e.index]
+        row[e.tail] ^= 1
+        row[e.head] ^= 1
+        rows.append(row)
+    return rows, [1] * len(rows)
+
+
+def fundamental_bipartite(spec: PeriodicGraphSpec) -> bool:
+    """2-colorability of the quotient multigraph, ignoring indices: the
+    coloring system of the cover without its parity columns."""
+    rows, rhs = _coloring_system(spec)
+    return gf2_solve([row[: spec.num_vertices] for row in rows], rhs) is not None
 
 
 def periodic_bipartite(spec: PeriodicGraphSpec):
@@ -283,15 +278,7 @@ def periodic_bipartite(spec: PeriodicGraphSpec):
     (coloring, parity) or None.
     """
     nv, d = spec.num_vertices, spec.dimension
-    rows, rhs = [], []
-    for e in spec.edges:
-        row = [0] * (nv + d)
-        row[e.tail] ^= 1
-        row[e.head] ^= 1
-        for s in range(d):
-            row[nv + s] = e.index[s] & 1
-        rows.append(row)
-        rhs.append(1)
+    rows, rhs = _coloring_system(spec)
     solution = gf2_solve(rows, rhs) if rows else tuple([0] * (nv + d))
     if solution is None:
         return False, None

@@ -18,7 +18,7 @@ dispersion solves one point per orbit too and copies its eigenvalues to the
 rest of the orbit, through the index that `TorusGrid.representatives`
 returns.  Envelopes are the exact minima
 and maxima; the extremizer reported for a branch is the first grid point,
-in grid order, within EXTREMIZER_TIE_TOL * (1 + scale) of the envelope, so
+in grid order, within `_rounding_tol` of the envelope, so
 ties between symmetry-equivalent points do not depend on the last bits of
 the eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
@@ -48,10 +48,12 @@ from .graph import (
 )
 from .linalg import eigh_stack
 
-FLAT_TOL_COEFF = 1e-9
-CHECK_TOL = 1e-8
-UNIFORM_EXTREMIZER_TOL = 1e-8
-EXTREMIZER_TIE_TOL = 1e-12
+# Rounding allowance of `_rounding_tol`, in units of nu * eps * (1 + scale).
+# LAPACK returns each eigenvalue within a small multiple of nu * eps * ||H||,
+# and ||H|| is the largest band-edge magnitude, so one tolerance that scales
+# with it serves as the default flat_tol, the extremizer tie, the corner
+# match and the slack of every check.
+ROUNDING_ULPS = 16
 REFINE_ITERATIONS = 40
 # Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) only the
 # pairs are merged, without the band-symmetry search and the orbit map.
@@ -259,7 +261,10 @@ class FlatBand:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Per-branch envelopes plus the separated open-band / flat-band view."""
+    """Per-branch envelopes plus the separated open-band / flat-band view.
+
+    rounding_tol is the `_rounding_tol` of the band edges: the default
+    flat_tol, and the slack of every check that reads the structure."""
 
     kind: str
     bands: tuple[BandInterval, ...]
@@ -268,6 +273,7 @@ class BandStructure:
     gaps: tuple[tuple[float, float], ...]
     spectrum_measure: float
     flat_tol: float
+    rounding_tol: float
     grid: TorusGrid
 
     @property
@@ -305,7 +311,7 @@ class EstimateReport:
         return all(c.passed for c in self.checks)
 
 
-def _check(name: str, lhs: float, rhs: float, tol: float = CHECK_TOL) -> InequalityCheck:
+def _check(name: str, lhs: float, rhs: float, tol: float) -> InequalityCheck:
     slack = float(rhs) - float(lhs)
     return InequalityCheck(name, float(lhs), float(rhs), slack, slack >= -tol)
 
@@ -343,10 +349,11 @@ def _loop_edge_corners(spec: PeriodicGraphSpec, cls) -> tuple | None:
     return (0.0,) * spec.dimension, cls.precise_quasimomentum
 
 
-def _default_flat_tol(lows, highs) -> float:
-    """Flat-band tolerance relative to the largest band-edge magnitude."""
+def _rounding_tol(lows, highs) -> float:
+    """ROUNDING_ULPS * nu * eps * (1 + scale) for the band edges lows and
+    highs of nu branches, scale being the largest band-edge magnitude."""
     scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
-    return FLAT_TOL_COEFF * (1.0 + scale)
+    return ROUNDING_ULPS * len(lows) * float(np.finfo(float).eps) * (1.0 + scale)
 
 
 def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
@@ -358,13 +365,11 @@ def _envelopes(thetas: np.ndarray, values: np.ndarray):
     """Per-branch (lows, highs, argmins, argmaxs) over sampled points.
 
     lows and highs are the exact minima and maxima; each extremizer is the
-    first point, in row order, within EXTREMIZER_TIE_TOL * (1 + scale) of
-    its envelope.
+    first point, in row order, within `_rounding_tol` of its envelope.
     """
     lows = values.min(axis=0)
     highs = values.max(axis=0)
-    scale = max(float(np.abs(lows).max()), float(np.abs(highs).max()))
-    tie = EXTREMIZER_TIE_TOL * (1.0 + scale)
+    tie = _rounding_tol(lows, highs)
     low_idx = (values <= lows + tie).argmax(axis=0)
     high_idx = (values >= highs - tie).argmax(axis=0)
     argmins = list(map(tuple, thetas[low_idx].tolist()))
@@ -428,7 +433,8 @@ def _assemble_structure(
     argmaxs,
     flat_tol: float | None,
 ) -> BandStructure:
-    tol = flat_tol if flat_tol is not None else _default_flat_tol(lows, highs)
+    rounding_tol = _rounding_tol(lows, highs)
+    tol = flat_tol if flat_tol is not None else rounding_tol
     bands = tuple(
         BandInterval(n + 1, float(lows[n]), float(highs[n]), argmins[n], argmaxs[n])
         for n in range(len(lows))
@@ -445,6 +451,7 @@ def _assemble_structure(
         gaps=gaps,
         spectrum_measure=measure,
         flat_tol=tol,
+        rounding_tol=rounding_tol,
         grid=grid,
     )
 
@@ -560,12 +567,13 @@ def compute_band_structure(
     return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[1][kind][0]
 
 
-def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateReport:
+def _total_band_report(spec, bs: BandStructure) -> EstimateReport:
     count, _ = bridge_count(spec)
     band_sum = bs.band_length_sum
+    tol = bs.rounding_tol
     checks = (
-        _check("spectrum-measure<=band-length-sum", bs.spectrum_measure, band_sum, check_tol),
-        _check("band-length-sum<=2*bridge-count", band_sum, 2.0 * count, check_tol),
+        _check("spectrum-measure<=band-length-sum", bs.spectrum_measure, band_sum, tol),
+        _check("band-length-sum<=2*bridge-count", band_sum, 2.0 * count, tol),
     )
     return EstimateReport(
         "total-band-length-bound",
@@ -574,7 +582,7 @@ def _total_band_report(spec, bs: BandStructure, check_tol: float) -> EstimateRep
             "bridge_count": count,
             "band_length_sum": band_sum,
             "spectrum_measure": bs.spectrum_measure,
-            "equality_attained": abs(band_sum - 2.0 * count) <= check_tol,
+            "equality_attained": abs(band_sum - 2.0 * count) <= tol,
         },
     )
 
@@ -583,14 +591,12 @@ def verify_total_band_bound(
     spec: PeriodicGraphSpec,
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
-    *,
-    check_tol: float = CHECK_TOL,
 ) -> EstimateReport:
     """Spectrum measure <= total band length <= twice the oriented bridge count."""
-    return _total_band_report(spec, compute_band_structure(spec, kind, grid), check_tol)
+    return _total_band_report(spec, compute_band_structure(spec, kind, grid))
 
 
-def _gap_report(spec, bs: BandStructure, laplacian: BandStructure, check_tol: float) -> EstimateReport:
+def _gap_report(spec, bs: BandStructure, laplacian: BandStructure) -> EstimateReport:
     """The gap bound of the operator whose structure is `bs` and whose
     potentials are those of `spec`; `laplacian` is the Laplacian's structure."""
     count, _ = bridge_count(spec)
@@ -600,9 +606,10 @@ def _gap_report(spec, bs: BandStructure, laplacian: BandStructure, check_tol: fl
     hull = hull_hi - hull_lo
     top_laplacian = laplacian.bands[-1].high
     floor = max(top_laplacian - spread, spread - 2.0 * max(degrees(spec)))
+    tol = max(bs.rounding_tol, laplacian.rounding_tol)
     checks = (
-        _check("band-hull-minus-bridges<=gap-length-sum", hull - 2.0 * count, bs.gap_length_sum, check_tol),
-        _check("potential-degree-floor<=band-hull", floor, hull, check_tol),
+        _check("band-hull-minus-bridges<=gap-length-sum", hull - 2.0 * count, bs.gap_length_sum, tol),
+        _check("potential-degree-floor<=band-hull", floor, hull, tol),
     )
     return EstimateReport(
         "gap-length-bound",
@@ -617,25 +624,22 @@ def _gap_report(spec, bs: BandStructure, laplacian: BandStructure, check_tol: fl
     )
 
 
-def verify_gap_bound(
-    spec: PeriodicGraphSpec,
-    grid: TorusGrid | None = None,
-    *,
-    check_tol: float = CHECK_TOL,
-) -> EstimateReport:
+def verify_gap_bound(spec: PeriodicGraphSpec, grid: TorusGrid | None = None) -> EstimateReport:
     """Total gap length dominates the hull length minus twice the bridge count."""
     kinds = ("schrodinger", "laplacian")
     structures = _band_structure(spec, classify(spec), kinds, grid, None, False)[1]
-    return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0], check_tol)
+    return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0])
 
 
 class _CornerScan(NamedTuple):
     """The chosen lower and upper extremizing corners of H, in that order,
-    with their fibers and sorted eigenvalue rows."""
+    with their fibers and sorted eigenvalue rows, and the rounding_tol of
+    the band structure they were matched against."""
 
     points: list[tuple[float, ...]]
     fibers: np.ndarray
     values: np.ndarray
+    tol: float
 
 
 def _scan_corners(spec, thetas, values, bs: BandStructure, label) -> _CornerScan:
@@ -646,20 +650,21 @@ def _scan_corners(spec, thetas, values, bs: BandStructure, label) -> _CornerScan
     symmetry orbit in grid order, or theta = 0 and theta* alone for a
     flip-corner loop graph, whose other corners miss its upper edges.  The
     chosen lower (resp. upper) corner is the first one at which every branch
-    is within UNIFORM_EXTREMIZER_TOL of its lower (resp. upper) band edge in
-    `bs`.  A side without such a corner raises PreconditionError naming the
-    graph `label` and the corner that comes closest.  H is built at the two
+    is within `bs.rounding_tol` of its lower (resp. upper) band edge.
+    A side without such a corner raises PreconditionError naming the graph
+    `label` and the corner that comes closest.  H is built at the two
     chosen corners only.
     """
     at_corner = ((thetas == 0.0) | (thetas == math.pi)).all(axis=1)
     corners, rows = thetas[at_corner], values[at_corner]
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
+    tol = bs.rounding_tol
     chosen = []
     for side, target in (("lower", lows), ("upper", highs)):
         deviation = np.abs(rows - target)
         worst = deviation.max(axis=1)
-        hits = np.flatnonzero(worst <= UNIFORM_EXTREMIZER_TOL)
+        hits = np.flatnonzero(worst <= tol)
         if hits.size:
             chosen.append(int(hits[0]))
         else:
@@ -671,7 +676,7 @@ def _scan_corners(spec, thetas, values, bs: BandStructure, label) -> _CornerScan
             )
     points = corners[chosen]
     fibers = fiber_stack(spec, points, "schrodinger")
-    return _CornerScan(list(map(tuple, points.tolist())), fibers, rows[chosen])
+    return _CornerScan(list(map(tuple, points.tolist())), fibers, rows[chosen], tol)
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -683,8 +688,6 @@ def stability_constants(
     spec_b: PeriodicGraphSpec,
     grid_a: TorusGrid | None = None,
     grid_b: TorusGrid | None = None,
-    *,
-    check_tol: float = CHECK_TOL,
 ) -> EstimateReport:
     """Band-edge and gap-length variation between two graphs, bounded by the
     entrywise l1 distance of their fiber matrices at the shared extremizers.
@@ -711,15 +714,17 @@ def stability_constants(
     # Finite band edges and fibers can still be too far apart to subtract or
     # sum in float64; such a report is refused below, as one error.
     with np.errstate(over="ignore", invalid="ignore"):
-        report = _stability_report(spec_a, *side_a, spec_b, *side_b, check_tol)
+        report = _stability_report(spec_a, *side_a, spec_b, *side_b)
     for check in report.checks:
         if not (math.isfinite(check.lhs) and math.isfinite(check.rhs)):
             raise NumericError(f"stability constants: {check.name} overflows float64")
     return report
 
 
-def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -> EstimateReport:
-    """The checks and constants of `stability_constants` from both corner scans."""
+def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b) -> EstimateReport:
+    """The checks and constants of `stability_constants` from both corner
+    scans, with the larger of their rounding tolerances as slack."""
+    tol = max(scan_a.tol, scan_b.tol)
     lows_a, highs_a = scan_a.values
     lows_b, highs_b = scan_b.values
     c_total = _entry_l1(scan_a.fibers[0], scan_b.fibers[0]) + _entry_l1(
@@ -737,8 +742,8 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
         np.abs((highs_a - lows_a) - (highs_b - lows_b)).sum()
     )
     checks = [
-        _check("edge-and-gap-variation<=2C", edge_gap_variation, 2.0 * c_total, check_tol),
-        _check("band-length-variation<=2C", length_variation, 2.0 * c_total, check_tol),
+        _check("edge-and-gap-variation<=2C", edge_gap_variation, 2.0 * c_total, tol),
+        _check("band-length-variation<=2C", length_variation, 2.0 * c_total, tol),
     ]
     params = {
         "c_total": c_total,
@@ -758,22 +763,9 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
     bip_b = cls_b.periodic_bipartite and cls_b.is_regular and cls_b.is_loop_graph and zero_b
     if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
         c_pair = _entry_l1(scan_a.fibers[0], scan_b.fibers[0])
-        checks.append(
-            _check(
-                "bipartite-pair-gap-variation<=4C0",
-                float(np.abs(gaps_a - gaps_b).sum()),
-                4.0 * c_pair,
-                check_tol,
-            )
-        )
-        checks.append(
-            _check(
-                "bipartite-pair-band-variation<=4C0",
-                length_variation,
-                4.0 * c_pair,
-                check_tol,
-            )
-        )
+        gap_variation = float(np.abs(gaps_a - gaps_b).sum())
+        checks.append(_check("bipartite-pair-gap-variation<=4C0", gap_variation, 4.0 * c_pair, tol))
+        checks.append(_check("bipartite-pair-band-variation<=4C0", length_variation, 4.0 * c_pair, tol))
         params["c_bipartite_pair"] = c_pair
 
     def mixed_case(precise_scan, lows_p, highs_p, gaps_p, bip_scan, bip_cls, gaps_q):
@@ -791,10 +783,10 @@ def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b, check_tol) -
             + float(np.abs(gaps_p - gaps_q).sum())
         )
         checks.append(
-            _check("precise-vs-bipartite-gap-variation<=2C1", lhs_edges, 2.0 * c_mixed, check_tol)
+            _check("precise-vs-bipartite-gap-variation<=2C1", lhs_edges, 2.0 * c_mixed, tol)
         )
         checks.append(
-            _check("precise-vs-bipartite-band-variation<=2C1", length_variation, 2.0 * c_mixed, check_tol)
+            _check("precise-vs-bipartite-band-variation<=2C1", length_variation, 2.0 * c_mixed, tol)
         )
         params["c_precise_vs_bipartite"] = c_mixed
 
@@ -811,7 +803,6 @@ def estimate_suite(
     kind: str = "schrodinger",
     grid: TorusGrid | None = None,
     *,
-    check_tol: float = CHECK_TOL,
     flat_tol: float | None = None,
     refine: bool = False,
 ):
@@ -831,26 +822,28 @@ def estimate_suite(
     solved = _band_structure(spec, cls, kinds, grid, flat_tol, refine)[1]
     structures = {k: (structure, values[0]) for k, (structure, values) in solved.items()}
     bs, zero_vals = structures[kind]
+    # Every row's slack: the largest rounding tolerance of the structures read.
+    tol = max(structure.rounding_tol for structure, _ in structures.values())
     reports = []
 
     if kind == "normalized":
         checks = (
-            _check("0<=normalized-min", 0.0, bs.bands[0].low, check_tol),
-            _check("normalized-max<=2", bs.bands[-1].high, 2.0, check_tol),
-            _deviation("minimum-attained-at-zero-point", bs.bands[0].low - zero_vals[0], check_tol),
+            _check("0<=normalized-min", 0.0, bs.bands[0].low, tol),
+            _check("normalized-max<=2", bs.bands[-1].high, 2.0, tol),
+            _deviation("minimum-attained-at-zero-point", bs.bands[0].low - zero_vals[0], tol),
         )
         reports.append(EstimateReport("normalized-containment", checks))
         return cls, bs, tuple(reports)
 
     bs0, zero_vals0 = structures["laplacian"]
-    reports.append(_total_band_report(spec, bs, check_tol))
-    reports.append(_gap_report(spec, bs, bs0, check_tol))
+    reports.append(_total_band_report(spec, bs))
+    reports.append(_gap_report(spec, bs, bs0))
 
     containment = (
-        _check("0<=laplacian-min", 0.0, bs0.bands[0].low, check_tol),
-        _check("laplacian-max<=2*max-degree", bs0.bands[-1].high, 2.0 * cls.max_degree, check_tol),
-        _deviation("laplacian-zero-eigenvalue-at-zero-point", zero_vals0[0], check_tol),
-        _deviation("minimum-attained-at-zero-point", bs.bands[0].low - zero_vals[0], check_tol),
+        _check("0<=laplacian-min", 0.0, bs0.bands[0].low, tol),
+        _check("laplacian-max<=2*max-degree", bs0.bands[-1].high, 2.0 * cls.max_degree, tol),
+        _deviation("laplacian-zero-eigenvalue-at-zero-point", zero_vals0[0], tol),
+        _deviation("minimum-attained-at-zero-point", bs.bands[0].low - zero_vals[0], tol),
     )
     reports.append(EstimateReport("spectral-containment", containment))
 
@@ -860,39 +853,25 @@ def estimate_suite(
             # Sampled edges: the lower ones must be the zero fiber's.
             lows = np.asarray([b.low for b in bs.bands])
             dev = float(np.abs(lows - zero_vals).max())
-            checks.append(_deviation("loop-lower-endpoints-at-zero-point", dev, check_tol))
+            checks.append(_deviation("loop-lower-endpoints-at-zero-point", dev, tol))
         else:
             two_beta = 2.0 * cls.bridge_count
             checks.append(
-                _deviation(
-                    "flip-corner-band-length-identity",
-                    bs.band_length_sum - two_beta,
-                    check_tol,
-                )
+                _deviation("flip-corner-band-length-identity", bs.band_length_sum - two_beta, tol)
             )
             _, bridges = bridge_count(spec)
             single_vertex = len({e.tail for e in bridges}) <= 1
             params["bridges_at_single_vertex"] = single_vertex
             if single_vertex:
                 checks.append(
-                    _deviation(
-                        "flip-corner-measure-identity",
-                        bs.spectrum_measure - two_beta,
-                        check_tol,
-                    )
+                    _deviation("flip-corner-measure-identity", bs.spectrum_measure - two_beta, tol)
                 )
         reports.append(EstimateReport("loop-graph-endpoints", tuple(checks), params))
 
     if cls.periodic_bipartite and cls.is_regular:
         kappa = cls.regular_degree
-        checks = [
-            _check(
-                "bipartite-gap-floor<=laplacian-gap-sum",
-                2.0 * (kappa - cls.bridge_count),
-                bs0.gap_length_sum,
-                check_tol,
-            )
-        ]
+        floor = 2.0 * (kappa - cls.bridge_count)
+        checks = [_check("bipartite-gap-floor<=laplacian-gap-sum", floor, bs0.gap_length_sum, tol)]
         if cls.fundamental_bipartite or cls.is_loop_graph:
             # Band endpoints mirror through the degree only when the quotient
             # 2-colors (every fiber is symmetric) or when endpoints come from
@@ -900,7 +879,7 @@ def estimate_suite(
             lows0 = np.asarray([b.low for b in bs0.bands])
             highs0 = np.asarray([b.high for b in bs0.bands])
             symmetry_dev = float(np.abs(lows0 + highs0[::-1] - 2.0 * kappa).max())
-            checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, check_tol))
+            checks.append(_deviation("bipartite-band-symmetry", symmetry_dev, tol))
         if cls.is_loop_graph:
             # Lower edges are the zero fiber's eigenvalues, upper edges their
             # mirror through kappa.
@@ -908,7 +887,7 @@ def estimate_suite(
                 float(np.abs(zero_vals0 - lows0).max()),
                 float(np.abs(2.0 * kappa - zero_vals0[::-1] - highs0).max()),
             )
-            checks.append(_deviation("bipartite-loop-endpoint-match", dev, check_tol))
+            checks.append(_deviation("bipartite-loop-endpoint-match", dev, tol))
         reports.append(EstimateReport("bipartite-regular-structure", tuple(checks)))
 
     return cls, bs, tuple(reports)

@@ -18,6 +18,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
+from .errors import NumericError
 from .graph import PeriodicGraphSpec, degrees, is_connected_periodic, oriented_edges
 
 
@@ -259,5 +260,19 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
             if r in group:
                 continue
             group.update(dict.fromkeys(_matmul(r, h) for h in old))
+            _check_group_size(d, len(group))
             pending.extend(p for p in (_matmul(g, r) for g in generators) if p not in group)
     return tuple(group)
+
+
+def _check_group_size(d: int, size: int) -> None:
+    """Raise NumericError for a closure larger than any group of candidates:
+    a finite subgroup of GL(2, Z) has at most 12 elements, and products of
+    signed permutations are signed permutations, 2^d d! of them.  Only a
+    falsely certified matrix can make the closure grow past that."""
+    limit = 12 if d == 2 else 2**d * math.factorial(d)
+    if size > limit:
+        raise NumericError(
+            f"band-symmetry group of a {d}-D graph reached {size} matrices, "
+            f"more than the {limit} such a group can have"
+        )

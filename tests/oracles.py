@@ -43,7 +43,7 @@ from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
 from graphbands.graph import is_connected_periodic, oriented_edges
 from graphbands.graphio import format_float
 from graphbands.lattices import hexagonal
-from graphbands.spectrum import _default_flat_tol, _flat_groups
+from graphbands.spectrum import _flat_groups, _rounding_tol
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -268,7 +268,7 @@ def check_flat_band_block(spec, split, kind="schrodinger"):
     split = list(split)
     values = np.linalg.eigvalsh(fiber_stack(spec, _pairs(spec), kind)[:, split][:, :, split])
     lows, highs = values.min(axis=0), values.max(axis=0)
-    _, groups = _flat_groups(lows.tolist(), highs.tolist(), _default_flat_tol(lows, highs))
+    _, groups = _flat_groups(lows.tolist(), highs.tolist(), _rounding_tol(lows, highs))
     found = tuple((value, mult) for value, mult in groups if mult >= 2)
     flats = compute_band_structure(spec, kind).flat_bands
     for value, mult in found:

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from graphbands import (
     EdgeRecord,
@@ -30,6 +33,7 @@ from graphbands.lattices import (
     triangular,
 )
 from oracles import shift_origin
+from quotients import quotients
 
 PI = np.pi
 
@@ -228,6 +232,23 @@ def test_fundamental_bipartite():
     assert not fundamental_bipartite(star(2, 3))
     assert not fundamental_bipartite(triangular())
     assert fundamental_bipartite(subdivided(2, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients("general"))
+def test_fundamental_bipartite_is_a_proper_two_coloring(spec):
+    # Brute force over the 2^nu colorings, on the quotient and on its
+    # loop-free part: the corpus puts a loop on every axis, so only the
+    # second can be 2-colorable.
+    loop_free = PeriodicGraphSpec(
+        spec.dimension, spec.vertices, tuple(e for e in spec.edges if e.tail != e.head)
+    )
+    for graph in (spec, loop_free):
+        expected = any(
+            all(c[e.tail] != c[e.head] for e in graph.edges)
+            for c in itertools.product((0, 1), repeat=graph.num_vertices)
+        )
+        assert fundamental_bipartite(graph) == expected
 
 
 def test_periodic_bipartite_witnesses():

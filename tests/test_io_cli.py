@@ -147,15 +147,35 @@ def test_cli_analyze_requires_input(capsys):
     assert "required" in err
 
 
-def test_cli_exit_two_when_tolerance_squeezed(capsys):
-    # With zero slack allowed, the tiny negative rounding slack on the exact
-    # identity for this lattice must surface as exit code 2, never silently.
-    code, out, _ = run_cli(
-        capsys, "analyze", "--builtin", "star(2,3)", "--check-tol", "0"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--builtin", "star(2,3)"), ("compare", "star(2,3)", "star(2,3)")],
+    ids=["analyze", "compare"],
+)
+def test_cli_has_no_check_tolerance_option(capsys, argv):
+    # Checks allow the rounding tolerance derived from the band edges; the
+    # removed option is an unknown argument.
+    code, out, err = run_cli(capsys, *argv, "--check-tol", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: --check-tol")
+
+
+def test_cli_star_with_a_large_potential_has_no_false_flat_band(capsys):
+    # Band 1 is open, with a width of about 8e-8: over 1,000 times the
+    # rounding tolerance 16 * 2 * eps * (1 + 1e4) of this operator.
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "star(2,2)", "--q", "0,1e4")
     report = json.loads(out)
-    assert code == 2
-    assert report["all_checks_pass"] is False
+    assert code == 0 and report["all_checks_pass"] is True
+    assert report["flat_bands"] == []
+    assert len(report["open_bands"]) == 2
+
+
+def test_cli_constant_potential_of_1e9_passes_every_check(capsys):
+    q = ",".join(["1e9"] * 9)
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "subdivided(2,4)", "--q", q)
+    assert code == 0
+    assert json.loads(out)["all_checks_pass"] is True
 
 
 def test_cli_reports_byte_identical_across_interpreters():
@@ -678,17 +698,11 @@ def test_dumps_rejects_an_unsupported_type_as_the_reference_does(document, bad, 
 
 TOLERANCE_FLAGS = [
     (("analyze", "--builtin", "star(2,3)"), "--flat-tol"),
-    (("analyze", "--builtin", "star(2,3)"), "--check-tol"),
-    (("compare", "star(2,3)", "star(2,3)"), "--check-tol"),
 ]
 
 
 # Explicit ids, so that a row's test id does not move when another row goes.
-@pytest.mark.parametrize(
-    "argv, flag",
-    TOLERANCE_FLAGS,
-    ids=["argv0---flat-tol", "argv2---check-tol", "argv3---check-tol"],
-)
+@pytest.mark.parametrize("argv, flag", TOLERANCE_FLAGS, ids=["argv0---flat-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
 def test_cli_rejects_bad_tolerances(capsys, argv, flag, value):
     # `--flag=value`, so argparse does not take "-inf" for an option.

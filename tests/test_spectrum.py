@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import math
@@ -24,7 +25,7 @@ from graphbands import EdgeRecord, PeriodicGraphSpec, VertexInfo
 from graphbands.floquet import fiber_stack
 from graphbands.linalg import eigh_stack
 from graphbands import spectrum
-from graphbands.spectrum import EXTREMIZER_TIE_TOL, REFINE_ITERATIONS, UNIFORM_EXTREMIZER_TOL
+from graphbands.spectrum import REFINE_ITERATIONS, _rounding_tol
 from graphbands.lattices import (
     FiniteGraph,
     bcc,
@@ -45,7 +46,7 @@ from oracles import (
     dirac_expansion_check,
     large_coupling_analysis,
 )
-from quotients import decorated_loop_graphs, quotients
+from quotients import FAMILIES, decorated_loop_graphs, quotients
 
 PI = math.pi
 
@@ -128,7 +129,7 @@ def _full_grid_envelopes(spec, kind, grid):
     thetas = grid.points()
     values = eigh_stack(fiber_stack(spec, thetas, kind))[0]
     lows, highs = values.min(axis=0), values.max(axis=0)
-    tie = EXTREMIZER_TIE_TOL * (1.0 + max(np.abs(lows).max(), np.abs(highs).max()))
+    tie = _rounding_tol(lows, highs)
     argmins, argmaxs = [], []
     for n in range(values.shape[1]):
         argmins.append(tuple(thetas[np.flatnonzero(values[:, n] <= lows[n] + tie)[0]]))
@@ -396,6 +397,57 @@ def test_total_band_bound_reports():
     assert report.params["bridge_count"] == 6
 
 
+def test_a_band_edge_raised_past_rounding_breaks_the_equality_row():
+    # cubic(2) attains band-length-sum = 2 * bridge-count.  An edge raised by
+    # 1e-10, about 3,000 times the rounding tolerance of an operator of
+    # norm 8, must fail the row and end the equality.
+    spec = cubic(2)
+    bs = compute_band_structure(spec)
+    name = "band-length-sum<=2*bridge-count"
+
+    def row(structure):
+        report = spectrum._total_band_report(spec, structure)
+        (check,) = [c for c in report.checks if c.name == name]
+        return check.passed, report.params["equality_attained"]
+
+    assert row(bs) == (True, True)
+    top = bs.bands[-1]
+    raised = dataclasses.replace(top, high=top.high + 1e-10)
+    assert row(dataclasses.replace(bs, bands=bs.bands[:-1] + (raised,))) == (False, False)
+
+
+def _narrowest_feature(bs):
+    """The narrowest open band, gap or spacing of two flat values."""
+    flats = [fb.value for fb in bs.flat_bands]
+    widths = [b.width for b in bs.open_bands] + [hi - lo for lo, hi in bs.gaps]
+    return min(widths + np.diff(flats).tolist(), default=math.inf)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_constant_potential_shift_keeps_every_pass_flag_and_flat_band(family, data):
+    # H + cI has the spectrum of H moved by c.  Its rounding grows with c,
+    # and the tolerance must grow with it: no row may fail, and no band turn
+    # flat, because of c alone.  A feature narrower than the rounding at
+    # scale c cannot be resolved in float64, so such a shift is skipped.
+    spec = data.draw(quotients(family))
+
+    def summary(spec):
+        _, bs, reports = estimate_suite(spec)
+        rows = [(r.name, c.name, c.passed) for r in reports for c in r.checks]
+        return rows, [fb.multiplicity for fb in bs.flat_bands], bs
+
+    rows, multiplicities, bs = summary(spec)
+    lows = np.asarray([b.low for b in bs.bands])
+    highs = np.asarray([b.high for b in bs.bands])
+    for c in (1e3, 1e6, 1e9):
+        if _narrowest_feature(bs) <= 4.0 * _rounding_tol(lows + c, highs + c):
+            continue
+        shifted = with_potentials(spec, [q + c for q in spec.potentials()])
+        assert summary(shifted)[:2] == (rows, multiplicities), c
+
+
 def test_gap_bound_star_equality():
     report = verify_gap_bound(star(2, 3))
     assert report.passed
@@ -654,13 +706,14 @@ def _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid=None):
         values = spectrum.grid_eigenvalues(spec, points, "schrodinger")
         corners = list(itertools.product((0.0, PI), repeat=spec.dimension))
         rows = [fiber_eigenvalues(spec, corner) for corner in corners]
+        lows, highs = values.min(axis=0), values.max(axis=0)
         return [
             next(
                 corner
                 for corner, row in zip(corners, rows)
-                if np.abs(row - edges).max() <= UNIFORM_EXTREMIZER_TOL
+                if np.abs(row - edges).max() <= _rounding_tol(lows, highs)
             )
-            for edges in (values.min(axis=0), values.max(axis=0))
+            for edges in (lows, highs)
         ]
 
     minus_a, plus_a = uniform_corners(spec_a)

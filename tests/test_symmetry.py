@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphbands import EdgeRecord, PeriodicGraphSpec, TorusGrid, VertexInfo
+from graphbands import EdgeRecord, NumericError, PeriodicGraphSpec, TorusGrid, VertexInfo
 from graphbands import spectrum
 from graphbands import symmetry
+from graphbands.cli import main
 from graphbands.symmetry import _AutomorphismSearch, _candidate_matrices, band_symmetry_group
 from graphbands.lattices import (
     FiniteGraph,
@@ -189,6 +190,30 @@ def test_certificate_searches_per_group(monkeypatch, spec, found, failed):
 def test_candidate_tables_are_built_once():
     assert _candidate_matrices(3) is _candidate_matrices(3)
     assert len(_candidate_matrices(2)) == 24 and len(set(_candidate_matrices(3))) == 48
+
+
+def test_a_false_certificate_stops_the_closure_at_the_size_bound(monkeypatch, capsys):
+    # A search that certifies every candidate lets the 2-D closure multiply
+    # matrices whose products have infinite order.  The closure must stop at
+    # 12 elements, after a few products, not grow without end.
+    products = 0
+    matmul = symmetry._matmul
+
+    def counted(left, right):
+        nonlocal products
+        products += 1
+        assert products < 10_000, "the closure does not stop"
+        return matmul(left, right)
+
+    monkeypatch.setattr(symmetry, "_matmul", counted)
+    monkeypatch.setattr(_AutomorphismSearch, "_consistent", lambda *args: True)
+    with pytest.raises(NumericError, match="2-D graph reached [0-9]+ matrices, more than the 12"):
+        band_symmetry_group(cubic(2))
+    # A full-grid dispersion runs the search; the CLI ends with one error line.
+    assert main(["dispersion", "--builtin", "cubic(2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: band-symmetry group") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec, m", [(fcc(), 24), (hexagonal(), 13), (cubic(1), 9)])
