@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, help="points per --path segment (default: 50)"
     )
 
-    compare = sub.add_parser("compare", help="stability bounds for two graphs")
+    compare = sub.add_parser("compare", help="stability bounds for two graphs of one dimension")
     compare.add_argument("input_a", help="graph file path or builtin id")
     compare.add_argument("input_b", help="graph file path or builtin id")
     compare.add_argument("--q-a", help="potentials override for the first graph")
@@ -288,9 +288,7 @@ def _cmd_dispersion(args) -> int:
 def _cmd_compare(args) -> int:
     spec_a, desc_a = _resolve_spec(args.input_a, None, args.q_a)
     spec_b, desc_b = _resolve_spec(args.input_b, None, args.q_b)
-    grid_a = _resolve_grid(spec_a, args.grid)
-    grid_b = _resolve_grid(spec_b, args.grid)
-    report = stability_constants(spec_a, spec_b, grid_a=grid_a, grid_b=grid_b)
+    report = stability_constants(spec_a, spec_b, _resolve_grid(spec_a, args.grid))
     document = {
         "format_version": graphio.REPORT_FORMAT_VERSION,
         "command": "compare",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -598,17 +597,23 @@ def verify_total_band_bound(
 
 def _gap_report(spec, bs: BandStructure, laplacian: BandStructure) -> EstimateReport:
     """The gap bound of the operator whose structure is `bs` and whose
-    potentials are those of `spec`; `laplacian` is the Laplacian's structure."""
+    potentials are those of `spec`; `laplacian` is the Laplacian's structure.
+
+    The gap sum is the open bands', so the gap row reads their hull (a flat
+    band beyond it adds as much to the all-band hull as to the gaps of
+    sigma(H)).  The floor row and `band_hull` read the hull of all bands."""
     count, _ = bridge_count(spec)
     potentials = spec.potentials()
     spread = max(potentials) - min(potentials)
     hull_lo, hull_hi = bs.hull
     hull = hull_hi - hull_lo
+    opens = bs.open_bands
+    hull_minus = (opens[-1].high - opens[0].low if opens else 0.0) - 2.0 * count
     top_laplacian = laplacian.bands[-1].high
     floor = max(top_laplacian - spread, spread - 2.0 * max(degrees(spec)))
     tol = max(bs.rounding_tol, laplacian.rounding_tol)
     checks = (
-        _check("band-hull-minus-bridges<=gap-length-sum", hull - 2.0 * count, bs.gap_length_sum, tol),
+        _check("band-hull-minus-bridges<=gap-length-sum", hull_minus, bs.gap_length_sum, tol),
         _check("potential-degree-floor<=band-hull", floor, hull, tol),
     )
     return EstimateReport(
@@ -625,58 +630,51 @@ def _gap_report(spec, bs: BandStructure, laplacian: BandStructure) -> EstimateRe
 
 
 def verify_gap_bound(spec: PeriodicGraphSpec, grid: TorusGrid | None = None) -> EstimateReport:
-    """Total gap length dominates the hull length minus twice the bridge count."""
+    """Total gap length dominates the open bands' hull length minus twice the
+    bridge count."""
     kinds = ("schrodinger", "laplacian")
     structures = _band_structure(spec, classify(spec), kinds, grid, None, False)[1]
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0])
 
 
-class _CornerScan(NamedTuple):
-    """The chosen lower and upper extremizing corners of H, in that order,
-    with their fibers and sorted eigenvalue rows, and the rounding_tol of
-    the band structure they were matched against."""
+def _extremizing_corners(spec, grid, label):
+    """(cls, points, fibers, rows, tol): the classification of `spec`, its
+    lower and upper extremizing corners in that order, H and its sorted
+    eigenvalue rows there, and the rounding_tol of its band structure.
 
-    points: list[tuple[float, ...]]
-    fibers: np.ndarray
-    values: np.ndarray
-    tol: float
-
-
-def _scan_corners(spec, thetas, values, bs: BandStructure, label) -> _CornerScan:
-    """The uniform extremizers of H among the corners of its band-edge sample.
-
-    `thetas` and `values` are the sample and rows of H that `_band_structure`
-    solved for `bs`.  Its corners are all of {0, pi}^d, or the first of each
-    symmetry orbit in grid order, or theta = 0 and theta* alone for a
-    flip-corner loop graph, whose other corners miss its upper edges.  The
-    chosen lower (resp. upper) corner is the first one at which every branch
-    is within `bs.rounding_tol` of its lower (resp. upper) band edge.
-    A side without such a corner raises PreconditionError naming the graph
-    `label` and the corner that comes closest.  H is built at the two
-    chosen corners only.
+    The band edges of H are solved as `compute_band_structure` solves them,
+    and the corners are matched among the corners of that sample: all of
+    {0, pi}^d, or the first of each symmetry orbit in grid order, or
+    theta = 0 and theta* alone for a flip-corner loop graph, whose other
+    corners miss its upper edges.  The lower (resp. upper) corner is the
+    first one at which every branch is within rounding_tol of its lower
+    (resp. upper) band edge.  A graph without such a corner raises
+    PreconditionError naming the graph `label` and the corner that comes
+    closest.  H is built at the two chosen corners only.
     """
+    cls = classify(spec)
+    thetas, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
+    bs, values = structures["schrodinger"]
     at_corner = ((thetas == 0.0) | (thetas == math.pi)).all(axis=1)
     corners, rows = thetas[at_corner], values[at_corner]
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
-    tol = bs.rounding_tol
     chosen = []
     for side, target in (("lower", lows), ("upper", highs)):
         deviation = np.abs(rows - target)
         worst = deviation.max(axis=1)
-        hits = np.flatnonzero(worst <= tol)
-        if hits.size:
-            chosen.append(int(hits[0]))
-        else:
+        hits = np.flatnonzero(worst <= bs.rounding_tol)
+        if not hits.size:
             best = int(worst.argmin())
             raise PreconditionError(
                 f"graph {label}: no corner point attains every {side} band endpoint "
                 f"(best corner {tuple(corners[best].tolist())} misses band "
                 f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
             )
+        chosen.append(int(hits[0]))
     points = corners[chosen]
     fibers = fiber_stack(spec, points, "schrodinger")
-    return _CornerScan(list(map(tuple, points.tolist())), fibers, rows[chosen], tol)
+    return cls, list(map(tuple, points.tolist())), fibers, rows[chosen], bs.rounding_tol
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -686,115 +684,96 @@ def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
 def stability_constants(
     spec_a: PeriodicGraphSpec,
     spec_b: PeriodicGraphSpec,
-    grid_a: TorusGrid | None = None,
-    grid_b: TorusGrid | None = None,
+    grid: TorusGrid | None = None,
 ) -> EstimateReport:
-    """Band-edge and gap-length variation between two graphs, bounded by the
-    entrywise l1 distance of their fiber matrices at the shared extremizers.
+    """Band-edge and gap-length variation between two graphs on one lattice,
+    bounded by the entrywise l1 distance of their fiber matrices at the
+    shared extremizers.
 
-    Both graphs must admit uniform lower and upper extremizing corners.  When
-    the pair is additionally bipartite-regular (potential-free) or
-    precise-vs-bipartite, the specialized two-sided bounds are checked too.
-    Each graph's extremizers are matched among the corners of the sample
-    its band edges are solved on, as `compute_band_structure` takes them
-    (`_scan_corners`).  A constant that overflows float64 raises NumericError.
+    Both graphs must have one dimension and one vertex count, and both are
+    sampled on `grid` (the default grid of their dimension when None).  Each
+    must admit uniform lower and upper extremizing corners
+    (`_extremizing_corners`).  When the pair is additionally
+    bipartite-regular (potential-free) or precise-vs-bipartite, the
+    specialized two-sided bounds are checked too.  Every row's slack is the
+    larger rounding_tol of the two graphs.  A constant that overflows
+    float64 raises NumericError.
     """
+    if spec_a.dimension != spec_b.dimension:
+        raise PreconditionError(f"dimension mismatch: {spec_a.dimension} != {spec_b.dimension}")
     if spec_a.num_vertices != spec_b.num_vertices:
         raise PreconditionError(
             f"vertex count mismatch: {spec_a.num_vertices} != {spec_b.num_vertices}"
         )
-
-    def scan(spec, grid, label):
-        cls = classify(spec)
-        thetas, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
-        bs, values = structures["schrodinger"]
-        return cls, _scan_corners(spec, thetas, values, bs, label)
-
-    side_a, side_b = scan(spec_a, grid_a, "A"), scan(spec_b, grid_b, "B")
+    cls_a, points_a, fibers_a, (lows_a, highs_a), tol_a = _extremizing_corners(spec_a, grid, "A")
+    cls_b, points_b, fibers_b, (lows_b, highs_b), tol_b = _extremizing_corners(spec_b, grid, "B")
+    tol = max(tol_a, tol_b)
     # Finite band edges and fibers can still be too far apart to subtract or
     # sum in float64; such a report is refused below, as one error.
     with np.errstate(over="ignore", invalid="ignore"):
-        report = _stability_report(spec_a, *side_a, spec_b, *side_b)
-    for check in report.checks:
+        c_total = _entry_l1(fibers_a[0], fibers_b[0]) + _entry_l1(fibers_a[1], fibers_b[1])
+        gaps_a = lows_a[1:] - highs_a[:-1]
+        gaps_b = lows_b[1:] - highs_b[:-1]
+        gap_variation = float(np.abs(gaps_a - gaps_b).sum())
+        edge_gap_variation = (
+            abs(lows_a[0] - lows_b[0]) + abs(highs_a[-1] - highs_b[-1]) + gap_variation
+        )
+        length_variation = float(np.abs((highs_a - lows_a) - (highs_b - lows_b)).sum())
+        checks = [
+            _check("edge-and-gap-variation<=2C", edge_gap_variation, 2.0 * c_total, tol),
+            _check("band-length-variation<=2C", length_variation, 2.0 * c_total, tol),
+        ]
+        params = {
+            "c_total": c_total,
+            "theta_minus_a": points_a[0],
+            "theta_plus_a": points_a[1],
+            "theta_minus_b": points_b[0],
+            "theta_plus_b": points_b[1],
+        }
+
+        # theta = 0 attains a loop graph's lower edges and is its first sample
+        # row, so it is a loop graph's lower corner.  A bipartite side has no
+        # potentials, so its lower fiber is its Laplacian zero fiber.
+        bip_a, bip_b = (
+            c.periodic_bipartite and c.is_regular and c.is_loop_graph and not any(s.potentials())
+            for c, s in ((cls_a, spec_a), (cls_b, spec_b))
+        )
+        if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
+            c_pair = _entry_l1(fibers_a[0], fibers_b[0])
+            checks += [
+                _check("bipartite-pair-gap-variation<=4C0", gap_variation, 4.0 * c_pair, tol),
+                _check("bipartite-pair-band-variation<=4C0", length_variation, 4.0 * c_pair, tol),
+            ]
+            params["c_bipartite_pair"] = c_pair
+
+        # The precise side P is a flip-corner loop graph, so its corners are
+        # theta = 0 and theta*; the other side Q is bipartite.  When both
+        # orders qualify, A is the precise side.
+        side_a = (cls_a, fibers_a, lows_a, highs_a, bip_a)
+        side_b = (cls_b, fibers_b, lows_b, highs_b, bip_b)
+        for (cls_p, fibers_p, lows_p, highs_p, _), (cls_q, fibers_q, *_, bip_q) in (
+            (side_a, side_b),
+            (side_b, side_a),
+        ):
+            if cls_p.precise_quasimomentum is None or not bip_q:
+                continue
+            kappa = cls_q.regular_degree
+            base = fibers_q[0]
+            c_mixed = _entry_l1(fibers_p[0], base) + _entry_l1(
+                fibers_p[1] + base, 2.0 * kappa * np.eye(len(base))
+            )
+            lhs_edges = abs(lows_p[0]) + abs(2.0 * kappa - highs_p[-1]) + gap_variation
+            checks += [
+                _check("precise-vs-bipartite-gap-variation<=2C1", lhs_edges, 2.0 * c_mixed, tol),
+                _check(
+                    "precise-vs-bipartite-band-variation<=2C1", length_variation, 2.0 * c_mixed, tol
+                ),
+            ]
+            params["c_precise_vs_bipartite"] = c_mixed
+            break
+    for check in checks:
         if not (math.isfinite(check.lhs) and math.isfinite(check.rhs)):
             raise NumericError(f"stability constants: {check.name} overflows float64")
-    return report
-
-
-def _stability_report(spec_a, cls_a, scan_a, spec_b, cls_b, scan_b) -> EstimateReport:
-    """The checks and constants of `stability_constants` from both corner
-    scans, with the larger of their rounding tolerances as slack."""
-    tol = max(scan_a.tol, scan_b.tol)
-    lows_a, highs_a = scan_a.values
-    lows_b, highs_b = scan_b.values
-    c_total = _entry_l1(scan_a.fibers[0], scan_b.fibers[0]) + _entry_l1(
-        scan_a.fibers[1], scan_b.fibers[1]
-    )
-
-    gaps_a = lows_a[1:] - highs_a[:-1]
-    gaps_b = lows_b[1:] - highs_b[:-1]
-    edge_gap_variation = (
-        abs(lows_a[0] - lows_b[0])
-        + abs(highs_a[-1] - highs_b[-1])
-        + float(np.abs(gaps_a - gaps_b).sum())
-    )
-    length_variation = float(
-        np.abs((highs_a - lows_a) - (highs_b - lows_b)).sum()
-    )
-    checks = [
-        _check("edge-and-gap-variation<=2C", edge_gap_variation, 2.0 * c_total, tol),
-        _check("band-length-variation<=2C", length_variation, 2.0 * c_total, tol),
-    ]
-    params = {
-        "c_total": c_total,
-        "theta_minus_a": scan_a.points[0],
-        "theta_plus_a": scan_a.points[1],
-        "theta_minus_b": scan_b.points[0],
-        "theta_plus_b": scan_b.points[1],
-    }
-
-    zero_a = all(q == 0.0 for q in spec_a.potentials())
-    zero_b = all(q == 0.0 for q in spec_b.potentials())
-
-    # theta = 0 attains a loop graph's lower edges and is its first sample
-    # row, so it is a loop graph's lower corner.  A bipartite side has no
-    # potentials, so its lower fiber is its Laplacian zero fiber.
-    bip_a = cls_a.periodic_bipartite and cls_a.is_regular and cls_a.is_loop_graph and zero_a
-    bip_b = cls_b.periodic_bipartite and cls_b.is_regular and cls_b.is_loop_graph and zero_b
-    if bip_a and bip_b and cls_a.regular_degree == cls_b.regular_degree:
-        c_pair = _entry_l1(scan_a.fibers[0], scan_b.fibers[0])
-        gap_variation = float(np.abs(gaps_a - gaps_b).sum())
-        checks.append(_check("bipartite-pair-gap-variation<=4C0", gap_variation, 4.0 * c_pair, tol))
-        checks.append(_check("bipartite-pair-band-variation<=4C0", length_variation, 4.0 * c_pair, tol))
-        params["c_bipartite_pair"] = c_pair
-
-    def mixed_case(precise_scan, lows_p, highs_p, gaps_p, bip_scan, bip_cls, gaps_q):
-        kappa = bip_cls.regular_degree
-        # The precise side is a flip-corner loop graph: its corners are
-        # theta = 0 and theta*.
-        base = bip_scan.fibers[0]
-        c_mixed = _entry_l1(precise_scan.fibers[0], base) + _entry_l1(
-            precise_scan.fibers[1] + base,
-            2.0 * kappa * np.eye(len(base)),
-        )
-        lhs_edges = (
-            abs(lows_p[0])
-            + abs(2.0 * kappa - highs_p[-1])
-            + float(np.abs(gaps_p - gaps_q).sum())
-        )
-        checks.append(
-            _check("precise-vs-bipartite-gap-variation<=2C1", lhs_edges, 2.0 * c_mixed, tol)
-        )
-        checks.append(
-            _check("precise-vs-bipartite-band-variation<=2C1", length_variation, 2.0 * c_mixed, tol)
-        )
-        params["c_precise_vs_bipartite"] = c_mixed
-
-    if cls_a.precise_quasimomentum is not None and bip_b:
-        mixed_case(scan_a, lows_a, highs_a, gaps_a, scan_b, cls_b, gaps_b)
-    elif cls_b.precise_quasimomentum is not None and bip_a:
-        mixed_case(scan_b, lows_b, highs_b, gaps_b, scan_a, cls_a, gaps_a)
-
     return EstimateReport("stability-bounds", tuple(checks), params)
 
 

@@ -761,9 +761,17 @@ def test_cli_compare_star_potentials(tmp_path, capsys):
 
 
 def test_cli_compare_vertex_mismatch(capsys):
-    code, _, err = run_cli(capsys, "compare", "hexagonal", "fcc")
+    code, _, err = run_cli(capsys, "compare", "hexagonal", "triangular")
     assert code == 1
-    assert "mismatch" in err
+    assert err.splitlines() == ["error: vertex count mismatch: 2 != 1"]
+
+
+def test_cli_compare_dimension_mismatch(capsys):
+    # Two graphs of one vertex count on lattices of different dimension.
+    code, out, err = run_cli(capsys, "compare", "star(2,2)", "star(3,2)")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: dimension mismatch: 2 != 3"]
 
 
 def test_cli_compare_disconnected_cover_with_a_flip_corner(tmp_path, capsys):
@@ -969,6 +977,35 @@ def test_cli_flat_tol_reaches_flat_band_grouping(capsys):
         {"value": fb.value, "multiplicity": fb.multiplicity} for fb in expected.flat_bands
     ]
     assert [fb.multiplicity for fb in expected.flat_bands] == [1, 1]
+
+
+GAP_ROW = "gap-length-bound:band-hull-minus-bridges<=gap-length-sum"
+
+
+@pytest.mark.parametrize("q", ["1e6,0,3", "1e9,0,3"])
+def test_cli_gap_row_skips_a_flat_band_beyond_the_open_bands(capsys, q):
+    # The first potential puts a flat band near it, far above the open
+    # bands.  The gap sum is the open bands', and so is the hull the row
+    # reads: the gap up to the flat band is in neither.
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--q", q)
+    assert code == 0
+    report = json.loads(out)
+    (row,) = [c for c in report["checks"] if c["name"] == GAP_ROW]
+    assert row["lhs"] < report["bands"][-1]["high"] - report["bands"][0]["low"] - 8.0
+    assert row["pass"] is True
+
+
+def test_cli_gap_row_with_every_band_flat(capsys):
+    # With no open band the row reads 0 - 2 * bridges against an empty gap
+    # sum.  The spectrum measure is 0 too, so the flip-corner measure
+    # identity (8 = 2 * bridges) is the one row that fails.
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "star(2,3)", "--flat-tol", "100")
+    assert code == 2
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (rows[GAP_ROW]["lhs"], rows[GAP_ROW]["rhs"], rows[GAP_ROW]["pass"]) == (-8, 0, True)
+    assert [name for name, c in rows.items() if not c["pass"]] == [
+        "loop-graph-endpoints:flip-corner-measure-identity"
+    ]
 
 
 _INPUT_BLOCK = re.compile(r'^  "input": \{\n.*?^  \},\n', re.DOTALL | re.MULTILINE)

@@ -254,10 +254,7 @@ GRID_CALLS = {
     "compute_band_structure": lambda g: compute_band_structure(star(2, 3), grid=g),
     "verify_total_band_bound": lambda g: verify_total_band_bound(star(2, 3), grid=g),
     "verify_gap_bound": lambda g: verify_gap_bound(star(2, 3), g),
-    "stability_constants": lambda g: stability_constants(star(2, 3), star(2, 3), grid_a=g),
-    "stability_constants:grid_b": lambda g: stability_constants(
-        star(2, 3), star(2, 3), grid_b=g
-    ),
+    "stability_constants": lambda g: stability_constants(star(2, 3), star(2, 3), grid=g),
     "estimate_suite": lambda g: estimate_suite(star(2, 3), grid=g),
 }
 
@@ -270,7 +267,7 @@ def test_grid_calls_cover_every_public_grid_function():
         and not name.startswith("_")
         and any(p.startswith("grid") for p in inspect.signature(fn).parameters)
     }
-    assert takes_grid == {name.split(":")[0] for name in GRID_CALLS}
+    assert takes_grid == set(GRID_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_CALLS))
@@ -446,6 +443,29 @@ def test_a_constant_potential_shift_keeps_every_pass_flag_and_flat_band(family, 
             continue
         shifted = with_potentials(spec, [q + c for q in spec.potentials()])
         assert summary(shifted)[:2] == (rows, multiplicities), c
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_gap_row_passes_at_every_potential_scale_and_kind(family, data):
+    # The gap sum is taken over the open bands, so the row reads their hull.
+    # Large potentials put flat bands far outside the open bands, where the
+    # hull of all bands would grow by the gap up to them.  Only H carries
+    # the potentials, and the normalized operator has no gap row.
+    spec = data.draw(quotients(family))
+    grid = TorusGrid(spec.dimension, 12)
+    for kind in ("schrodinger", "laplacian", "normalized"):
+        for scale in (0.0, 1.0, 1e3, 1e6, 1e9) if kind == "schrodinger" else (1.0,):
+            scaled = with_potentials(spec, [scale * q for q in spec.potentials()])
+            _, _, reports = estimate_suite(scaled, kind, grid)
+            passed = [
+                c.passed
+                for r in reports
+                for c in r.checks
+                if c.name == "band-hull-minus-bridges<=gap-length-sum"
+            ]
+            assert passed == ([] if kind == "normalized" else [True]), (kind, scale)
 
 
 def test_gap_bound_star_equality():
@@ -682,8 +702,18 @@ def test_stability_bipartite_pair():
 
 
 def test_stability_vertex_count_mismatch():
-    with pytest.raises(PreconditionError, match="mismatch"):
-        stability_constants(hexagonal(), fcc())
+    with pytest.raises(PreconditionError, match="vertex count mismatch: 2 != 1"):
+        stability_constants(hexagonal(), triangular())
+
+
+# hexagonal and fcc differ in vertex count too: the dimension is checked first.
+@pytest.mark.parametrize(
+    "spec_a, spec_b", [(star(2, 3), star(3, 3)), (hexagonal(), fcc())], ids=["star", "hex-fcc"]
+)
+def test_stability_dimension_mismatch(spec_a, spec_b):
+    # The paper compares two operators on one lattice.
+    with pytest.raises(PreconditionError, match="dimension mismatch: 2 != 3"):
+        stability_constants(spec_a, spec_b)
 
 
 def test_stability_requires_uniform_extremizers():
@@ -793,7 +823,7 @@ def test_stability_reuses_the_corner_solves(
     checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid)
     solves = calls(spectrum, "eigh_stack", len)
     fibers = calls(spectrum, "fiber_stack", lambda spec, thetas, kind: len(thetas))
-    report = stability_constants(spec_a, spec_b, grid, grid)
+    report = stability_constants(spec_a, spec_b, grid)
     # The theta = 0 Laplacian fiber of the bipartite side is its lower corner's.
     assert solves == solve_batches
     assert fibers == fiber_batches
