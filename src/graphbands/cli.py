@@ -261,26 +261,25 @@ def _cmd_dispersion(args) -> int:
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
     if args.path is not None:
         samples = 50 if args.samples is None else args.samples
-        solved = thetas = _path_points(args.path, spec.dimension, samples)
-        index = np.arange(len(thetas))
-        theta_text = graphio.format_rows(thetas)
+        solved = _path_points(args.path, spec.dimension, samples)
+        index = np.arange(len(solved))
+        parts = [[graphio.format_rows(solved)]]
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
         grid = _resolve_grid(spec, args.grid)
-        solved, index, thetas = grid.representatives(_orbit_group(spec, grid, (args.kind,)))
-        # The grid rows are axis^d, then the pi corners of an odd grid.
-        uniform = grid.points_per_axis**grid.dimension
-        theta_text = graphio.format_grid_rows(grid.axis(), grid.dimension)
-        if len(thetas) > uniform:
-            theta_text = np.concatenate([theta_text, graphio.format_rows(thetas[uniform:])])
+        solved, index, points = grid.representatives(_orbit_group(spec, grid, (args.kind,)))
+        # The grid rows are axis^d in row-major order, then the pi corners of an odd grid.
+        axis = graphio.format_rows(grid.axis()[:, None])
+        corners = graphio.format_rows(points[len(axis) ** grid.dimension :])
+        parts = [[axis] * grid.dimension, [corners]]
     values = grid_eigenvalues(spec, solved, args.kind)
-    # Both parts are formatted, and so checked, before the first byte is written.
+    # Every text is formatted, and so checked, before the first byte is written.
     value_text = graphio.format_rows(values)
     header = "# " + "\t".join(
         [f"theta_{s + 1}" for s in range(spec.dimension)]
         + [f"lambda_{n + 1}" for n in range(spec.num_vertices)]
     )
-    blocks = graphio.stream_rows(theta_text, value_text, index)
+    blocks = graphio.stream_rows(parts, value_text, index)
     _write_output(itertools.chain([header + "\n"], blocks), args.out)
     return 0
 

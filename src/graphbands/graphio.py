@@ -7,10 +7,10 @@ insertion order, an array of scalars alone on one line, ASCII text with
 exactly.  A non-finite value raises NumericError naming its report path, so
 the command exits 2.  Tables are assembled in numpy: `format_rows` formats
 each distinct value of a column once and joins the cells of every row with
-bytes operations, `format_grid_rows` joins the theta rows of a full grid from
-the texts of its m axis values, and `stream_rows` writes the rows in blocks
-of `TABLE_BLOCK_ROWS`, so no per-row Python string is built.  The text is the
-same as one `%.17g` per cell joined by tabs.
+bytes operations, and `stream_rows` writes a table in blocks of 4,096 lines
+(`TABLE_BLOCK_ROWS`), joining each block's theta text from formatted axis
+texts, so no per-row Python string is built and the table's text is never
+held whole.  The text is the same as one `%.17g` per cell joined by tabs.
 Parsing is strict; unknown fields are rejected with the offending path.
 """
 
@@ -59,36 +59,37 @@ def format_rows(table) -> np.ndarray:
     return rows
 
 
-def format_grid_rows(axis, dimension: int) -> np.ndarray:
-    """`format_rows` of the grid axis^dimension in row-major order, built from
-    the texts of the axis values alone.
+# Lines per block of `stream_rows`: the text of one block is held at a time.
+TABLE_BLOCK_ROWS = 4096
 
-    Row k of the grid holds the axis values of the base-m digits of k, so its
-    text is their texts joined by tabs: one broadcast join per further axis.
-    The rows may be padded wider than `format_rows` pads them.
+
+def stream_rows(parts, right: np.ndarray, index: np.ndarray):
+    """Yield the text of the lines `theta[i] + "\t" + right[index[i]] + "\n"`,
+    at most TABLE_BLOCK_ROWS at a time, from `format_rows` outputs.
+
+    The theta rows are `parts` in order, each a list of axes of texts whose
+    row k joins by tabs the texts at the row-major coordinates of k: a grid is
+    d axes of m texts, a path or an odd grid's pi corners one axis.
     """
-    text = format_rows(np.asarray(axis)[:, None])
-    cell = np.strings.add(b"\t", text)
-    rows = text
-    for _ in range(dimension - 1):
-        rows = np.strings.add(rows[:, None], cell).ravel()
-    return rows
-
-
-# Rows per block of `stream_rows`: the text of one block is held at a time.
-TABLE_BLOCK_ROWS = 16384
-
-
-def stream_rows(left: np.ndarray, right: np.ndarray, index: np.ndarray):
-    """Yield the text of the lines `left[i] + "\t" + right[index[i]] + "\n"`,
-    TABLE_BLOCK_ROWS lines at a time, from `format_rows` outputs."""
     right = np.strings.add(np.strings.add(b"\t", right), b"\n")
-    for start in range(0, len(left), TABLE_BLOCK_ROWS):
-        stop = start + TABLE_BLOCK_ROWS
-        block = np.strings.add(left[start:stop], right[index[start:stop]])
-        # Texts hold no NUL byte, so dropping the padding joins the lines.
-        raw = block.view(np.uint8)
-        yield raw[raw != 0].tobytes().decode("ascii")
+    for axes in parts:
+        texts = [axes[0], *(np.strings.add(b"\t", axis) for axis in axes[1:])]
+        shape = [len(axis) for axis in axes]
+        # Trailing axes whose rows fit in a block are broadcast, the rest (the first always) gathered.
+        lead = next((j for j in range(1, len(shape)) if math.prod(shape[j:]) <= TABLE_BLOCK_ROWS), len(shape))
+        heads, step = math.prod(shape[:lead]), TABLE_BLOCK_ROWS // math.prod(shape[lead:])
+        for start in range(0, heads, step):
+            picks = np.unravel_index(np.arange(start, min(start + step, heads)), shape[:lead])
+            lines = texts[0][picks[0]]
+            for text, pick in zip(texts[1:], picks[1:]):
+                lines = np.strings.add(lines, text[pick])
+            for text in texts[lead:]:
+                lines = np.strings.add(lines[:, None], text).ravel()
+            block = np.strings.add(lines, right[index[: len(lines)]])
+            index = index[len(lines) :]
+            # Texts hold no NUL byte, so dropping the padding joins the lines.
+            raw = block.view(np.uint8)
+            yield raw[raw != 0].tobytes().decode("ascii")
 
 
 def dumps(document) -> str:

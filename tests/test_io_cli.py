@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from graphbands.cli import main
 from graphbands.graphio import (
     dumps,
     format_float,
-    format_grid_rows,
     format_rows,
     load_graph,
     parse_graph,
@@ -312,8 +312,8 @@ def _per_cell_rows(table):
         ("dispersion", "--builtin", "hexagonal", "--grid", "65"),
         ("dispersion", "--builtin", "hexagonal", "--path", "0,0:2pi/3,-2pi/3:pi,pi",
          "--samples", "9"),
-        # 129^2 + 3 = 16,644 rows: one full block of TABLE_BLOCK_ROWS and a
-        # partial one that ends with the pi corners of the odd grid.
+        # 129^2 + 3 = 16,644 rows: several blocks of TABLE_BLOCK_ROWS, the
+        # last of them the pi corners of the odd grid.
         ("dispersion", "--builtin", "hexagonal", "--grid", "129"),
     ],
 )
@@ -334,7 +334,7 @@ def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv
         assert seen["thetas"].tobytes() == representatives.tobytes()
         table = np.hstack([points, seen["values"][index]])
     if argv[-1] == "129":
-        assert graphio.TABLE_BLOCK_ROWS < len(table) < 2 * graphio.TABLE_BLOCK_ROWS
+        assert len(table) > 2 * graphio.TABLE_BLOCK_ROWS
     assert out.split("\n", 1)[1] == "\n".join(_per_cell_rows(table)) + "\n"
 
 
@@ -351,33 +351,58 @@ def test_cli_dispersion_out_file_holds_the_stdout_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("m", [2, 3, 12, 13])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_theta_text_matches_the_formatted_points(d, m):
+def test_grid_theta_text_matches_the_formatted_points(monkeypatch, d, m):
+    # The grid part is d copies of the m axis texts; its lines are the
+    # formatted points.  Blocks of 7 lines, shorter than an axis of 12 or 13,
+    # gather every coordinate line by line; blocks of 100 broadcast the
+    # trailing axes.
     grid = TorusGrid(d, m)
-    points = grid.points()
-    rows = format_grid_rows(grid.axis(), d)
-    assert len(rows) == m**d
-    # Row widths may differ; the texts are compared after the padding goes.
-    assert rows.tolist() == format_rows(points[: m**d]).tolist()
+    points = grid.points()[: m**d]
+    values = -np.arange(m**d, dtype=float)[:, None]
+    axis = format_rows(grid.axis()[:, None])
+    rows = format_rows(np.hstack([points, values])).tolist()
+    for block in (7, 100):
+        monkeypatch.setattr(graphio, "TABLE_BLOCK_ROWS", block)
+        text = "".join(graphio.stream_rows([[axis] * d], format_rows(values), np.arange(m**d)))
+        assert text == "".join(row.decode() + "\n" for row in rows)
 
 
 def test_cli_grid_theta_text_crosses_a_block_and_ends_with_the_pi_corners(capsys, monkeypatch):
-    # 129^2 + 3 rows: more than one TABLE_BLOCK_ROWS block, and the rows of
-    # the odd grid's pi corners come last.
-    texts = []
+    # 129^2 + 3 rows: several TABLE_BLOCK_ROWS blocks of the 129 x 129 axis
+    # texts, then the odd grid's pi corners as a part of their own.
+    seen = []
     stream = graphio.stream_rows
 
-    def capture(left, right, index):
-        texts.append(left)
-        return stream(left, right, index)
+    def capture(parts, right, index):
+        seen.append(parts)
+        return stream(parts, right, index)
 
     monkeypatch.setattr(graphio, "stream_rows", capture)
-    code, _, _ = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--grid", "129")
+    code, out, _ = run_cli(capsys, "dispersion", "--builtin", "hexagonal", "--grid", "129")
     assert code == 0
-    points = TorusGrid(2, 129).points()
-    assert graphio.TABLE_BLOCK_ROWS < len(points) == 129**2 + 3
-    assert texts[0].tolist() == format_rows(points).tolist()
+    grid = TorusGrid(2, 129)
+    points = grid.points()
+    assert len(points) == 129**2 + 3 > 2 * graphio.TABLE_BLOCK_ROWS
+    [[axes, corners]] = seen
+    assert [axis.tolist() for axis in axes] == [format_rows(grid.axis()[:, None]).tolist()] * 2
     pi = b"3.1415926535897931"
-    assert texts[0][-3:].tolist() == [b"0\t" + pi, pi + b"\t0", pi + b"\t" + pi]
+    assert [axis.tolist() for axis in corners] == [[b"0\t" + pi, pi + b"\t0", pi + b"\t" + pi]]
+    thetas = ["\t".join(line.split("\t")[:2]) for line in out.splitlines()[1:]]
+    assert thetas == [row.decode() for row in format_rows(points).tolist()]
+
+
+def test_cli_dispersion_never_holds_the_table_text(tmp_path):
+    # 257^2 + 3 rows, about 4.8 MB of text: the writer holds one block of it
+    # at a time, so the traced peak stays below the file's size.
+    out_file = tmp_path / "table.tsv"
+    tracemalloc.start()
+    try:
+        code = main(["dispersion", "--builtin", "hexagonal", "--grid", "257", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out_file.stat().st_size
 
 
 @pytest.mark.parametrize(
@@ -398,13 +423,18 @@ def test_cli_full_grid_dispersion_builds_the_grid_and_solves_once(capsys, calls,
 
 
 def test_stream_rows_joins_every_block(monkeypatch):
-    thetas = np.arange(10.0)[:, None] / 3.0
+    # A 3 x 2 grid part, then a part of 5 corner rows: blocks of 4 lines
+    # split each part, the corners after their fourth row.
+    first, second = np.arange(3.0) / 3.0, np.array([-0.0, 1e300])
+    grid = np.stack(np.meshgrid(first, second, indexing="ij"), axis=-1).reshape(-1, 2)
+    corners = np.array([[5e-324, 2.5], [1.0, -1.0], [0.5, 0.25], [7.0, -0.0], [9.0, 10.0]])
     values = np.array([[-0.0, 1e300], [5e-324, 2.5]])
-    index = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1])
+    index = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0])
     monkeypatch.setattr(graphio, "TABLE_BLOCK_ROWS", 4)
-    blocks = list(graphio.stream_rows(format_rows(thetas), format_rows(values), index))
-    assert [block.count("\n") for block in blocks] == [4, 4, 2]
-    table = np.hstack([thetas, values[index]])
+    parts = [[format_rows(first[:, None]), format_rows(second[:, None])], [format_rows(corners)]]
+    blocks = list(graphio.stream_rows(parts, format_rows(values), index))
+    assert [block.count("\n") for block in blocks] == [4, 2, 4, 1]
+    table = np.hstack([np.vstack([grid, corners]), values[index]])
     assert "".join(blocks) == "".join(row + "\n" for row in _per_cell_rows(table))
 
 

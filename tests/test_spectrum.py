@@ -640,6 +640,38 @@ def test_loop_and_bipartite_statement_rows(spec, loop_rows, bipartite_rows):
     assert all(r.passed for r in reports)
 
 
+def test_rounding_tolerance_of_a_closed_form_structure():
+    # cubic(2) has one branch with edges 0 and 8, sampled exactly at theta = 0
+    # and (pi, pi), so tau = 16 * nu * eps * (1 + scale) is 16 * 1 * eps * 9.
+    _, bs, _ = estimate_suite(cubic(2))
+    assert band_tuples(bs) == [(0.0, 8.0)]
+    assert bs.flat_tol == bs.rounding_tol == 16 * 1 * np.finfo(float).eps * (1.0 + 8.0)
+
+
+def test_bipartite_band_symmetry_fails_on_a_moved_band_edge(monkeypatch):
+    # hexagonal's Laplacian bands [0, 3] and [3, 6] mirror through the degree
+    # 3; with the first upper edge moved to 2.5 they no longer do.
+    solve = spectrum._band_structure
+
+    def tampered(*args):
+        thetas, structures = solve(*args)
+        structure, values = structures["laplacian"]
+        first = dataclasses.replace(structure.bands[0], high=structure.bands[0].high - 0.5)
+        bands = (first, *structure.bands[1:])
+        structures["laplacian"] = dataclasses.replace(structure, bands=bands), values
+        return thetas, structures
+
+    _, _, reports = estimate_suite(hexagonal())
+    rows = {c.name: c for r in reports for c in r.checks}
+    assert rows["bipartite-band-symmetry"].passed
+    monkeypatch.setattr(spectrum, "_band_structure", tampered)
+    _, _, reports = estimate_suite(hexagonal())
+    [report] = [r for r in reports if r.name == "bipartite-regular-structure"]
+    rows = {c.name: c for c in report.checks}
+    assert not rows["bipartite-band-symmetry"].passed
+    assert rows["bipartite-band-symmetry"].lhs == pytest.approx(0.5)
+
+
 def test_uniform_extremizers():
     # Phase-flipping loop graphs extremize every branch at 0 and the corner.
     for spec in (star(2, 3), cubic(3)):
