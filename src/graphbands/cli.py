@@ -231,8 +231,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _path_points(text: str, dimension: int, samples: int) -> np.ndarray:
+    stops = text.split(":")
     waypoints = []
-    for stop in text.split(":"):
+    for stop in stops:
         parts = [p for p in stop.split(",")]
         if len(parts) != dimension:
             raise ValidationError(
@@ -245,11 +246,19 @@ def _path_points(text: str, dimension: int, samples: int) -> np.ndarray:
         raise ValidationError("--samples must be >= 1")
     # Each segment is one array, so an oversized --samples fails at its first
     # allocation.  Sample j of a segment is start + (stop - start) * (j / samples).
+    # Finite waypoints can still be too far apart to subtract in float64;
+    # such a segment is refused below, as one error.
     waypoints = np.asarray(waypoints)
     fractions = (np.arange(samples) / samples)[:, None]
-    segments = [
-        start + (stop - start) * fractions for start, stop in zip(waypoints, waypoints[1:])
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        segments = [
+            start + (stop - start) * fractions for start, stop in zip(waypoints, waypoints[1:])
+        ]
+    for k, segment in enumerate(segments):
+        if not np.isfinite(segment).all():
+            raise NumericError(
+                f"--path segment {stops[k]!r} to {stops[k + 1]!r} has a non-finite sample point"
+            )
     return np.vstack(segments + [waypoints[-1:]])
 
 

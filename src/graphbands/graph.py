@@ -5,8 +5,10 @@ a finite multigraph whose edges carry integer "cell offset" index vectors
 recording how many unit cells the edge crosses along each period direction.
 Everything spectral in this package is computed from that finite description.
 A spec is immutable, so what is derived from it (oriented edges, degrees,
-bridges, cover connectivity, the classification) is computed on first use
-and kept on the spec object: the functions below read it from there.  The
+bridges, the GF(2) coloring system, cover connectivity, the classification)
+is computed on first use and kept on the spec object: the functions below
+read it from there.  The two bipartiteness tests solve the one coloring
+system, whose rows are bitmasks, with and without its parity columns.  The
 cache is per object, never by value, so each newly parsed spec derives its
 own.
 """
@@ -160,6 +162,11 @@ class _Structure(NamedTuple):
     degrees: tuple[int, ...]
     bridges: tuple[OrientedEdge, ...]
     is_loop_graph: bool
+    # The coloring system of the cover over GF(2): one equation
+    # c(tail) + c(head) + <p, index> = 1 per edge, in a cell coloring c and a
+    # parity vector p.  Each row is a bitmask: bits 0 to nu - 1 hold the
+    # coloring columns (a loop's cancel), bits nu to nu + d - 1 the parities.
+    coloring: tuple[int, ...]
 
 
 def _derive_structure(spec: PeriodicGraphSpec) -> _Structure:
@@ -171,9 +178,18 @@ def _derive_structure(spec: PeriodicGraphSpec) -> _Structure:
     for e in oriented:
         deg[e.tail] += 1
     bridges = tuple(e for e in oriented if any(e.index))
-    return _Structure(
-        tuple(oriented), tuple(deg), bridges, all(e.tail == e.head for e in bridges)
+    nv = spec.num_vertices
+    coloring = tuple(
+        (1 << e.tail) ^ (1 << e.head) | _parity_mask(e.index) << nv for e in spec.edges
     )
+    return _Structure(
+        tuple(oriented), tuple(deg), bridges, all(e.tail == e.head for e in bridges), coloring
+    )
+
+
+def _parity_mask(index) -> int:
+    """The parities of an index vector as a bitmask: bit s is index[s] & 1."""
+    return sum((x & 1) << s for s, x in enumerate(index))
 
 
 def oriented_edges(spec: PeriodicGraphSpec) -> tuple[OrientedEdge, ...]:
@@ -248,25 +264,11 @@ def _cover_connected(spec: PeriodicGraphSpec) -> bool:
     return integer_lattice_full(cycle_vectors, spec.dimension)
 
 
-def _coloring_system(spec: PeriodicGraphSpec):
-    """Rows and right-hand sides over GF(2) of c(tail) + c(head) + <p, index>
-    = 1, one per edge: the first nu columns hold a cell coloring c, the last
-    d a parity vector p.  A loop's coloring columns cancel."""
-    nv = spec.num_vertices
-    rows = []
-    for e in spec.edges:
-        row = [0] * nv + [x & 1 for x in e.index]
-        row[e.tail] ^= 1
-        row[e.head] ^= 1
-        rows.append(row)
-    return rows, [1] * len(rows)
-
-
 def fundamental_bipartite(spec: PeriodicGraphSpec) -> bool:
     """2-colorability of the quotient multigraph, ignoring indices: the
     coloring system of the cover without its parity columns."""
-    rows, rhs = _coloring_system(spec)
-    return gf2_solve([row[: spec.num_vertices] for row in rows], rhs) is not None
+    rows = spec._structure.coloring
+    return gf2_solve(rows, [1] * len(rows), spec.num_vertices) is not None
 
 
 def periodic_bipartite(spec: PeriodicGraphSpec):
@@ -278,8 +280,8 @@ def periodic_bipartite(spec: PeriodicGraphSpec):
     (coloring, parity) or None.
     """
     nv, d = spec.num_vertices, spec.dimension
-    rows, rhs = _coloring_system(spec)
-    solution = gf2_solve(rows, rhs) if rows else tuple([0] * (nv + d))
+    rows = spec._structure.coloring
+    solution = gf2_solve(rows, [1] * len(rows), nv + d)
     if solution is None:
         return False, None
     return True, (solution[:nv], solution[nv:])
@@ -292,8 +294,11 @@ def _precise_quasimomentum(spec: PeriodicGraphSpec, bridges) -> tuple[float, ...
     Only corner candidates are tried; absence means "not precise under the
     restricted test".
     """
-    rows = sorted({tuple(x & 1 for x in e.index) for e in bridges})
-    solution = gf2_solve(list(rows), [1] * len(rows))
+    rows = {_parity_mask(e.index) for e in bridges}
+    if not rows:
+        # No bridge, so the cover is disconnected: the empty tuple.
+        return ()
+    solution = gf2_solve(rows, [1] * len(rows), spec.dimension)
     if solution is None:
         return None
     return tuple(math.pi * bit for bit in solution)

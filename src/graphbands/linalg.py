@@ -5,7 +5,7 @@ which solve every matrix of a stack on its own, so a matrix's result does not
 depend on what else sits in the same batch.  A real stack stays real, so
 LAPACK runs its real symmetric driver on it; a complex stack gets the
 Hermitian one.  The integer-lattice and GF(2) routines work on exact Python
-integers.
+integers; a GF(2) row is one int, a bitmask of its coefficients.
 """
 
 from __future__ import annotations
@@ -47,40 +47,41 @@ def eigh_stack(stack: np.ndarray, want_vectors: bool = False):
     return values, vecs
 
 
-def gf2_solve(rows, rhs):
+def gf2_solve(rows, rhs, ncols: int):
     """One solution of a linear system over GF(2), or None if inconsistent.
 
-    Free variables are set to zero.
+    Row i is the bitmask rows[i], an int whose bit c is the coefficient of
+    column c < ncols (higher bits are ignored), with right-hand side
+    rhs[i] & 1, kept at bit ncols.  Gauss-Jordan elimination, one row at a
+    time: a row is reduced by the pivot rows so far, and its lowest
+    remaining column becomes a pivot, eliminated from the other pivot rows.
+    A pivot row's lowest bit stays its pivot, so the pivots are the lowest
+    bits of the row space: the pivot columns of the reduced row echelon
+    form, whatever the order of the rows.  Free variables are set to zero,
+    so the solution is the one that form gives.  Returns a tuple of ncols
+    bits.
     """
-    mat = [[int(x) & 1 for x in row] for row in rows]
-    vec = [int(x) & 1 for x in rhs]
-    if len(mat) != len(vec):
+    if len(rows) != len(rhs):
         raise ParameterError("row/right-hand-side count mismatch")
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        hit = next((i for i in range(row, len(mat)) if mat[i][col]), None)
-        if hit is None:
+    mask = (1 << ncols) - 1
+    pivots = {}  # pivot bit -> its reduced row
+    for row, b in zip(rows, rhs):
+        r = (int(row) & mask) | (int(b) & 1) << ncols
+        for bit, pivot in pivots.items():
+            if r & bit:
+                r ^= pivot
+        if not r & mask:
+            if r:
+                return None  # the row reduced to 0 = 1
             continue
-        mat[row], mat[hit] = mat[hit], mat[row]
-        vec[row], vec[hit] = vec[hit], vec[row]
-        for i in range(len(mat)):
-            if i != row and mat[i][col]:
-                mat[i] = [a ^ b for a, b in zip(mat[i], mat[row])]
-                vec[i] ^= vec[row]
-        pivots.append((row, col))
-        row += 1
-        if row == len(mat):
-            break
-    for i in range(row, len(mat)):
-        if vec[i]:
-            return None
+        bit = r & -r
+        for other, pivot in pivots.items():
+            if pivot & bit:
+                pivots[other] = pivot ^ r
+        pivots[bit] = r
     solution = [0] * ncols
-    for r, c in pivots:
-        solution[c] = vec[r]
+    for bit, pivot in pivots.items():
+        solution[bit.bit_length() - 1] = pivot >> ncols
     return tuple(solution)
 
 

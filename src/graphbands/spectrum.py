@@ -13,7 +13,10 @@ shifts that an exact search finds) makes H(A^{-T} theta) unitarily
 equivalent to H(theta).  Band envelopes therefore solve one grid point per
 orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
-beyond that, the orbits are the pairs theta, -theta.  A full-grid
+beyond that, the orbits are the pairs theta, -theta.  Every operator kind
+a call needs is built at that sample from one phase sum and solved in one
+eigensolver call, and `stability_constants` reads H at its chosen corners
+from the same stack.  A full-grid
 dispersion solves one point per orbit too and copies its eigenvalues to the
 rest of the orbit, through the index that `TorusGrid.representatives`
 returns.  Envelopes are the exact minima
@@ -361,10 +364,10 @@ def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> 
 
 
 def _envelopes(thetas: np.ndarray, values: np.ndarray):
-    """Per-branch (lows, highs, argmins, argmaxs) over sampled points.
+    """Per-branch (lows, highs, argmins, argmaxs, tie) over sampled points.
 
     lows and highs are the exact minima and maxima; each extremizer is the
-    first point, in row order, within `_rounding_tol` of its envelope.
+    first point, in row order, within tie = `_rounding_tol` of its envelope.
     """
     lows = values.min(axis=0)
     highs = values.max(axis=0)
@@ -373,7 +376,7 @@ def _envelopes(thetas: np.ndarray, values: np.ndarray):
     high_idx = (values >= highs - tie).argmax(axis=0)
     argmins = list(map(tuple, thetas[low_idx].tolist()))
     argmaxs = list(map(tuple, thetas[high_idx].tolist()))
-    return lows, highs, argmins, argmaxs
+    return lows, highs, argmins, argmaxs, tie
 
 
 def fiber_eigenvalues(spec: PeriodicGraphSpec, theta, kind: str = "schrodinger") -> np.ndarray:
@@ -431,8 +434,10 @@ def _assemble_structure(
     argmins,
     argmaxs,
     flat_tol: float | None,
+    rounding_tol: float,
 ) -> BandStructure:
-    rounding_tol = _rounding_tol(lows, highs)
+    """The structure of band edges lows and highs, whose `_rounding_tol` is
+    rounding_tol."""
     tol = flat_tol if flat_tol is not None else rounding_tol
     bands = tuple(
         BandInterval(n + 1, float(lows[n]), float(highs[n]), argmins[n], argmaxs[n])
@@ -507,8 +512,9 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
 
 
 def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
-    """(thetas, {kind: (structure, values)}) for each of `kinds`: the sample
-    solved and the sorted eigenvalue rows of each kind there.
+    """(thetas, fibers, {kind: (structure, values)}) for each of `kinds`: the
+    sample solved, the fiber stack solved there and the sorted eigenvalue
+    rows of each kind there.
 
     `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
     every kind is a constant matrix minus a nonnegative diagonal times the
@@ -517,7 +523,9 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     degrees and potentials, so the band-symmetry group of H is one of every
     kind; without H among `kinds` the group of the graph without potentials
     is used (`_orbit_group`).  With no potentials a Laplacian asked for with
-    H is H's structure.  theta = 0 is the first row.  `refine` moves the
+    H is H's structure.  The kinds solved are built from one phase sum and
+    solved in one eigensolver call; fibers holds their stacks, kind-major in
+    the order of `kinds` less that Laplacian.  theta = 0 is the first row.  `refine` moves the
     edges off the sample; thetas and values stay the sample's.
     """
     grid = _connected_grid(spec, grid)
@@ -526,13 +534,14 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
         thetas = grid.representatives(_orbit_group(spec, grid, kinds))[0]
     else:
         thetas, refine = np.asarray(corners), False
+    kinds = tuple(dict.fromkeys(kinds))
+    laplacian_is_h = "schrodinger" in kinds and not any(spec.potentials())
+    solved = tuple(kind for kind in kinds if not (laplacian_is_h and kind == "laplacian"))
+    fibers = fiber_stack(spec, thetas, solved)
+    rows = eigh_stack(fibers)[0].reshape(len(solved), len(thetas), -1)
     structures = {}
-    for kind in dict.fromkeys(kinds):
-        if kind == "laplacian" and "schrodinger" in structures and not any(spec.potentials()):
-            structures[kind] = structures["schrodinger"]
-            continue
-        values = grid_eigenvalues(spec, thetas, kind)
-        lows, highs, argmins, argmaxs = _envelopes(thetas, values)
+    for kind, values in zip(solved, rows):
+        lows, highs, argmins, argmaxs, tol = _envelopes(thetas, values)
         if refine:
             nu = len(lows)
             extrema, points = _refine_extrema(
@@ -545,9 +554,12 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
             )
             lows, highs = extrema[:nu], extrema[nu:]
             argmins, argmaxs = points[:nu], points[nu:]
-        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol)
+            tol = _rounding_tol(lows, highs)
+        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, tol)
         structures[kind] = structure, values
-    return thetas, structures
+    if laplacian_is_h and "laplacian" in kinds:
+        structures["laplacian"] = structures["schrodinger"]
+    return thetas, fibers, structures
 
 
 def compute_band_structure(
@@ -563,7 +575,7 @@ def compute_band_structure(
     grid is validated, not sampled, and `refine` has no effect.  Any other
     graph solves one grid point per band-symmetry orbit (`TorusGrid.representatives`).
     """
-    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[1][kind][0]
+    return _band_structure(spec, classify(spec), (kind,), grid, flat_tol, refine)[2][kind][0]
 
 
 def _total_band_report(spec, bs: BandStructure) -> EstimateReport:
@@ -633,7 +645,7 @@ def verify_gap_bound(spec: PeriodicGraphSpec, grid: TorusGrid | None = None) -> 
     """Total gap length dominates the open bands' hull length minus twice the
     bridge count."""
     kinds = ("schrodinger", "laplacian")
-    structures = _band_structure(spec, classify(spec), kinds, grid, None, False)[1]
+    structures = _band_structure(spec, classify(spec), kinds, grid, None, False)[2]
     return _gap_report(spec, structures["schrodinger"][0], structures["laplacian"][0])
 
 
@@ -650,12 +662,12 @@ def _extremizing_corners(spec, grid, label):
     first one at which every branch is within rounding_tol of its lower
     (resp. upper) band edge.  A graph without such a corner raises
     PreconditionError naming the graph `label` and the corner that comes
-    closest.  H is built at the two chosen corners only.
+    closest.  H at the two chosen corners is read from the sample's fibers.
     """
     cls = classify(spec)
-    thetas, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
+    thetas, fibers, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
     bs, values = structures["schrodinger"]
-    at_corner = ((thetas == 0.0) | (thetas == math.pi)).all(axis=1)
+    at_corner = np.flatnonzero(((thetas == 0.0) | (thetas == math.pi)).all(axis=1))
     corners, rows = thetas[at_corner], values[at_corner]
     lows = np.asarray([b.low for b in bs.bands])
     highs = np.asarray([b.high for b in bs.bands])
@@ -672,9 +684,9 @@ def _extremizing_corners(spec, grid, label):
                 f"{int(deviation[best].argmax()) + 1} by {float(worst[best]):.3e})"
             )
         chosen.append(int(hits[0]))
-    points = corners[chosen]
-    fibers = fiber_stack(spec, points, "schrodinger")
-    return cls, list(map(tuple, points.tolist())), fibers, rows[chosen], bs.rounding_tol
+    picked = at_corner[chosen]
+    points = thetas[picked]
+    return cls, list(map(tuple, points.tolist())), fibers[picked], values[picked], bs.rounding_tol
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -798,7 +810,7 @@ def estimate_suite(
         # Only H carries the potentials; the reports describe the operator analyzed.
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     kinds = (kind,) if kind == "normalized" else (kind, "laplacian")
-    solved = _band_structure(spec, cls, kinds, grid, flat_tol, refine)[1]
+    solved = _band_structure(spec, cls, kinds, grid, flat_tol, refine)[2]
     structures = {k: (structure, values[0]) for k, (structure, values) in solved.items()}
     bs, zero_vals = structures[kind]
     # Every row's slack: the largest rounding tolerance of the structures read.

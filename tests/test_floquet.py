@@ -1,8 +1,10 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphbands import (
     EdgeRecord,
@@ -15,7 +17,7 @@ from graphbands import (
     fiber_eigenvalues,
     oriented_edges,
 )
-from graphbands.floquet import _edge_phase_sum, fiber_stack
+from graphbands.floquet import KINDS, _edge_phase_sum, fiber_stack
 from graphbands.linalg import eigh_stack
 from graphbands.spectrum import grid_eigenvalues
 from graphbands.lattices import (
@@ -30,7 +32,7 @@ from graphbands.lattices import (
     triangular,
 )
 from oracles import fluctuation_split, shift_origin
-from quotients import quotients, reverse_edges
+from quotients import FAMILIES, quotients, reverse_edges
 
 PI = np.pi
 
@@ -296,6 +298,43 @@ def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
 
 
 BENCH_BUILTINS = ("hexagonal", "fcc", "star(2,6)", "subdivided(2,4)")
+
+
+def _random_thetas(spec, seed, count=7):
+    rng = np.random.default_rng(seed)
+    return np.vstack(
+        [rng.uniform(-2 * PI, 2 * PI, size=(count, spec.dimension)), np.zeros((1, spec.dimension))]
+    )
+
+
+# Every non-empty subset of the kinds, in KINDS order and reversed.
+KIND_SUBSETS = [
+    subset[::step]
+    for size in range(1, len(KINDS) + 1)
+    for subset in itertools.combinations(KINDS, size)
+    for step in (1, -1)
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FAMILIES).flatmap(quotients), st.integers(0, 2**32 - 1))
+def test_a_tuple_of_kinds_is_the_single_kind_stacks_concatenated(spec, seed):
+    thetas = _random_thetas(spec, seed)
+    single = {kind: fiber_stack(spec, thetas, kind) for kind in KINDS}
+    for kinds in KIND_SUBSETS:
+        joint = fiber_stack(spec, thetas, kinds)
+        expected = np.concatenate([single[kind] for kind in kinds])
+        assert joint.dtype == expected.dtype and joint.shape == expected.shape
+        assert joint.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FAMILIES).flatmap(quotients), st.integers(0, 2**32 - 1))
+def test_one_solve_of_the_joint_stack_is_the_per_kind_solves(spec, seed):
+    thetas = _random_thetas(spec, seed)
+    joint = eigh_stack(fiber_stack(spec, thetas, KINDS))[0]
+    per_kind = np.concatenate([eigh_stack(fiber_stack(spec, thetas, kind))[0] for kind in KINDS])
+    assert joint.tobytes() == per_kind.tobytes()
 
 
 @pytest.mark.parametrize(

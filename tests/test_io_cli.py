@@ -573,6 +573,22 @@ def test_cli_dispersion_rejects_an_empty_path(capsys):
 
 
 @pytest.mark.parametrize(
+    "builtin, path, segment",
+    [
+        ("cubic(1)", "1e308:-1e308", "'1e308' to '-1e308'"),
+        ("hexagonal", "0,0:1e308,pi:-1e308,0", "'1e308,pi' to '-1e308,0'"),
+    ],
+)
+def test_cli_dispersion_path_beyond_float64_names_its_segment(capsys, builtin, path, segment):
+    # Finite waypoints whose difference overflows: one error line, exit 2, and
+    # no floating-point warning (the test run turns warnings into errors).
+    code, out, err = run_cli(capsys, "dispersion", "--builtin", builtin, "--path", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --path segment {segment} has a non-finite sample point\n"
+
+
+@pytest.mark.parametrize(
     "table",
     [
         np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0], [0.0, -0.0]]),
@@ -1068,21 +1084,23 @@ def test_cli_analyze_potential_free_kinds_ignore_potentials(capsys, kind, builti
 
 
 @pytest.mark.parametrize(
-    "argv, solves",
+    "argv",
     [
-        (("--builtin", "hexagonal"), 1),
-        (("--builtin", "hexagonal", "--q", "1,-1"), 2),
-        (("--builtin", "cubic(2)"), 1),
-        (("--builtin", "bipartite_chain(2,3)"), 1),
-        (("--builtin", "cubic(3)"), 1),
+        ("--builtin", "hexagonal"),
+        ("--builtin", "hexagonal", "--q", "1,-1"),
+        ("--builtin", "cubic(2)"),
+        ("--builtin", "bipartite_chain(2,3)"),
+        ("--builtin", "cubic(3)"),
     ],
     ids=["potential-free", "with-potentials", "cubic(2)", "bipartite_chain(2,3)", "cubic(3)"],
 )
-def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, calls, argv, solves):
-    # One grid solve per band structure (Schroedinger, and Laplacian when
-    # potentials are present); theta = 0 is its first row, never re-solved,
-    # also not for the mirrored endpoints of bipartite regular loop graphs.
+def test_cli_analyze_takes_theta_zero_from_the_grid_solve(capsys, calls, argv):
+    # One fiber build and one grid solve serve every band structure
+    # (Schroedinger, and Laplacian when potentials are present); theta = 0 is
+    # its first row, never re-solved, also not for the mirrored endpoints of
+    # bipartite regular loop graphs.
     made = calls(spectrum, "eigh_stack", len)
+    built = calls(spectrum, "fiber_stack")
     code, _, _ = run_cli(capsys, "analyze", *argv)
     assert code == 0
-    assert len(made) == solves
+    assert len(made) == len(built) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbands import NumericError, TorusGrid, fiber_eigenvalues
 from graphbands.cli import main as cli_main
@@ -121,17 +123,58 @@ def test_nonfinite_input_rejected():
 
 
 def test_gf2_identity_system():
-    assert gf2_solve([[1, 0], [0, 1]], [1, 0]) == (1, 0)
+    assert gf2_solve([0b01, 0b10], [1, 0], 2) == (1, 0)
 
 
 def test_gf2_inconsistent_system():
-    assert gf2_solve([[1, 0], [0, 1], [1, 1]], [1, 1, 1]) is None
+    assert gf2_solve([0b01, 0b10, 0b11], [1, 1, 1], 2) is None
 
 
 def test_gf2_all_axes_odd():
     d = 3
-    rows = [[1 if j == s else 0 for j in range(d)] for s in range(d)]
-    assert gf2_solve(rows, [1] * d) == (1, 1, 1)
+    rows = [1 << s for s in range(d)]
+    assert gf2_solve(rows, [1] * d, d) == (1, 1, 1)
+
+
+def _parity(bits: int) -> int:
+    return bin(bits).count("1") & 1
+
+
+@st.composite
+def gf2_systems(draw):
+    """(rows, rhs, ncols) with ncols <= 10: bitmask rows, some with bits at
+    ncols and above, which the solver ignores."""
+    ncols = draw(st.integers(0, 10))
+    rows = draw(st.lists(st.integers(0, 2 ** (ncols + 2) - 1), max_size=12))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(gf2_systems())
+def test_gf2_solve_matches_brute_force(system):
+    rows, rhs, ncols = system
+    mask = (1 << ncols) - 1
+    solutions = [
+        x for x in range(2**ncols) if all(_parity(r & mask & x) == b for r, b in zip(rows, rhs))
+    ]
+    found = gf2_solve(rows, rhs, ncols)
+    if not solutions:
+        assert found is None
+        return
+    assert found is not None and len(found) == ncols
+    x = sum(bit << c for c, bit in enumerate(found))
+    assert x in solutions
+    # Column c is free when it is a sum of earlier columns; the solution sets
+    # every free variable to 0, and exactly one solution does.
+    columns = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(ncols)]
+    spans = {0}
+    pivots = 0
+    for c, column in enumerate(columns):
+        if column not in spans:
+            pivots |= 1 << c
+            spans |= {v ^ column for v in spans}
+    assert [s for s in solutions if not s & ~pivots] == [x]
 
 
 def test_integer_lattice_standard_basis():

@@ -501,19 +501,27 @@ def test_gap_bound_trivial_for_hexagonal():
 )
 def test_schrodinger_and_laplacian_share_one_torus_sample(calls, call):
     # With potentials both H and its Laplacian are solved, from one
-    # connectivity test, one band-symmetry search and one grid.
+    # connectivity test, one band-symmetry search, one grid, one fiber build
+    # and one eigensolver call.
     seen = {
         name: calls(owner, name)
         for owner, name in (
             (spectrum, "is_connected_periodic"),
             (spectrum, "_orbit_group"),
+            (spectrum, "fiber_stack"),
             (spectrum, "eigh_stack"),
             (TorusGrid, "points"),
         )
     }
     call()
     counts = {name: len(made) for name, made in seen.items()}
-    assert counts == {"is_connected_periodic": 1, "_orbit_group": 1, "points": 1, "eigh_stack": 2}
+    assert counts == {
+        "is_connected_periodic": 1,
+        "_orbit_group": 1,
+        "points": 1,
+        "fiber_stack": 1,
+        "eigh_stack": 1,
+    }
 
 
 @pytest.mark.parametrize("kind", ["laplacian", "normalized"])
@@ -654,12 +662,12 @@ def test_bipartite_band_symmetry_fails_on_a_moved_band_edge(monkeypatch):
     solve = spectrum._band_structure
 
     def tampered(*args):
-        thetas, structures = solve(*args)
+        thetas, fibers, structures = solve(*args)
         structure, values = structures["laplacian"]
         first = dataclasses.replace(structure.bands[0], high=structure.bands[0].high - 0.5)
         bands = (first, *structure.bands[1:])
         structures["laplacian"] = dataclasses.replace(structure, bands=bands), values
-        return thetas, structures
+        return thetas, fibers, structures
 
     _, _, reports = estimate_suite(hexagonal())
     rows = {c.name: c for r in reports for c in r.checks}
@@ -682,6 +690,38 @@ def test_uniform_extremizers():
     for spec in (hexagonal(), bcc()):
         with pytest.raises(PreconditionError, match="lower band endpoint"):
             stability_constants(spec, spec)
+
+
+# The king's graph: Z^2 with its eight nearest and diagonal neighbours, one
+# cell vertex and four crossing loops.  It has no flip corner, so its band
+# edges are sampled.  E(theta) = 8 - 2(cos a + cos b + cos(a + b) + cos(a - b))
+# has its minimum 0 at theta = 0 only and its maximum 12 at both (0, pi) and
+# (pi, 0).  No builtin attains all its lower or all its upper edges at two
+# corners of its sample, at the default grid or at grids 12 and 13.
+KING = PeriodicGraphSpec(
+    2, (VertexInfo("a"),), tuple(EdgeRecord(0, 0, n) for n in ((1, 0), (0, 1), (1, 1), (1, -1)))
+)
+
+
+@pytest.mark.parametrize("m", [12, 13])
+def test_stability_takes_the_first_extremizing_corner_of_the_sample(m):
+    # Grid 12 samples theta, -theta pairs, so (0, pi) and (pi, 0) are both in
+    # the sample; odd grid 13 appends them in corner order.
+    grid = TorusGrid(2, m)
+    spec_b = with_potentials(KING, (0.5,))
+    report = stability_constants(KING, spec_b, grid)
+    for spec, side in ((KING, "a"), (spec_b, "b")):
+        thetas, _, structures = spectrum._band_structure(
+            spec, classify(spec), ("schrodinger",), grid, None, False
+        )
+        bs, values = structures["schrodinger"]
+        at_corner = ((thetas == 0.0) | (thetas == PI)).all(axis=1)
+        for key, edge in (("theta_minus_", bs.bands[0].low), ("theta_plus_", bs.bands[0].high)):
+            hits = at_corner & (np.abs(values[:, 0] - edge) <= bs.rounding_tol)
+            corners = [tuple(theta) for theta in thetas[hits].tolist()]
+            assert len(corners) == (1 if key == "theta_minus_" else 2)
+            assert report.params[key + side] == corners[0]
+    assert report.params["theta_plus_a"] == report.params["theta_plus_b"] == (0.0, PI)
 
 
 def test_large_coupling_hexagonal():
@@ -826,20 +866,21 @@ def _hex_params(params):
     }
 
 
-# Each graph solves its band-edge sample once and builds H at its two chosen
-# corners.  Loop graphs with a flip corner solve theta = 0 and the flip
-# corner.  fcc is not a loop graph: it has 48 band symmetries and 455 orbits
-# of the default 24^3 grid.  Grid 12 solves 868 theta, -theta pairs (too few
-# for the symmetry search), so every corner is in the sample; odd grid 13
-# solves 1,099 pairs plus its 7 appended pi corners.
+# Each graph builds and solves its band-edge sample once, and reads H at its
+# two chosen corners from that sample.  Loop graphs with a flip corner solve
+# theta = 0 and the flip corner.  fcc is not a loop graph: it has 48 band
+# symmetries and 455 orbits of the default 24^3 grid.  Grid 12 solves 868
+# theta, -theta pairs (too few for the symmetry search), so every corner is
+# in the sample; odd grid 13 solves 1,099 pairs plus its 7 appended pi
+# corners.
 @pytest.mark.parametrize(
     "spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches",
     [
-        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, None, [2, 2], [2, 2, 2, 2]),
-        (star(2, 3), bipartite_chain(2, 3), True, None, [2, 2], [2, 2, 2, 2]),
-        (fcc(), fcc(), False, None, [455, 455], [455, 2, 455, 2]),
-        (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 2, 868, 2]),
-        (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 2, 1106, 2]),
+        (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, None, [2, 2], [2, 2]),
+        (star(2, 3), bipartite_chain(2, 3), True, None, [2, 2], [2, 2]),
+        (fcc(), fcc(), False, None, [455, 455], [455, 455]),
+        (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 868]),
+        (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 1106]),
     ],
     ids=[
         "star-q-vs-star",

@@ -281,10 +281,10 @@ def test_orbit_minima_give_the_half_torus_envelopes(spec, m):
     orbit = grid.representatives(group)[0]
     kept = set(map(tuple, half.tolist()))
     assert all(tuple(row) in kept for row in orbit.tolist())
-    lows, highs, argmins, argmaxs = spectrum._envelopes(
+    lows, highs, argmins, argmaxs, _ = spectrum._envelopes(
         orbit, spectrum.grid_eigenvalues(spec, orbit, "schrodinger")
     )
-    ref_lows, ref_highs, ref_argmins, ref_argmaxs = spectrum._envelopes(
+    ref_lows, ref_highs, ref_argmins, ref_argmaxs, _ = spectrum._envelopes(
         half, spectrum.grid_eigenvalues(spec, half, "schrodinger")
     )
     assert np.abs(lows - ref_lows).max() <= 1e-12
