@@ -139,7 +139,12 @@ def _resolve_spec(positional, builtin, q_text) -> tuple[PeriodicGraphSpec, dict]
         spec = graphio.load_graph(source)
         descriptor = {"file": source}
     else:
-        spec = parse_builtin(source)
+        try:
+            spec = parse_builtin(source)
+        except ValidationError as exc:
+            if builtin is not None:
+                raise
+            raise ValidationError(f"no such file {source!r}, nor a builtin id: {exc}") from None
         descriptor = {"builtin": source}
     if q_text is not None:
         spec = with_potentials(spec, _parse_csv_floats(q_text, "--q"))

@@ -292,12 +292,11 @@ def _precise_quasimomentum(spec: PeriodicGraphSpec, bridges) -> tuple[float, ...
 
     Solves <index, x> odd over x in {0, 1}^d and scales the witness by pi.
     Only corner candidates are tried; absence means "not precise under the
-    restricted test".
+    restricted test".  With no bridge the cover is disconnected, H is
+    constant and every bridge phase is vacuously -1 at the zero corner,
+    which the empty system returns.
     """
     rows = {_parity_mask(e.index) for e in bridges}
-    if not rows:
-        # No bridge, so the cover is disconnected: the empty tuple.
-        return ()
     solution = gf2_solve(rows, [1] * len(rows), spec.dimension)
     if solution is None:
         return None

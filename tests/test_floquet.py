@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphbands import (
@@ -305,6 +305,32 @@ def _random_thetas(spec, seed, count=7):
     return np.vstack(
         [rng.uniform(-2 * PI, 2 * PI, size=(count, spec.dimension)), np.zeros((1, spec.dimension))]
     )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(quotients("general"))
+@example(hexagonal())
+@example(fcc())
+def test_real_phase_sum_refuses_a_crossing_edge_between_two_vertices(spec):
+    # A float64 stack is chosen for loop graphs only; anywhere else it would
+    # drop the imaginary part of a phase, so the fill must raise instead.
+    assume(any(any(e.index) and e.tail != e.head for e in spec.edges))
+    thetas = _random_thetas(spec, 16)
+    nv = spec.num_vertices
+    with pytest.raises(TypeError):
+        _edge_phase_sum(nv, spec.edges, thetas, np.zeros((len(thetas), nv, nv)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(("loop", "flip")).flatmap(quotients))
+def test_real_and_complex_phase_sums_of_a_loop_graph_agree_bit_for_bit(spec):
+    thetas = _random_thetas(spec, 17)
+    nv = spec.num_vertices
+    real = _edge_phase_sum(nv, spec.edges, thetas, np.zeros((len(thetas), nv, nv)))
+    full = _edge_phase_sum(nv, spec.edges, thetas)
+    assert real.dtype == np.float64 and full.dtype == np.complex128
+    assert not full.imag.any()
+    assert real.tobytes() == full.real.tobytes()
 
 
 # Every non-empty subset of the kinds, in KINDS order and reversed.

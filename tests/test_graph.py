@@ -328,3 +328,11 @@ def test_zero_index_only_spec_is_disconnected():
         (EdgeRecord(0, 1, (0,)), EdgeRecord(0, 1, (0,))),
     )
     assert not is_connected_periodic(spec)
+
+
+def test_bridgeless_quotient_classifies_at_the_zero_corner():
+    # No bridge, so every bridge phase is vacuously -1 at theta = 0.
+    spec = PeriodicGraphSpec(2, (VertexInfo("a"), VertexInfo("b")), (EdgeRecord(0, 1, (0, 0)),))
+    cls = classify(spec)
+    assert cls.precise_quasimomentum == (0.0, 0.0)
+    assert not cls.is_connected

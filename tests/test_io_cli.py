@@ -836,6 +836,19 @@ def test_cli_compare_disconnected_cover_with_a_flip_corner(tmp_path, capsys):
     assert err.splitlines() == ["error: periodic cover is disconnected"]
 
 
+def test_cli_analyze_bridgeless_quotient_is_disconnected(tmp_path, capsys):
+    # No cell-crossing edge: the zero corner is the flip corner, and the
+    # cover is still refused as disconnected.
+    spec = PeriodicGraphSpec(2, (VertexInfo("a"), VertexInfo("b")), (EdgeRecord(0, 1, (0, 0)),))
+    assert graph.classify(spec).precise_quasimomentum == (0.0, 0.0)
+    path = tmp_path / "bridgeless.json"
+    save_graph(spec, path)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: periodic cover is disconnected"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -897,9 +910,29 @@ def test_cli_builtin_listing_stable(capsys):
     assert "star(d, nu)" in out1
 
 
-def test_load_graph_missing_file(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
+def _missing_file_error(capsys, command, path, *rest):
+    code, out, err = run_cli(capsys, command, path, *rest)
     assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: no such file {path!r}, nor a builtin id: cannot parse builtin id {path!r}"
+    ]
+
+
+def test_load_graph_missing_file(tmp_path, capsys):
+    _missing_file_error(capsys, "analyze", str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("command, rest", [("dispersion", ()), ("compare", ("fcc",))])
+def test_cli_missing_graph_file_is_named(tmp_path, capsys, command, rest):
+    _missing_file_error(capsys, command, str(tmp_path / "missing.json"), *rest)
+
+
+def test_cli_builtin_flag_error_names_only_the_builtin(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "missing.json")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: cannot parse builtin id 'missing.json'"]
 
 
 def test_cli_graph_file_that_is_not_utf8_exits_one(tmp_path, capsys):
