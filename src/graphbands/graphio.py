@@ -129,7 +129,8 @@ def _text(node, pad: str) -> str:
 
     Values of the exact types in `_LEAVES` are written by them; every other
     value goes through `isinstance` tests, so subclasses such as np.float64
-    are written as their base type.
+    are written as their base type, by the same writer: an int subclass
+    through `int.__repr__`, never through its own `__str__`.
     """
     leaf = _LEAVES.get(type(node))
     if leaf is not None:
@@ -156,7 +157,7 @@ def _text(node, pad: str) -> str:
             return "[\n" + ",\n".join([inner + _text(x, inner) for x in node]) + "\n" + pad + "]"
         return "[" + ", ".join([_text(x, pad) for x in node]) + "]"
     if isinstance(node, int):  # bool cannot be subclassed: it is a leaf
-        return str(node)
+        return int.__repr__(node)
     if isinstance(node, float):
         return format_float(node)
     if isinstance(node, str):

@@ -4,10 +4,10 @@ A loop graph with a flip corner theta* takes the band edges of every
 operator kind from theta = 0 and theta* exactly (`_loop_edge_corners`), and
 its grid is validated but not sampled.  Any other band structure samples
 the fiber matrix on a uniform grid (always extended by the 2^d corner points
-with components in {0, pi}), sorts the eigenvalues
-at each sampled point, and takes per-branch envelopes.  Potentials are real
-and edges carry unit weight, so H(-theta) = conj(H(theta)) has the spectrum
-of H(theta), and each matrix A of the graph's band-symmetry group
+with components in {0, pi}), sorts the eigenvalues at each sampled point,
+and takes per-branch envelopes.  Potentials are real and edges carry unit
+weight, so H(-theta) = conj(H(theta)) has the spectrum of H(theta), and
+each matrix A of the graph's band-symmetry group
 (`symmetry.band_symmetry_group`, certified by a vertex permutation and cell
 shifts that an exact search finds) makes H(A^{-T} theta) unitarily
 equivalent to H(theta).  Band envelopes therefore solve one grid point per
@@ -16,14 +16,15 @@ on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
 beyond that, the orbits are the pairs theta, -theta.  Every operator kind
 a call needs is built at that sample from one phase sum and solved in one
 eigensolver call, and `stability_constants` reads H at its chosen corners
-from the same stack.  A full-grid
-dispersion solves one point per orbit too and copies its eigenvalues to the
-rest of the orbit, through the index that `TorusGrid.representatives`
-returns.  Envelopes are the exact minima
-and maxima; the extremizer reported for a branch is the first grid point,
-in grid order, within `_rounding_tol` of the envelope, so
-ties between symmetry-equivalent points do not depend on the last bits of
-the eigensolver.
+from the same stack.  `_refine_extrema` moves the edges of every kind off
+the sample together, with one phase sum and one solve per trial step.  A
+full-grid dispersion solves one point per orbit too and copies its
+eigenvalues to the rest of the orbit, through the index that
+`TorusGrid.representatives` returns.  Envelopes are the exact minima and
+maxima; the extremizer reported for a branch is the first grid point, in
+grid order, within `_rounding_tol` of the envelope, so ties between
+symmetry-equivalent points do not depend on the last bits of the
+eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
 intervals missing from the union of the open bands.  One tolerance, the
 structure's flat_tol, decides which branches are flat, which adjacent flat
@@ -426,18 +427,10 @@ def _flat_groups(lows, highs, tol: float):
     return opens, [(float(sum(g) / len(g)), len(g)) for g in groups]
 
 
-def _assemble_structure(
-    kind: str,
-    grid: TorusGrid,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    argmins,
-    argmaxs,
-    flat_tol: float | None,
-    rounding_tol: float,
-) -> BandStructure:
-    """The structure of band edges lows and highs, whose `_rounding_tol` is
-    rounding_tol."""
+def _assemble_structure(kind: str, grid: TorusGrid, edges, flat_tol) -> BandStructure:
+    """The structure of the band edges `edges`, an `_envelopes` tuple
+    (lows, highs, argmins, argmaxs, rounding_tol)."""
+    lows, highs, argmins, argmaxs, rounding_tol = edges
     tol = flat_tol if flat_tol is not None else rounding_tol
     bands = tuple(
         BandInterval(n + 1, float(lows[n]), float(highs[n]), argmins[n], argmaxs[n])
@@ -460,18 +453,26 @@ def _assemble_structure(
     )
 
 
-def _refine_extrema(spec, kind, starts, branches, signs, step):
-    """Coordinate descents from grid points, halving each step on a stall.
+def _refine_extrema(spec, kinds, edges, step):
+    """Coordinate descents from grid extremizers, halving each step on a stall.
 
-    Descent j minimizes signs[j] * lambda_{branches[j]} from starts[j].  The
+    edges holds the `_envelopes` of each of `kinds`; the lower (upper) edge
+    of branch n descends on lambda_n (-lambda_n) of its kind.  All 2 K nu
     descents run in lockstep: the trials of one (sweep, axis, direction) are
-    solved in one batch.  Returns the extrema and the points attaining them.
+    one `fiber_stack` call, whose row of each descent's own kind is solved in
+    one `eigh_stack` call.  Returns the refined edges as `_envelopes` tuples.
     """
-    thetas = np.array(starts, dtype=float)
+    nu = len(edges[0][0])
+    thetas = np.array([p for _, _, argmins, argmaxs, _ in edges for p in argmins + argmaxs])
     rows = np.arange(len(thetas))
+    # Descent j reads branch j mod nu of kind j // (2 nu), which is row
+    # (j // (2 nu)) * len(thetas) + j of the kind-major stack.
+    own = rows // (2 * nu) * len(thetas) + rows
+    branches = rows % nu
+    signs = np.where(rows // nu % 2, -1.0, 1.0)
 
     def objective(points):
-        return signs * grid_eigenvalues(spec, points, kind)[rows, branches]
+        return signs * eigh_stack(fiber_stack(spec, points, kinds)[own])[0][rows, branches]
 
     best = objective(thetas)
     steps = np.full(len(thetas), step)
@@ -487,7 +488,11 @@ def _refine_extrema(spec, kind, starts, branches, signs, step):
                 thetas[better] = trials[better]
                 moved |= better
         steps[~moved] *= 0.5
-    return signs * best, [tuple(float(x) for x in theta) for theta in thetas]
+    points = thetas.reshape(len(edges), 2, nu, -1).tolist()
+    return [
+        (lows, highs, list(map(tuple, mins)), list(map(tuple, maxs)), _rounding_tol(lows, highs))
+        for (lows, highs), (mins, maxs) in zip((signs * best).reshape(-1, 2, nu), points)
+    ]
 
 
 def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
@@ -523,10 +528,12 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     degrees and potentials, so the band-symmetry group of H is one of every
     kind; without H among `kinds` the group of the graph without potentials
     is used (`_orbit_group`).  With no potentials a Laplacian asked for with
-    H is H's structure.  The kinds solved are built from one phase sum and
-    solved in one eigensolver call; fibers holds their stacks, kind-major in
-    the order of `kinds` less that Laplacian.  theta = 0 is the first row.  `refine` moves the
-    edges off the sample; thetas and values stay the sample's.
+    H is H's structure.  Four steps: the sample, whose kinds are built from
+    one phase sum and solved in one eigensolver call (fibers holds their
+    stacks, kind-major in the order of `kinds` less that Laplacian; theta = 0
+    is the first row); each kind's envelopes; with `refine`, one
+    `_refine_extrema` call that moves every kind's edges off the sample
+    (thetas and values stay the sample's); the structures.
     """
     grid = _connected_grid(spec, grid)
     corners = _loop_edge_corners(spec, cls)
@@ -539,24 +546,13 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     solved = tuple(kind for kind in kinds if not (laplacian_is_h and kind == "laplacian"))
     fibers = fiber_stack(spec, thetas, solved)
     rows = eigh_stack(fibers)[0].reshape(len(solved), len(thetas), -1)
-    structures = {}
-    for kind, values in zip(solved, rows):
-        lows, highs, argmins, argmaxs, tol = _envelopes(thetas, values)
-        if refine:
-            nu = len(lows)
-            extrema, points = _refine_extrema(
-                spec,
-                kind,
-                argmins + argmaxs,
-                np.tile(np.arange(nu), 2),
-                np.repeat([1.0, -1.0], nu),
-                TWO_PI / grid.points_per_axis,
-            )
-            lows, highs = extrema[:nu], extrema[nu:]
-            argmins, argmaxs = points[:nu], points[nu:]
-            tol = _rounding_tol(lows, highs)
-        structure = _assemble_structure(kind, grid, lows, highs, argmins, argmaxs, flat_tol, tol)
-        structures[kind] = structure, values
+    edges = [_envelopes(thetas, values) for values in rows]
+    if refine:
+        edges = _refine_extrema(spec, solved, edges, TWO_PI / grid.points_per_axis)
+    structures = {
+        kind: (_assemble_structure(kind, grid, edge, flat_tol), values)
+        for kind, edge, values in zip(solved, edges, rows)
+    }
     if laplacian_is_h and "laplacian" in kinds:
         structures["laplacian"] = structures["schrodinger"]
     return thetas, fibers, structures

@@ -186,6 +186,12 @@ def test_quasimomentum_of_the_wrong_dimension_rejected(call, d):
         call(np.zeros(d))
 
 
+@pytest.mark.parametrize("kind", ["hamiltonian", ("laplacian", "Laplacian")], ids=["one", "tuple"])
+def test_unknown_kind_rejected_by_name(kind):
+    with pytest.raises(ParameterError, match="unknown matrix kind '(hamiltonian|Laplacian)'"):
+        fiber_stack(hexagonal(), np.zeros((1, 2)), kind)
+
+
 def test_fibers_are_hermitian_everywhere():
     rng = np.random.default_rng(12)
     for spec in ALL_SPECS:

@@ -51,6 +51,37 @@ def test_validation_rejects_bad_edges():
         PeriodicGraphSpec(0, (VertexInfo("a"),), ())
 
 
+_LOOP = (EdgeRecord(0, 0, (1, 0)),)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ((), (), "at least one vertex is required"),
+        (("a",), (), r"vertices\[0\] is not a VertexInfo"),
+        ((VertexInfo("a", potential=float("nan")),), _LOOP, r"vertices\[0\]\.potential"),
+        ((VertexInfo("a", potential=float("inf")),), _LOOP, r"vertices\[0\]\.potential"),
+        ((VertexInfo("a", position=(0.5,)),), _LOOP, r"vertices\[0\]\.position has wrong length"),
+        ((VertexInfo("a", position=(0.5, 1.0)),), _LOOP, r"vertices\[0\]\.position must lie"),
+        ((VertexInfo("a", position=(-0.1, 0.0)),), _LOOP, r"vertices\[0\]\.position must lie"),
+        ((VertexInfo("a"),), ((0, 0, (1, 0)),), r"edges\[0\] is not an EdgeRecord"),
+    ],
+    ids=[
+        "no-vertices",
+        "vertex-not-vertexinfo",
+        "nan-potential",
+        "inf-potential",
+        "position-length",
+        "position-at-1",
+        "position-negative",
+        "edge-not-edgerecord",
+    ],
+)
+def test_validation_names_the_bad_field(vertices, edges, message):
+    with pytest.raises(ValidationError, match=message):
+        PeriodicGraphSpec(2, vertices, edges)
+
+
 @pytest.mark.parametrize(
     "entry", [10**400, 2**53 + 1, -(2**53) - 1], ids=["1e400", "2**53+1", "-2**53-1"]
 )

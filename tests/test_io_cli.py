@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphbands import (
@@ -46,6 +46,7 @@ from graphbands.lattices import (
     subdivided,
 )
 from oracles import path_points_per_sample, reference_dumps
+from quotients import FAMILIES, quotients, reverse_edges
 
 PI = math.pi
 
@@ -90,6 +91,42 @@ def test_bad_format_version_rejected():
 def test_invalid_json_reported():
     with pytest.raises(ValidationError, match="invalid JSON"):
         parse_graph("{nope")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("vertices", 0), 5, r"\$\.vertices\[0\]: expected an object"),
+        (("edges", 0, "tail"), 0.5, r"\$\.edges\[0\]\.tail: expected an integer"),
+        (("dimension",), True, r"\$\.dimension: expected an integer"),
+        (("vertices", 1, "q"), "1", r"\$\.vertices\[1\]\.q: expected a number"),
+        (("vertices",), {}, r"\$\.vertices: expected an array"),
+        (("edges",), "none", r"\$\.edges: expected an array"),
+        (("vertices", 0, "label"), 3, r"\$\.vertices\[0\]\.label: expected a string"),
+        (("vertices", 0, "position"), 0.5, r"\$\.vertices\[0\]\.position: expected an array"),
+        (("edges", 2, "index"), 1, r"\$\.edges\[2\]\.index: expected an array"),
+    ],
+    ids=[
+        "vertex-not-object",
+        "float-tail",
+        "bool-dimension",
+        "string-q",
+        "vertices-object",
+        "edges-string",
+        "int-label",
+        "scalar-position",
+        "scalar-index",
+    ],
+)
+def test_graph_document_of_the_wrong_type_names_its_path(path, value, message):
+    doc = json.loads(serialize_graph(hexagonal()))
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    with pytest.raises(ValidationError, match=message):
+        graphio.graph_from_document(doc)
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +182,48 @@ def test_cli_analyze_requires_input(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 1
     assert "required" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("analyze", "--builtin", "hexagonal", "--q", "1,x"), "error: cannot parse --q: '1,x'"),
+        (
+            ("analyze", "star(2,3)", "--builtin", "hexagonal"),
+            "error: give either an input file or --builtin, not both",
+        ),
+        (
+            ("dispersion", "--builtin", "hexagonal", "--path", "0,0"),
+            "error: a path needs at least two waypoints",
+        ),
+        (
+            ("dispersion", "--builtin", "hexagonal", "--path", "0,0:pi,pi", "--samples", "0"),
+            "error: --samples must be >= 1",
+        ),
+    ],
+    ids=["q-not-a-number", "file-and-builtin", "one-waypoint", "zero-samples"],
+)
+def test_cli_input_error_is_one_line_naming_the_flag(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
+def test_cli_normalized_dispersion_of_an_isolated_vertex_exits_one(tmp_path, capsys):
+    # Vertex b has no edge, so its degree is 0 and D^{-1/2} does not exist.
+    document = {
+        "format_version": 1,
+        "dimension": 1,
+        "vertices": [{"label": "a", "q": 0.0}, {"label": "b", "q": 0.0}],
+        "edges": [{"tail": 0, "head": 0, "index": [1]}],
+    }
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "dispersion", str(path), "--kind", "normalized")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: normalized operator needs every degree >= 1"]
 
 
 @pytest.mark.parametrize(
@@ -660,6 +739,18 @@ def test_dumps_writes_a_list_holding_a_float_subclass_on_one_line():
     assert dumps({"x": [np.float64(1.5), 2.0]}) == '{\n  "x": [1.5, 2]\n}\n'
 
 
+class _LoudInt(int):
+    def __str__(self):
+        return "loud"
+
+
+def test_dumps_writes_an_int_subclass_as_its_int_value():
+    document = {"a": _LoudInt(3), "b": [_LoudInt(-7), 2.5]}
+    text = dumps(document)
+    assert json.loads(text) == {"a": 3, "b": [-7, 2.5]}
+    assert text == dumps({"a": 3, "b": [-7, 2.5]})
+
+
 def test_dumps_escapes_non_ascii_keys():
     assert dumps({"é": "é"}) == '{\n  "\\u00e9": "\\u00e9"\n}\n'
 
@@ -1027,6 +1118,59 @@ def test_cli_analyze_refine_flag(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["bands"][0]["high"] == pytest.approx(9.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("--builtin", "hexagonal", "--q", "1,-1"), 162),
+        (("--builtin", "fcc", "--q", "1,2,3,0", "--grid", "6"), 242),
+        (("--builtin", "triangular", "--grid", "16"), 162),
+        (("--builtin", "hexagonal", "--kind", "normalized", "--grid", "12"), 162),
+    ],
+    ids=["hexagonal-two-kinds", "fcc-two-kinds", "triangular-one-kind", "normalized-one-kind"],
+)
+def test_cli_refine_builds_and_solves_every_kind_once_per_step(calls, capsys, argv, count):
+    # One build and solve of the sample, one of the start points and one per
+    # trial step of 40 sweeps of 2d steps, whatever the number of kinds.
+    builds, solves = calls(spectrum, "fiber_stack"), calls(spectrum, "eigh_stack")
+    per_kind = calls(spectrum, "grid_eigenvalues")
+    code, _, _ = run_cli(capsys, "analyze", *argv, "--refine")
+    assert code == 0
+    assert len(builds) == len(solves) == count
+    assert per_kind == []
+
+
+def _report_text(spec, kind, grid, refine):
+    """The report's classification, bands, flat bands, gaps, measure and
+    check rows as `dumps` writes them."""
+    cls, bs, reports = spectrum.estimate_suite(spec, kind, grid, refine=refine)
+    return dumps(
+        {
+            "classification": cli._classification_doc(cls),
+            "bands": [cli._band_doc(b) for b in bs.bands],
+            "flat_bands": [[fb.value, fb.multiplicity] for fb in bs.flat_bands],
+            "gaps": [list(gap) for gap in bs.gaps],
+            "spectrum_measure": bs.spectrum_measure,
+            "checks": cli._checks_doc(reports),
+        }
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(FAMILIES).flatmap(quotients),
+    st.sampled_from(("schrodinger", "laplacian", "normalized")),
+    st.booleans(),
+    st.sampled_from((7, 12, 64)),
+)
+def test_reports_are_byte_identical_under_edge_reversal(spec, kind, refine, m):
+    # Every edge (t, h, n) written (h, t, -n) is the same periodic graph.  At
+    # 64 points per axis a 2-D grid has 2,050 theta, -theta pairs, so the
+    # band-symmetry search runs; 3-D grids stay at 12 or below.
+    grid = TorusGrid(spec.dimension, m if spec.dimension < 3 else min(m, 12))
+    text = _report_text(spec, kind, grid, refine)
+    assert _report_text(reverse_edges(spec), kind, grid, refine) == text
 
 
 def test_cli_refine_leaves_a_flip_corner_loop_graph_unchanged(capsys):

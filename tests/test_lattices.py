@@ -127,6 +127,53 @@ def test_parameter_validation():
         bipartite_chain(3, 4)
 
 
+_PENDANT = FiniteGraph(2, ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: star(0, 3), "star lattice needs dimension >= 1"),
+        (lambda: subdivided(0, 2), "subdivided lattice needs dimension >= 1"),
+        (lambda: bipartite_chain(2, 1), "bipartite chain needs at least 2 cell vertices"),
+        (lambda: FiniteGraph(0, ()), "attachment graph needs at least one vertex"),
+        (lambda: FiniteGraph(2, ((0, 2),)), "attachment edge references an invalid vertex"),
+        (lambda: FiniteGraph(2, ((0, 1),), (1.0,)), "attachment potential count mismatch"),
+        (lambda: decorate(cubic(2), _PENDANT, 1), "attach_vertex is out of range"),
+        (lambda: decorate(cubic(2), _PENDANT, 0, 2), "glue_vertex is out of range"),
+        (lambda: decorate(cubic(2), _PENDANT, -1), "attach_vertex is out of range"),
+    ],
+    ids=[
+        "star-dimension-0",
+        "subdivided-dimension-0",
+        "bipartite-chain-nu-1",
+        "finite-graph-size-0",
+        "finite-graph-bad-edge",
+        "finite-graph-potential-count",
+        "decorate-attach-vertex",
+        "decorate-glue-vertex",
+        "decorate-negative-attach-vertex",
+    ],
+)
+def test_parameter_error_names_the_parameter(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
+def test_scalar_potential_is_broadcast():
+    assert cubic(2, q=1.5).potentials() == (1.5,)
+    assert hexagonal(q=-2).potentials() == (-2.0, -2.0)
+
+
+def test_decorate_puts_attachment_potentials_on_the_new_vertices():
+    # The glue vertex is the base vertex, which keeps its own potential.
+    attachment = FiniteGraph(3, ((0, 1), (1, 2)), potentials=(9.0, 2.0, -3.0))
+    decorated = decorate(cubic(2, q=0.5), attachment, 0)
+    assert decorated.potentials() == (0.5, 2.0, -3.0)
+    glued_at_1 = decorate(cubic(2, q=0.5), attachment, 0, glue_vertex=1)
+    assert glued_at_1.potentials() == (0.5, 9.0, -3.0)
+
+
 def test_parse_builtin_roundtrip():
     assert parse_builtin("fcc") == fcc()
     assert parse_builtin("star(2, 3)") == star(2, 3)

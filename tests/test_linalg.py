@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphbands import NumericError, TorusGrid, fiber_eigenvalues
+from graphbands import NumericError, ParameterError, TorusGrid, fiber_eigenvalues
 from graphbands.cli import main as cli_main
 from graphbands.lattices import hexagonal, star, subdivided
 from graphbands.floquet import fiber_stack
@@ -120,6 +120,24 @@ def test_nonfinite_input_rejected():
     bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(NumericError):
         eigh_stack(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eigh_stack(np.zeros((2, 2, 3))), "expected a square matrix or a stack of them"),
+        (lambda: eigh_stack(np.zeros(4)), "expected a square matrix or a stack of them"),
+        (lambda: gf2_solve([0b01, 0b10], [1], 2), "row/right-hand-side count mismatch"),
+        (
+            lambda: integer_lattice_full([(1, 0), (0, 1, 0)], 2),
+            "vector length does not match the dimension",
+        ),
+    ],
+    ids=["non-square-stack", "vector-stack", "gf2-count-mismatch", "lattice-vector-length"],
+)
+def test_malformed_linear_algebra_input_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 def test_gf2_identity_system():

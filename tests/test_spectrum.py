@@ -64,6 +64,11 @@ def test_grid_contains_corners():
         TorusGrid(2, 1)
 
 
+def test_grid_of_dimension_zero_rejected():
+    with pytest.raises(ParameterError, match="grid dimension must be >= 1"):
+        TorusGrid(0, 12)
+
+
 def _points_with_corner_set(grid):
     # Reference: the uniform grid plus every {0, pi}^d corner not already in
     # it, found by exact set membership.
@@ -351,29 +356,43 @@ def _bits(low, high, argmin, argmax):
 
 
 @pytest.mark.parametrize(
-    "spec, kind, grid",
+    "spec, kinds, grid",
     [
-        (with_potentials(hexagonal(), (1.0, -1.0)), "schrodinger", None),
-        (subdivided(2, 2), "laplacian", None),
-        (triangular(), "laplacian", TorusGrid(2, 16)),
-        (fcc(), "schrodinger", TorusGrid(3, 6)),
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None),
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None),
+        (subdivided(2, 2), ("laplacian",), None),
+        (triangular(), ("laplacian",), TorusGrid(2, 16)),
+        (fcc(), ("schrodinger",), TorusGrid(3, 6)),
     ],
-    ids=["hexagonal-q", "subdivided-2-2-laplacian", "triangular-16", "fcc-6"],
+    ids=[
+        "hexagonal-q",
+        "hexagonal-q-two-kinds",
+        "subdivided-2-2-laplacian",
+        "triangular-16",
+        "fcc-6",
+    ],
 )
-def test_batched_refine_matches_one_trial_per_solve(calls, spec, kind, grid):
-    plain = compute_band_structure(spec, kind, grid)
-    step = 2.0 * PI / plain.grid.points_per_axis
-    expected = []
-    for n, band in enumerate(plain.bands):
-        low, argmin = _refine_extremum_reference(spec, kind, n, band.argmin, step, False)
-        high, argmax = _refine_extremum_reference(spec, kind, n, band.argmax, step, True)
-        expected.append(_bits(low, high, argmin, argmax))
+def test_batched_refine_matches_one_trial_per_solve(calls, spec, kinds, grid):
+    cls = classify(spec)
+    plain = spectrum._band_structure(spec, cls, kinds, grid, None, False)[2]
+    expected = {}
+    for kind in kinds:
+        bs = plain[kind][0]
+        step = 2.0 * PI / bs.grid.points_per_axis
+        expected[kind] = []
+        for n, band in enumerate(bs.bands):
+            low, argmin = _refine_extremum_reference(spec, kind, n, band.argmin, step, False)
+            high, argmax = _refine_extremum_reference(spec, kind, n, band.argmax, step, True)
+            expected[kind].append(_bits(low, high, argmin, argmax))
 
-    solves = calls(spectrum, "eigh_stack")
-    refined = compute_band_structure(spec, kind, grid, refine=True)
-    assert [_bits(b.low, b.high, b.argmin, b.argmax) for b in refined.bands] == expected
-    # One solve for the grid, one for the start points, one per trial batch.
-    assert len(solves) - 1 <= 1 + REFINE_ITERATIONS * 2 * spec.dimension
+    solves, builds = calls(spectrum, "eigh_stack"), calls(spectrum, "fiber_stack")
+    refined = spectrum._band_structure(spec, cls, kinds, grid, None, True)[2]
+    for kind in kinds:
+        bands = refined[kind][0].bands
+        assert [_bits(b.low, b.high, b.argmin, b.argmax) for b in bands] == expected[kind]
+    # One build and solve for the sample, one for the start points and one
+    # per trial batch, however many kinds descend.
+    assert len(solves) == len(builds) == 2 + REFINE_ITERATIONS * 2 * spec.dimension
 
 
 def test_total_band_bound_reports():

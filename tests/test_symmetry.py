@@ -1,6 +1,7 @@
 """The certified band-symmetry group and the orbit representatives it gives."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphbands import EdgeRecord, NumericError, PeriodicGraphSpec, TorusGrid, VertexInfo
-from graphbands import spectrum
+from graphbands import graphio, spectrum
 from graphbands import symmetry
 from graphbands.cli import main
 from graphbands.symmetry import _AutomorphismSearch, _candidate_matrices, band_symmetry_group
@@ -330,6 +331,44 @@ def test_orbit_index_spreads_representative_solves_over_the_grid(spec, m):
         for kind, values in direct.items():
             spread = spectrum.grid_eigenvalues(spec, reps, kind)[index]
             assert np.abs(spread - values).max() <= 1e-12 * (1.0 + np.abs(values).max())
+
+
+def test_a_disconnected_cover_gets_the_identity_alone(tmp_path, capsys, calls):
+    # Loops along axis 1 only: the cover is one chain per row of cells.
+    document = {
+        "format_version": 1,
+        "dimension": 2,
+        "vertices": [{"label": "a", "q": 0.0}, {"label": "b", "q": 0.0}],
+        "edges": [
+            {"tail": 0, "head": 0, "index": [1, 0]},
+            {"tail": 1, "head": 1, "index": [1, 0]},
+            {"tail": 0, "head": 1, "index": [0, 0]},
+        ],
+    }
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps(document))
+    spec = graphio.load_graph(path)
+    grid = TorusGrid.default_for(2)
+    # The default grid is above the search threshold, so the search runs.
+    groups = calls(symmetry, "band_symmetry_group")
+    assert spectrum._orbit_group(spec, grid, ("schrodinger",)) == (((1, 0), (0, 1)),)
+    assert len(groups) == 1
+
+    assert main(["dispersion", str(path)]) == 0
+    assert len(groups) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9217
+    table = np.array([line.split("\t") for line in lines[1:]], dtype=float)
+    points = grid.points()
+    assert np.array_equal(table[:, :2], points)
+    direct = spectrum.grid_eigenvalues(spec, points, "schrodinger")
+    scale = np.abs(direct).max()
+    assert np.abs(table[:, 2:] - direct).max() <= 1e-12 * (1.0 + scale)
+
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: periodic cover is disconnected\n"
 
 
 def test_importing_the_cli_leaves_the_search_unloaded():
