@@ -49,12 +49,24 @@ def _edge_phase_sum(nv: int, edges, thetas: np.ndarray, out=None) -> np.ndarray:
     """
     if out is None:
         out = np.zeros((thetas.shape[0], nv, nv), dtype=complex)
-    for e in edges:
-        if not any(e.index):
+    # The angles <index, theta> of the crossing edges, one row per edge, are
+    # summed over the axes left to right, elementwise, so a point's angles
+    # do not depend on the batch it is built in; a BLAS product may round a
+    # lone row, or the rows left over from its blocks, otherwise than the
+    # rest.
+    crossing = [any(e.index) for e in edges]
+    index = np.array([e.index for e, c in zip(edges, crossing) if c], dtype=float)
+    index = index.reshape(-1, thetas.shape[1])
+    rows = index[:, :1] * thetas[:, 0]
+    for k in range(1, thetas.shape[1]):
+        rows += index[:, k : k + 1] * thetas[:, k]
+    rows = iter(rows)
+    for e, c in zip(edges, crossing):
+        if not c:
             out[:, e.tail, e.head] += 1.0
             out[:, e.head, e.tail] += 1.0
             continue
-        angles = thetas @ np.asarray(e.index, dtype=float)
+        angles = next(rows)
         if e.tail == e.head:
             cosines = np.cos(angles)
             out[:, e.tail, e.tail] += cosines

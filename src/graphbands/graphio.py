@@ -216,16 +216,37 @@ def _require_keys(entry: dict, required: set, optional: set, path: str) -> None:
             raise ValidationError(f"{path}.{key}: missing field")
 
 
+# An integer literal of more digits than int() converts (the interpreter's
+# int_max_str_digits: 4,300 by default, at least 640 unless unlimited) lies
+# far beyond the float64 range; the decoder reads it as this marker, which
+# `_as_int` and `_as_number` report at its path.
+_BEYOND_FLOAT64 = object()
+
+
+def _parse_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:
+        return _BEYOND_FLOAT64
+
+
 def _as_int(value, path: str) -> int:
+    if value is _BEYOND_FLOAT64:
+        raise ValidationError(f"{path}: number beyond the float64 range")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer")
     return value
 
 
 def _as_number(value, path: str) -> float:
+    if value is _BEYOND_FLOAT64:
+        raise ValidationError(f"{path}: number beyond the float64 range")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float64 range
+        raise ValidationError(f"{path}: number beyond the float64 range") from None
 
 
 def graph_from_document(document) -> PeriodicGraphSpec:
@@ -284,9 +305,11 @@ def graph_from_document(document) -> PeriodicGraphSpec:
 
 
 def parse_graph(text: str) -> PeriodicGraphSpec:
+    # Besides malformed text, the decoder refuses arrays or objects nested
+    # deeper than the interpreter's recursion limit.
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(text, parse_int=_parse_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
     return graph_from_document(document)
 

@@ -17,7 +17,9 @@ beyond that, the orbits are the pairs theta, -theta.  Every operator kind
 a call needs is built at that sample from one phase sum and solved in one
 eigensolver call, and `stability_constants` reads H at its chosen corners
 from the same stack.  `_refine_extrema` moves the edges of every kind off
-the sample together, with one phase sum and one solve per trial step.  A
+the sample together, in rounds of one phase sum and one solve: a round
+looks ahead up to four sweeps of each descent's trials on a small quotient
+and one trial on a large one, and gives the bits of one trial per solve.  A
 full-grid dispersion solves one point per orbit too and copies its
 eigenvalues to the rest of the orbit, through the index that
 `TorusGrid.representatives` returns.  Envelopes are the exact minima and
@@ -58,6 +60,23 @@ from .linalg import eigh_stack
 # match and the slack of every check.
 ROUNDING_ULPS = 16
 REFINE_ITERATIONS = 40
+# Work of one round of `_refine_extrema`, in units of nu^3: each live descent
+# looks ahead D = _REFINE_ROUND_WORK // (live descents * nu^3) trials, at
+# least 1 and at most 4 sweeps.  A round pays about 50 us of fixed
+# `fiber_stack` and `eigh_stack` overhead and 20-30 us of bookkeeping, and
+# the trials after a descent's first improving one are solved for nothing.
+# Measured against one trial per descent per call (in process, one OpenBLAS
+# thread, 2 vCPUs) on 23 quotients of nu = 1-9 (builtins, and hexagonal,
+# triangular, bcc, fcc and cubic(3) with a tree glued on and potentials):
+# at 32,768 they took 0.14-1.01 of the time (hexagonal with potentials 0.22
+# at D = 16; only triangular with 7 glued vertices, at D = 2, above 0.99).
+# A larger value moves D = 1 to larger quotients, but hexagonal with 4-6
+# glued vertices (nu = 6-8), which accepts many steps, then looks ahead too
+# far: 1.1-1.4 of the time at 131,072-262,144 (D = 8-16).  With two kinds from nu = 9,
+# with one from nu = 10, D is 1 at the start and the descents take their
+# trials in lockstep; there the bookkeeping makes a refine up to 1.17 times
+# as slow as one trial per call (nu = 10 in 3-D), less as nu grows.
+_REFINE_ROUND_WORK = 32768
 # Below this many theta, -theta pairs ((m^d + 2^d)/2 for even m) only the
 # pairs are merged, without the band-symmetry search and the orbit map.
 # Measured crossover of analyze with the search forced on and off (one
@@ -453,41 +472,105 @@ def _assemble_structure(kind: str, grid: TorusGrid, edges, flat_tol) -> BandStru
     )
 
 
+def _descend_in_rounds(thetas, best, steps, nu, objective) -> None:
+    """Run the descents of `_refine_extrema` from thetas, with objective
+    values best and steps, in speculative rounds; updates all three in place.
+
+    A round gives each live descent its next D trials of the schedule as if
+    all were rejected: trial j is the current theta plus +-step 2^-h along
+    its axis, h the sweeps ended before it that halve the step.
+    `objective(points, owner)` evaluates every trial, of descent owner[i]
+    at points[i], in one call.  Each descent then takes its first improving
+    trial, with the step the one-trial loop has there, and drops the rest,
+    or takes up all D when none improves.
+    """
+    count, d = thetas.shape
+    sweep, total = 2 * d, REFINE_ITERATIONS * 2 * d
+    # The axis, sign and sweep of each trial of the schedule, and the sweep
+    # of the position after the last.
+    schedule = np.arange(total + 1)
+    axis_of = schedule % sweep // 2
+    sign_of = np.where(schedule % 2, -1.0, 1.0)
+    sweep_of = schedule // sweep
+    # shrink[t, h] = 2^-max(sweep_of[t] - h, 0): the factor by which the
+    # ends of sweeps h, h + 1, ... have halved a step by trial t.
+    shrink = np.ldexp(1.0, np.minimum(np.arange(REFINE_ITERATIONS + 1) - sweep_of[:, None], 0))
+    lookahead = np.arange(4 * sweep)
+    rows = np.arange(count * 4 * sweep)
+    work = _REFINE_ROUND_WORK // nu**3
+    # Per descent: the trials taken so far, and the first sweep whose end
+    # halves its step, the current one or, once that has taken a trial, the
+    # next.  A finished descent has taken every trial and halves no more.
+    taken = np.zeros(count, dtype=np.intp)
+    halving = np.zeros(count, dtype=np.intp)
+    live = count
+    while live:
+        ahead = min(max(work // live, 1), 4 * sweep)
+        block = taken[:, None] + lookahead[:ahead]
+        keep = block < total
+        owner = keep.nonzero()[0]
+        trial = block[keep]
+        sizes = steps[owner] * shrink[trial, halving[owner]]
+        points = thetas[owner]
+        points[rows[: len(owner)], axis_of[trial]] += sign_of[trial] * sizes
+        values = objective(points, owner)
+        # Every descent takes up its trials; then each that improved goes
+        # back to its first improving trial, which it takes.
+        taken += ahead
+        np.minimum(taken, total, out=taken)
+        steps *= shrink[taken, halving]
+        np.maximum(halving, sweep_of[taken], out=halving)
+        hits = (values < best[owner]).nonzero()[0]
+        lead = np.ones(len(hits), dtype=bool)
+        lead[1:] = owner[hits[1:]] != owner[hits[:-1]]
+        first = hits[lead]
+        better = owner[first]
+        thetas[better] = points[first]
+        best[better] = values[first]
+        steps[better] = sizes[first]
+        taken[better] = trial[first] + 1
+        halving[better] = sweep_of[trial[first]] + 1
+        live = np.count_nonzero(taken < total)
+
+
 def _refine_extrema(spec, kinds, edges, step):
     """Coordinate descents from grid extremizers, halving each step on a stall.
 
     edges holds the `_envelopes` of each of `kinds`; the lower (upper) edge
-    of branch n descends on lambda_n (-lambda_n) of its kind.  All 2 K nu
-    descents run in lockstep: the trials of one (sweep, axis, direction) are
-    one `fiber_stack` call, whose row of each descent's own kind is solved in
-    one `eigh_stack` call.  Returns the refined edges as `_envelopes` tuples.
+    of branch n descends on lambda_n (-lambda_n) of its kind.  Each descent
+    runs REFINE_ITERATIONS sweeps of 2d trials, +step and then -step along
+    each axis in turn; a trial that lowers its objective is taken, and a
+    sweep that takes none halves the step.  Every kind is built at all of a
+    round's trial points in one `fiber_stack` call, whose row of each
+    trial's own kind is solved in one `eigh_stack` call.
+
+    The 2 K nu descents look ahead D = _REFINE_ROUND_WORK // (live descents
+    * nu^3) trials per round, at least 1 and at most 4 sweeps
+    (`_descend_in_rounds`).  With D = 1 for all of them at the start, the
+    rounds are the schedule's trial steps, taken in lockstep.  A trial is
+    the same point, to the bit, as in the one-trial loop (halving a step k
+    times is multiplying it by 2^-k), and LAPACK and the phase sum compute
+    each matrix on its own, so the refined edges and extremizers do not
+    depend on D.  Returns them as `_envelopes` tuples.
     """
     nu = len(edges[0][0])
     thetas = np.array([p for _, _, argmins, argmaxs, _ in edges for p in argmins + argmaxs])
-    rows = np.arange(len(thetas))
-    # Descent j reads branch j mod nu of kind j // (2 nu), which is row
-    # (j // (2 nu)) * len(thetas) + j of the kind-major stack.
-    own = rows // (2 * nu) * len(thetas) + rows
+    count = len(thetas)
+    rows = np.arange(count)
+    # Descent j reads branch j mod nu of kind j // (2 nu): its trial at row r
+    # of P points reads row (j // (2 nu)) * P + r of the kind-major stack.
+    kind_of = rows // (2 * nu)
     branches = rows % nu
     signs = np.where(rows // nu % 2, -1.0, 1.0)
 
-    def objective(points):
-        return signs * eigh_stack(fiber_stack(spec, points, kinds)[own])[0][rows, branches]
+    def objective(points, owner):
+        at = np.arange(len(points))
+        stack = fiber_stack(spec, points, kinds)[kind_of[owner] * len(points) + at]
+        return signs[owner] * eigh_stack(stack)[0][at, branches[owner]]
 
-    best = objective(thetas)
-    steps = np.full(len(thetas), step)
-    for _ in range(REFINE_ITERATIONS):
-        moved = np.zeros(len(thetas), dtype=bool)
-        for axis in range(thetas.shape[1]):
-            for delta in (steps, -steps):
-                trials = thetas.copy()
-                trials[:, axis] += delta
-                values = objective(trials)
-                better = values < best
-                best[better] = values[better]
-                thetas[better] = trials[better]
-                moved |= better
-        steps[~moved] *= 0.5
+    best = objective(thetas, rows)
+    steps = np.full(count, step)
+    _descend_in_rounds(thetas, best, steps, nu, objective)
     points = thetas.reshape(len(edges), 2, nu, -1).tolist()
     return [
         (lows, highs, list(map(tuple, mins)), list(map(tuple, maxs)), _rounding_tol(lows, highs))

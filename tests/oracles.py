@@ -13,7 +13,9 @@ verifies; they sample the theta, -theta pairs of the default grid and
 assert what the paper guarantees.  `reference_dumps` is the report writer
 as it was before `graphio.dumps` wrote in one typed pass: a recursive
 writer with an `isinstance` chain per scalar, kept as the reference its
-output and errors must match.
+output and errors must match.  `reference_refine_extremum` is the band-edge
+descent with one fiber solve per trial, the schedule whose bits the batched
+`spectrum._refine_extrema` must reproduce.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from graphbands import (
     ValidationError,
     compute_band_structure,
     degrees,
+    fiber_eigenvalues,
 )
 from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
 from graphbands.graph import is_connected_periodic, oriented_edges
 from graphbands.graphio import format_float
 from graphbands.lattices import hexagonal
-from graphbands.spectrum import _flat_groups, _rounding_tol
+from graphbands.spectrum import REFINE_ITERATIONS, _flat_groups, _rounding_tol
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -443,6 +446,33 @@ def _scalar(node) -> str:
     if isinstance(node, str):
         return json.dumps(node)
     raise ValidationError(f"cannot serialize value of type {type(node).__name__}")
+
+
+def reference_refine_extremum(spec, kind, branch, theta, step, want_max):
+    """(edge, extremizer) of branch `branch` of `kind` after the coordinate
+    descent from `theta` with initial step `step`, one trial per solve.
+
+    REFINE_ITERATIONS sweeps of +step and -step along each axis in turn; a
+    trial that lowers lambda_branch (raises it when `want_max`) is taken, and
+    a sweep that takes none halves the step.
+    """
+    theta = np.asarray(theta, dtype=float).copy()
+    sign = -1.0 if want_max else 1.0
+    best = sign * fiber_eigenvalues(spec, theta, kind)[branch]
+    for _ in range(REFINE_ITERATIONS):
+        moved = False
+        for axis in range(theta.shape[0]):
+            for delta in (step, -step):
+                trial = theta.copy()
+                trial[axis] += delta
+                value = sign * fiber_eigenvalues(spec, trial, kind)[branch]
+                if value < best:
+                    best = value
+                    theta = trial
+                    moved = True
+        if not moved:
+            step *= 0.5
+    return sign * best, tuple(float(x) for x in theta)
 
 
 # Reference orbit map and band-symmetry search: the implementations from

@@ -204,11 +204,13 @@ def test_fibers_are_hermitian_everywhere():
 
 def _two_orientation_adjacency(spec, thetas):
     # Reference: fill both orientations of every edge, then average with the
-    # conjugate transpose.
+    # conjugate transpose.  The angles are summed over the axes left to
+    # right, as the phase sum sums them.
     out = np.zeros((thetas.shape[0], spec.num_vertices, spec.num_vertices), dtype=complex)
     for e in oriented_edges(spec):
         if any(e.index):
-            out[:, e.tail, e.head] += np.exp(1j * (thetas @ np.asarray(e.index, dtype=float)))
+            angles = sum((thetas[:, k] * n for k, n in enumerate(e.index[1:], 1)), thetas[:, 0] * e.index[0])
+            out[:, e.tail, e.head] += np.exp(1j * angles)
         else:
             out[:, e.tail, e.head] += 1.0
     return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
@@ -346,6 +348,30 @@ KIND_SUBSETS = [
     for subset in itertools.combinations(KINDS, size)
     for step in (1, -1)
 ]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_points_fiber_does_not_depend_on_its_batch(d):
+    # An index entry of 3 makes the angle <n, theta> a rounded sum of
+    # rounded products, where a BLAS product may round a row by its batch:
+    # numpy's one-row product rounds differently from its many-row one.
+    spec = PeriodicGraphSpec(
+        d,
+        (VertexInfo("a", 0.5), VertexInfo("b", -1.0)),
+        (
+            EdgeRecord(0, 1, (0,) * d),
+            *(EdgeRecord(0, 0, tuple(int(i == s) for i in range(d))) for s in range(d)),
+            EdgeRecord(1, 1, (-1, 3) + (2,) * (d - 2)),
+            EdgeRecord(0, 1, (3, -3) + (1,) * (d - 2)),
+        ),
+    )
+    thetas = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(200, d))
+    batch = fiber_stack(spec, thetas, "schrodinger")
+    # Every batch size from 1 to 199, at offsets that vary with it.
+    for size in range(1, 200):
+        start = 7 * size % (201 - size)
+        part = fiber_stack(spec, thetas[start : start + size], "schrodinger")
+        assert part.tobytes() == batch[start : start + size].tobytes(), size
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1056,6 +1056,65 @@ def test_cli_rejects_edge_indices_beyond_float64_integers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, path",
+    [("q", "$.vertices[0].q"), ("position", "$.vertices[0].position[1]")],
+)
+def test_cli_names_a_graph_number_beyond_float64(tmp_path, capsys, field, path):
+    vertex = {"label": "a", "q": 0.0}
+    vertex[field] = 10**400 if field == "q" else [0.0, 10**400]
+    document = {
+        "format_version": 1,
+        "dimension": 2,
+        "vertices": [vertex],
+        "edges": [
+            {"tail": 0, "head": 0, "index": [0, 1]},
+            {"tail": 0, "head": 0, "index": [1, 0]},
+        ],
+    }
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "analyze", str(file))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: number beyond the float64 range"]
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [("q", "$.vertices[0].q"), ("index", "$.edges[1].index[0]"), ("tail", "$.edges[0].tail")],
+)
+def test_cli_names_an_integer_literal_too_long_for_int(tmp_path, capsys, field, path):
+    # int() refuses a literal of more than 4,300 digits (the interpreter's
+    # default int_max_str_digits); such a number is far beyond float64.
+    document = {
+        "format_version": 1,
+        "dimension": 2,
+        "vertices": [{"label": "a", "q": "huge" if field == "q" else 0.0}],
+        "edges": [
+            {"tail": "huge" if field == "tail" else 0, "head": 0, "index": [0, 1]},
+            {"tail": 0, "head": 0, "index": ["huge" if field == "index" else 1, 0]},
+        ],
+    }
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(document).replace('"huge"', "-" + "9" * 5000))
+    code, out, err = run_cli(capsys, "analyze", str(file))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: number beyond the float64 range"]
+
+
+def test_cli_reports_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    file = tmp_path / "deep.json"
+    file.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "analyze", str(file))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("analyze", "--builtin", "star(2,3)", "--q", "1,2,3", "--grid", "12"),
@@ -1123,16 +1182,18 @@ def test_cli_analyze_refine_flag(capsys):
 @pytest.mark.parametrize(
     "argv, count",
     [
-        (("--builtin", "hexagonal", "--q", "1,-1"), 162),
-        (("--builtin", "fcc", "--q", "1,2,3,0", "--grid", "6"), 242),
-        (("--builtin", "triangular", "--grid", "16"), 162),
-        (("--builtin", "hexagonal", "--kind", "normalized", "--grid", "12"), 162),
+        (("--builtin", "hexagonal", "--q", "1,-1"), 14),
+        (("--builtin", "fcc", "--q", "1,2,3,0", "--grid", "6"), 16),
+        (("--builtin", "triangular", "--grid", "16"), 25),
+        (("--builtin", "hexagonal", "--kind", "normalized", "--grid", "12"), 12),
     ],
     ids=["hexagonal-two-kinds", "fcc-two-kinds", "triangular-one-kind", "normalized-one-kind"],
 )
 def test_cli_refine_builds_and_solves_every_kind_once_per_step(calls, capsys, argv, count):
     # One build and solve of the sample, one of the start points and one per
-    # trial step of 40 sweeps of 2d steps, whatever the number of kinds.
+    # round of trials, whatever the number of kinds.  These quotients are
+    # small, so a round looks ahead up to 4 sweeps of 2d trials of each
+    # descent, in place of the 40 * 2d trial steps taken one at a time.
     builds, solves = calls(spectrum, "fiber_stack"), calls(spectrum, "eigh_stack")
     per_kind = calls(spectrum, "grid_eigenvalues")
     code, _, _ = run_cli(capsys, "analyze", *argv, "--refine")

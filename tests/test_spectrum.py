@@ -329,40 +329,56 @@ def test_extremizers_are_tuples_of_exact_floats(spec, refine, corners):
         assert all(type(x) is float for x in point)
 
 
-def _refine_extremum_reference(spec, kind, branch, theta, step, want_max):
-    # The one-trial-per-solve coordinate descent that the lockstep batch
-    # replaced; it must give the same bits.
-    theta = np.asarray(theta, dtype=float).copy()
-    sign = -1.0 if want_max else 1.0
-    best = sign * fiber_eigenvalues(spec, theta, kind)[branch]
-    for _ in range(REFINE_ITERATIONS):
-        moved = False
-        for axis in range(theta.shape[0]):
-            for delta in (step, -step):
-                trial = theta.copy()
-                trial[axis] += delta
-                value = sign * fiber_eigenvalues(spec, trial, kind)[branch]
-                if value < best:
-                    best = value
-                    theta = trial
-                    moved = True
-        if not moved:
-            step *= 0.5
-    return sign * best, tuple(float(x) for x in theta)
-
-
 def _bits(low, high, argmin, argmax):
     return [float(x).hex() for x in (low, high, *argmin, *argmax)]
 
 
+def _band_bits(structures, kinds):
+    return {
+        kind: [_bits(b.low, b.high, b.argmin, b.argmax) for b in structures[kind][0].bands]
+        for kind in kinds
+    }
+
+
+def _reference_band_bits(spec, cls, kinds, grid):
+    """Each kind's band bits after the one-trial-per-solve descent from its
+    grid extremizers; a flip-corner loop graph keeps its exact edges."""
+    plain = spectrum._band_structure(spec, cls, kinds, grid, None, False)[2]
+    exact = spectrum._loop_edge_corners(spec, cls) is not None
+    expected = {}
+    for kind in kinds:
+        bs = plain[kind][0]
+        step = 2.0 * PI / bs.grid.points_per_axis
+        expected[kind] = []
+        for n, band in enumerate(bs.bands):
+            low, high, argmin, argmax = band.low, band.high, band.argmin, band.argmax
+            if not exact:
+                low, argmin = oracles.reference_refine_extremum(spec, kind, n, argmin, step, False)
+                high, argmax = oracles.reference_refine_extremum(spec, kind, n, argmax, step, True)
+            expected[kind].append(_bits(low, high, argmin, argmax))
+    return expected
+
+
+def _glued_hexagonal(size):
+    """hexagonal() with a path of `size` vertices glued on vertex 0 (size - 1
+    new vertices) and potentials uniform in [-2, 2]."""
+    spec = decorate(hexagonal(), FiniteGraph(size, tuple((i - 1, i) for i in range(1, size))), 0)
+    return with_potentials(spec, np.random.default_rng(1).uniform(-2.0, 2.0, spec.num_vertices))
+
+
 @pytest.mark.parametrize(
-    "spec, kinds, grid",
+    "spec, kinds, grid, count",
     [
-        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None),
-        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None),
-        (subdivided(2, 2), ("laplacian",), None),
-        (triangular(), ("laplacian",), TorusGrid(2, 16)),
-        (fcc(), ("schrodinger",), TorusGrid(3, 6)),
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None, 14),
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None, 14),
+        (subdivided(2, 2), ("laplacian",), None, 16),
+        (triangular(), ("laplacian",), TorusGrid(2, 16), 25),
+        (fcc(), ("schrodinger",), TorusGrid(3, 6), 16),
+        # nu = 9: D = 2, so a round can end inside a sweep that has moved.
+        (subdivided(2, 4), ("laplacian",), TorusGrid(2, 7), 84),
+        # nu = 16: 32 descents * 16^3 exceed a round's work, so D = 1 and
+        # the descents take one trial per call.
+        (_glued_hexagonal(15), ("schrodinger",), TorusGrid(2, 5), 2 + REFINE_ITERATIONS * 2 * 2),
     ],
     ids=[
         "hexagonal-q",
@@ -370,29 +386,35 @@ def _bits(low, high, argmin, argmax):
         "subdivided-2-2-laplacian",
         "triangular-16",
         "fcc-6",
+        "subdivided-2-4-7",
+        "glued-hexagonal-16",
     ],
 )
-def test_batched_refine_matches_one_trial_per_solve(calls, spec, kinds, grid):
+def test_batched_refine_matches_one_trial_per_solve(calls, spec, kinds, grid, count):
     cls = classify(spec)
-    plain = spectrum._band_structure(spec, cls, kinds, grid, None, False)[2]
-    expected = {}
-    for kind in kinds:
-        bs = plain[kind][0]
-        step = 2.0 * PI / bs.grid.points_per_axis
-        expected[kind] = []
-        for n, band in enumerate(bs.bands):
-            low, argmin = _refine_extremum_reference(spec, kind, n, band.argmin, step, False)
-            high, argmax = _refine_extremum_reference(spec, kind, n, band.argmax, step, True)
-            expected[kind].append(_bits(low, high, argmin, argmax))
-
+    expected = _reference_band_bits(spec, cls, kinds, grid)
     solves, builds = calls(spectrum, "eigh_stack"), calls(spectrum, "fiber_stack")
     refined = spectrum._band_structure(spec, cls, kinds, grid, None, True)[2]
-    for kind in kinds:
-        bands = refined[kind][0].bands
-        assert [_bits(b.low, b.high, b.argmin, b.argmax) for b in bands] == expected[kind]
+    assert _band_bits(refined, kinds) == expected
     # One build and solve for the sample, one for the start points and one
-    # per trial batch, however many kinds descend.
-    assert len(solves) == len(builds) == 2 + REFINE_ITERATIONS * 2 * spec.dimension
+    # per round of trials, however many kinds descend: a round looks ahead
+    # up to 4 sweeps on these small quotients, one trial on the large one.
+    assert len(solves) == len(builds) == count
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(FAMILIES).flatmap(quotients),
+    st.sampled_from((("schrodinger", "laplacian"), ("laplacian",), ("normalized",))),
+    st.sampled_from((5, 7)),
+)
+def test_refine_rounds_give_the_bits_of_one_trial_per_solve(spec, kinds, m):
+    # Whatever trials a round looks ahead, every refined edge and extremizer
+    # is the one the descent of one trial per solve reaches.
+    cls = classify(spec)
+    grid = TorusGrid(spec.dimension, m)
+    refined = spectrum._band_structure(spec, cls, kinds, grid, None, True)[2]
+    assert _band_bits(refined, kinds) == _reference_band_bits(spec, cls, kinds, grid)
 
 
 def test_total_band_bound_reports():
