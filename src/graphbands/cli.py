@@ -273,6 +273,7 @@ def _cmd_dispersion(args) -> int:
     if args.path is None and args.samples is not None:
         raise ValidationError("--samples needs --path")
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
+    inversion = None
     if args.path is not None:
         samples = 50 if args.samples is None else args.samples
         solved = _path_points(args.path, spec.dimension, samples)
@@ -281,12 +282,13 @@ def _cmd_dispersion(args) -> int:
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
         grid = _resolve_grid(spec, args.grid)
-        solved, index, points = grid.representatives(_orbit_group(spec, grid, (args.kind,)))
+        group, inversion = _orbit_group(spec, grid, (args.kind,))
+        solved, index, points = grid.representatives(group)
         # The grid rows are axis^d in row-major order, then the pi corners of an odd grid.
         axis = graphio.format_rows(grid.axis()[:, None])
         corners = graphio.format_rows(points[len(axis) ** grid.dimension :])
         parts = [[axis] * grid.dimension, [corners]]
-    values = grid_eigenvalues(spec, solved, args.kind)
+    values = grid_eigenvalues(spec, solved, args.kind, inversion=inversion)
     # Every text is formatted, and so checked, before the first byte is written.
     value_text = graphio.format_rows(values)
     header = "# " + "\t".join(

@@ -13,13 +13,22 @@ shifts that an exact search finds) makes H(A^{-T} theta) unitarily
 equivalent to H(theta).  Band envelopes therefore solve one grid point per
 orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
-beyond that, the orbits are the pairs theta, -theta.  Every operator kind
-a call needs is built at that sample from one phase sum and solved in one
-eigensolver call, and `stability_constants` reads H at its chosen corners
-from the same stack.  `_refine_extrema` moves the edges of every kind off
-the sample together, in rounds of one phase sum and one solve: a round
-looks ahead up to four sweeps of each descent's trials on a small quotient
-and one trial on a large one, and gives the bits of one trial per solve.  A
+beyond that, the orbits are the pairs theta, -theta.  Where the search
+runs and the group holds -I, the certificate of -I is looked up too: if it
+is an inversion (an involution whose shifts agree on each swapped pair),
+the sample, the --refine trials and a full-grid dispersion are built as
+real symmetric fibers in its basis (`floquet`), which LAPACK's real
+symmetric eigensolver takes; their eigenvalues, and so the band edges,
+differ from the complex solve's in the last bits.  A loop graph's fibers
+are real in the vertex basis already; any other graph, and every smaller
+sample, is solved as complex.  Every operator kind a call needs is built at
+that sample from one phase sum and solved in one eigensolver call, and
+`stability_constants` reads H at its chosen corners from the same stack, or
+builds it there in the vertex basis when the sample is real in another
+basis.  `_refine_extrema` moves the edges of every kind off the sample
+together, in rounds of one phase sum and one solve: a round looks ahead
+up to four sweeps of each descent's trials on a small quotient and one
+trial on a large one, and gives the bits of one trial per solve.  A
 full-grid dispersion solves one point per orbit too and copies its
 eigenvalues to the rest of the orbit, through the index that
 `TorusGrid.representatives` returns.  Envelopes are the exact minima and
@@ -49,6 +58,7 @@ from .graph import (
     classify,
     degrees,
     is_connected_periodic,
+    is_loop_graph,
     with_potentials,
 )
 from .linalg import eigh_stack
@@ -378,9 +388,12 @@ def _rounding_tol(lows, highs) -> float:
     return ROUNDING_ULPS * len(lows) * float(np.finfo(float).eps) * (1.0 + scale)
 
 
-def grid_eigenvalues(spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str) -> np.ndarray:
-    """Sorted fiber eigenvalues at every torus point, shape (P, nu)."""
-    return eigh_stack(fiber_stack(spec, thetas, kind))[0]
+def grid_eigenvalues(
+    spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str, *, inversion=None
+) -> np.ndarray:
+    """Sorted fiber eigenvalues at every torus point, shape (P, nu); with an
+    `inversion` of `spec`, solved as real symmetric fibers (`fiber_stack`)."""
+    return eigh_stack(fiber_stack(spec, thetas, kind, inversion=inversion))[0]
 
 
 def _envelopes(thetas: np.ndarray, values: np.ndarray):
@@ -533,7 +546,7 @@ def _descend_in_rounds(thetas, best, steps, nu, objective) -> None:
         live = np.count_nonzero(taken < total)
 
 
-def _refine_extrema(spec, kinds, edges, step):
+def _refine_extrema(spec, kinds, edges, step, inversion):
     """Coordinate descents from grid extremizers, halving each step on a stall.
 
     edges holds the `_envelopes` of each of `kinds`; the lower (upper) edge
@@ -542,7 +555,8 @@ def _refine_extrema(spec, kinds, edges, step):
     each axis in turn; a trial that lowers its objective is taken, and a
     sweep that takes none halves the step.  Every kind is built at all of a
     round's trial points in one `fiber_stack` call, whose row of each
-    trial's own kind is solved in one `eigh_stack` call.
+    trial's own kind is solved in one `eigh_stack` call; with `inversion`
+    the stacks are real, in its basis.
 
     The 2 K nu descents look ahead D = _REFINE_ROUND_WORK // (live descents
     * nu^3) trials per round, at least 1 and at most 4 sweeps
@@ -565,7 +579,8 @@ def _refine_extrema(spec, kinds, edges, step):
 
     def objective(points, owner):
         at = np.arange(len(points))
-        stack = fiber_stack(spec, points, kinds)[kind_of[owner] * len(points) + at]
+        stacks = fiber_stack(spec, points, kinds, inversion=inversion)
+        stack = stacks[kind_of[owner] * len(points) + at]
         return signs[owner] * eigh_stack(stack)[0][at, branches[owner]]
 
     best = objective(thetas, rows)
@@ -579,29 +594,35 @@ def _refine_extrema(spec, kinds, edges, step):
 
 
 def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
-    """The matrices of the band-symmetry group of the operator `kinds`, or ()
-    when the grid is too small for the search to pay
-    (SYMMETRY_SEARCH_MIN_POINTS).
+    """(group, inversion): the matrices of the band-symmetry group of the
+    operator `kinds`, and an inversion of the graph that certifies -I in it
+    (`symmetry.band_symmetries`), in whose basis `fiber_stack` builds real
+    fibers of `kinds`, or None; ((), None) when the grid is too small for
+    the search to pay (SYMMETRY_SEARCH_MIN_POINTS).
 
     Only H carries the potentials, so without "schrodinger" among `kinds`
     the group is searched on the graph without them, which can only add
-    symmetries.
+    symmetries.  A loop graph gets no inversion: its vertex-basis fibers
+    are real already, so -I is not searched for again.
     """
     if (grid.size + 2**grid.dimension) // 2 < SYMMETRY_SEARCH_MIN_POINTS:
-        return ()
+        return (), None
     if "schrodinger" not in kinds and any(spec.potentials()):
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     # Imported here, on first use: importing the search with the package
     # would add its compile time to every start-up that reads no bytecode
     # cache, also for calls that never search.
-    from .symmetry import band_symmetry_group
+    from .symmetry import band_symmetries, band_symmetry_group
 
-    return band_symmetry_group(spec)
+    if is_loop_graph(spec):
+        return band_symmetry_group(spec), None
+    return band_symmetries(spec)
 
 
 def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     """(thetas, fibers, {kind: (structure, values)}) for each of `kinds`: the
-    sample solved, the fiber stack solved there and the sorted eigenvalue
+    sample solved, the fiber stack solved there, or None when it is real in
+    the basis of an inversion (`_orbit_group`), and the sorted eigenvalue
     rows of each kind there.
 
     `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
@@ -620,25 +641,27 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     """
     grid = _connected_grid(spec, grid)
     corners = _loop_edge_corners(spec, cls)
+    inversion = None
     if corners is None:
-        thetas = grid.representatives(_orbit_group(spec, grid, kinds))[0]
+        group, inversion = _orbit_group(spec, grid, kinds)
+        thetas = grid.representatives(group)[0]
     else:
         thetas, refine = np.asarray(corners), False
     kinds = tuple(dict.fromkeys(kinds))
     laplacian_is_h = "schrodinger" in kinds and not any(spec.potentials())
     solved = tuple(kind for kind in kinds if not (laplacian_is_h and kind == "laplacian"))
-    fibers = fiber_stack(spec, thetas, solved)
+    fibers = fiber_stack(spec, thetas, solved, inversion=inversion)
     rows = eigh_stack(fibers)[0].reshape(len(solved), len(thetas), -1)
     edges = [_envelopes(thetas, values) for values in rows]
     if refine:
-        edges = _refine_extrema(spec, solved, edges, TWO_PI / grid.points_per_axis)
+        edges = _refine_extrema(spec, solved, edges, TWO_PI / grid.points_per_axis, inversion)
     structures = {
         kind: (_assemble_structure(kind, grid, edge, flat_tol), values)
         for kind, edge, values in zip(solved, edges, rows)
     }
     if laplacian_is_h and "laplacian" in kinds:
         structures["laplacian"] = structures["schrodinger"]
-    return thetas, fibers, structures
+    return thetas, fibers if inversion is None else None, structures
 
 
 def compute_band_structure(
@@ -741,7 +764,10 @@ def _extremizing_corners(spec, grid, label):
     first one at which every branch is within rounding_tol of its lower
     (resp. upper) band edge.  A graph without such a corner raises
     PreconditionError naming the graph `label` and the corner that comes
-    closest.  H at the two chosen corners is read from the sample's fibers.
+    closest.  H at the two chosen corners is read from the sample's fibers,
+    or built at them when the sample is real in an inversion's basis: the
+    entrywise distances of `stability_constants` are taken in the vertex
+    basis.
     """
     cls = classify(spec)
     thetas, fibers, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)
@@ -765,7 +791,8 @@ def _extremizing_corners(spec, grid, label):
         chosen.append(int(hits[0]))
     picked = at_corner[chosen]
     points = thetas[picked]
-    return cls, list(map(tuple, points.tolist())), fibers[picked], values[picked], bs.rounding_tol
+    fibers = fiber_stack(spec, points, "schrodinger") if fibers is None else fibers[picked]
+    return cls, list(map(tuple, points.tolist())), fibers, values[picked], bs.rounding_tol
 
 
 def _entry_l1(a: np.ndarray, b: np.ndarray) -> float:

@@ -39,6 +39,21 @@ class LatticeSymmetry:
     perm: tuple[int, ...]
     shifts: tuple[tuple[int, ...], ...]
 
+    @property
+    def is_inversion(self) -> bool:
+        """True for an inversion: matrix -I, perm an involution, and
+        shifts[perm[u]] == shifts[u].  Such an automorphism applied twice is
+        the identity, so with complex conjugation it gives an antiunitary map
+        that squares to 1 and makes every fiber real in a suitable basis
+        (`floquet`)."""
+        return self.matrix == _minus_identity(len(self.matrix)) and all(
+            self.perm[p] == u and self.shifts[p] == self.shifts[u] for u, p in enumerate(self.perm)
+        )
+
+
+def _minus_identity(d: int) -> Matrix:
+    return tuple(tuple(-int(i == j) for j in range(d)) for i in range(d))
+
 
 def _matvec(matrix: Matrix, vector) -> tuple[int, ...]:
     return tuple(sum(map(operator.mul, row, vector)) for row in matrix)
@@ -218,6 +233,24 @@ class _AutomorphismSearch:
         return None
 
 
+def band_symmetries(spec: PeriodicGraphSpec) -> tuple[tuple[Matrix, ...], LatticeSymmetry | None]:
+    """(group, inversion): `band_symmetry_group(spec)`, and the certificate
+    of -I that the same search finds when the group holds -I, if that
+    certificate is an inversion (`LatticeSymmetry.is_inversion`); else None.
+
+    The search for -I runs once more even when the group got -I as a
+    product, whose certificate is not kept.  A found perm that is not an
+    involution, or shifts that differ on a swapped pair, give None, although
+    another certificate of -I might be an inversion.
+    """
+    group, search = _symmetry_group(spec)
+    minus = _minus_identity(spec.dimension)
+    if minus not in group:
+        return group, None
+    certificate = search.find(minus)
+    return group, certificate if certificate is not None and certificate.is_inversion else None
+
+
 def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
     """The matrices of the certified band-symmetry group, identity first.
 
@@ -235,10 +268,18 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
     result depends on nothing but the graph.  A graph whose cover is not
     connected gets the identity alone: its group can be infinite.
     """
+    return _symmetry_group(spec)[0]
+
+
+def _symmetry_group(
+    spec: PeriodicGraphSpec,
+) -> tuple[tuple[Matrix, ...], _AutomorphismSearch | None]:
+    """`band_symmetry_group(spec)` and the search that certified it, None
+    for a disconnected cover."""
     d = spec.dimension
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     if not is_connected_periodic(spec):
-        return (identity,)
+        return (identity,), None
     group = {identity: None}  # insertion-ordered set
     search = _AutomorphismSearch(spec)
     generators: list[Matrix] = []
@@ -262,7 +303,7 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
             group.update(dict.fromkeys(_matmul(r, h) for h in old))
             _check_group_size(d, len(group))
             pending.extend(p for p in (_matmul(g, r) for g in generators) if p not in group)
-    return tuple(group)
+    return tuple(group), search
 
 
 def _check_group_size(d: int, size: int) -> None:

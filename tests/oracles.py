@@ -40,13 +40,12 @@ from graphbands import (
     ValidationError,
     compute_band_structure,
     degrees,
-    fiber_eigenvalues,
 )
-from graphbands.floquet import TWO_PI, _edge_phase_sum, _theta_rows, fiber_stack
+from graphbands.floquet import TWO_PI, _theta_rows, fiber_stack
 from graphbands.graph import is_connected_periodic, oriented_edges
 from graphbands.graphio import format_float
 from graphbands.lattices import hexagonal
-from graphbands.spectrum import REFINE_ITERATIONS, _flat_groups, _rounding_tol
+from graphbands.spectrum import REFINE_ITERATIONS, _flat_groups, _rounding_tol, grid_eigenvalues
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -207,10 +206,13 @@ def fluctuation_split(spec, theta):
     """
     nv = spec.num_vertices
     thetas = _theta_rows(spec, theta)[:1]
-    local = [e for e in spec.edges if not any(e.index)]
-    bridges = [e for e in spec.edges if any(e.index)]
-    mean = -_edge_phase_sum(nv, local, thetas)[0]
-    fluct = -_edge_phase_sum(nv, bridges, thetas)[0]
+
+    def adjacency(edges):
+        part = PeriodicGraphSpec(spec.dimension, spec.vertices, tuple(edges))
+        return fiber_stack(part, thetas, "adjacency")[0]
+
+    mean = -adjacency(e for e in spec.edges if not any(e.index))
+    fluct = -adjacency(e for e in spec.edges if any(e.index))
     idx = np.arange(nv)
     mean[idx, idx] += np.asarray(degrees(spec), dtype=float)
     mean[idx, idx] += np.asarray(spec.potentials())
@@ -448,9 +450,10 @@ def _scalar(node) -> str:
     raise ValidationError(f"cannot serialize value of type {type(node).__name__}")
 
 
-def reference_refine_extremum(spec, kind, branch, theta, step, want_max):
+def reference_refine_extremum(spec, kind, branch, theta, step, want_max, inversion=None):
     """(edge, extremizer) of branch `branch` of `kind` after the coordinate
-    descent from `theta` with initial step `step`, one trial per solve.
+    descent from `theta` with initial step `step`, one trial per solve, of
+    the fibers in the basis of `inversion` (`floquet.fiber_stack`).
 
     REFINE_ITERATIONS sweeps of +step and -step along each axis in turn; a
     trial that lowers lambda_branch (raises it when `want_max`) is taken, and
@@ -458,14 +461,15 @@ def reference_refine_extremum(spec, kind, branch, theta, step, want_max):
     """
     theta = np.asarray(theta, dtype=float).copy()
     sign = -1.0 if want_max else 1.0
-    best = sign * fiber_eigenvalues(spec, theta, kind)[branch]
+    best = sign * grid_eigenvalues(spec, theta[None], kind, inversion=inversion)[0, branch]
     for _ in range(REFINE_ITERATIONS):
         moved = False
         for axis in range(theta.shape[0]):
             for delta in (step, -step):
                 trial = theta.copy()
                 trial[axis] += delta
-                value = sign * fiber_eigenvalues(spec, trial, kind)[branch]
+                values = grid_eigenvalues(spec, trial[None], kind, inversion=inversion)
+                value = sign * values[0, branch]
                 if value < best:
                     best = value
                     theta = trial

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -17,7 +18,7 @@ from graphbands import (
     fiber_eigenvalues,
     oriented_edges,
 )
-from graphbands.floquet import KINDS, _edge_phase_sum, fiber_stack
+from graphbands.floquet import KINDS, _edge_phase_sum, _phase_table, fiber_stack
 from graphbands.linalg import eigh_stack
 from graphbands.spectrum import grid_eigenvalues
 from graphbands.lattices import (
@@ -31,8 +32,10 @@ from graphbands.lattices import (
     subdivided,
     triangular,
 )
+from graphbands.spectrum import ROUNDING_ULPS
+from graphbands.symmetry import LatticeSymmetry, _AutomorphismSearch, band_symmetries
 from oracles import fluctuation_split, shift_origin
-from quotients import FAMILIES, quotients, reverse_edges
+from quotients import FAMILIES, decorated_loop_graphs, quotients, reverse_edges
 
 PI = np.pi
 
@@ -192,6 +195,27 @@ def test_unknown_kind_rejected_by_name(kind):
         fiber_stack(hexagonal(), np.zeros((1, 2)), kind)
 
 
+def test_an_empty_kind_list_is_rejected_by_name():
+    with pytest.raises(ParameterError, match="the list of matrix kinds is empty"):
+        fiber_stack(hexagonal(), np.zeros((1, 2)), ())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fiber_stack(hexagonal(), [[np.nan, 0.0]], "schrodinger"),
+        lambda: fiber_eigenvalues(hexagonal(), [np.inf, 0.0], "schrodinger"),
+        lambda: fiber_stack(star(2, 3), [[0.0, 1.0], [0.5, -np.inf]], "laplacian"),
+    ],
+    ids=["fiber_stack-nan", "fiber_eigenvalues-inf", "loop-graph-row-2"],
+)
+def test_a_non_finite_quasimomentum_is_rejected(call):
+    # Rejected before any phase is formed: the suite turns a numpy warning
+    # into an error, so a NaN matrix or an inf angle would fail differently.
+    with pytest.raises(ParameterError, match="quasimomentum has a non-finite component"):
+        call()
+
+
 def test_fibers_are_hermitian_everywhere():
     rng = np.random.default_rng(12)
     for spec in ALL_SPECS:
@@ -282,6 +306,12 @@ def test_operator_kinds_are_the_out_of_place_formulas_bit_for_bit(spec):
         assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
 
 
+def _complex_phase_sum(spec, thetas):
+    """The vertex-basis phase sum accumulated into a complex stack, also for
+    a loop graph, whose table fills a float64 one."""
+    return _edge_phase_sum(_phase_table(spec)._replace(dtype=complex, split=0), thetas)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(quotients("loop"))
 def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
@@ -295,7 +325,7 @@ def test_loop_graph_fibers_are_real_and_match_the_complex_construction(spec):
     adjacency = fiber_stack(spec, thetas, "adjacency")
     assert adjacency.dtype == np.float64
     assert np.array_equal(adjacency, reference.real)
-    assert np.array_equal(adjacency, _edge_phase_sum(spec.num_vertices, spec.edges, thetas))
+    assert np.array_equal(adjacency, _complex_phase_sum(spec, thetas))
     for kind in ("laplacian", "schrodinger", "normalized"):
         stack = fiber_stack(spec, thetas, kind)
         assert stack.dtype == np.float64
@@ -320,25 +350,141 @@ def _random_thetas(spec, seed, count=7):
 @example(hexagonal())
 @example(fcc())
 def test_real_phase_sum_refuses_a_crossing_edge_between_two_vertices(spec):
-    # A float64 stack is chosen for loop graphs only; anywhere else it would
-    # drop the imaginary part of a phase, so the fill must raise instead.
+    # In the vertex basis a float64 stack is chosen for loop graphs only;
+    # anywhere else it would drop the imaginary part of a phase, so the fill
+    # must raise instead.
     assume(any(any(e.index) and e.tail != e.head for e in spec.edges))
     thetas = _random_thetas(spec, 16)
     nv = spec.num_vertices
     with pytest.raises(TypeError):
-        _edge_phase_sum(nv, spec.edges, thetas, np.zeros((len(thetas), nv, nv)))
+        _edge_phase_sum(_phase_table(spec), thetas, np.zeros((len(thetas), nv, nv)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(("loop", "flip")).flatmap(quotients))
 def test_real_and_complex_phase_sums_of_a_loop_graph_agree_bit_for_bit(spec):
     thetas = _random_thetas(spec, 17)
-    nv = spec.num_vertices
-    real = _edge_phase_sum(nv, spec.edges, thetas, np.zeros((len(thetas), nv, nv)))
-    full = _edge_phase_sum(nv, spec.edges, thetas)
+    real = _edge_phase_sum(_phase_table(spec), thetas)
+    full = _complex_phase_sum(spec, thetas)
     assert real.dtype == np.float64 and full.dtype == np.complex128
     assert not full.imag.any()
     assert real.tobytes() == full.real.tobytes()
+
+
+def _per_edge_loop_fill(spec, thetas):
+    """The float64 phase sum of a loop graph as it was filled before the
+    sums were tabled: edge by edge, 1 at (tail, head) and (head, tail) for
+    an edge inside the cell, cos <n, theta> twice on the diagonal for a
+    crossing loop, its angle summed over the axes left to right."""
+    nv = spec.num_vertices
+    out = np.zeros((len(thetas), nv, nv))
+    for e in spec.edges:
+        if not any(e.index):
+            out[:, e.tail, e.head] += 1.0
+            out[:, e.head, e.tail] += 1.0
+            continue
+        angles = e.index[0] * thetas[:, 0]
+        for k in range(1, spec.dimension):
+            angles += e.index[k] * thetas[:, k]
+        cosines = np.cos(angles)
+        out[:, e.tail, e.tail] += cosines
+        out[:, e.tail, e.tail] += cosines
+    return out
+
+
+def _trivial_inversion(spec):
+    d = spec.dimension
+    return LatticeSymmetry(
+        tuple(tuple(-int(i == j) for j in range(d)) for i in range(d)),
+        tuple(range(spec.num_vertices)),
+        ((0,) * d,) * spec.num_vertices,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in LOOPY_SPECS if classify(s).is_loop_graph]
+    + decorated_loop_graphs(38, 12)
+    + [star(2, 6), cubic(3), bipartite_chain(2, 3)],
+)
+def test_the_trivial_inversion_fill_of_a_loop_graph_is_the_per_edge_fill_bit_for_bit(spec):
+    # A loop graph's fibers are the real fill of the trivial inversion (the
+    # identity, no shifts): the vertex basis, with the per-edge fill's bits.
+    thetas = _random_thetas(spec, 18, count=40)
+    reference = _per_edge_loop_fill(spec, thetas)
+    for inversion in (None, _trivial_inversion(spec)):
+        adjacency = fiber_stack(spec, thetas, "adjacency", inversion=inversion)
+        assert adjacency.dtype == np.float64 and adjacency.tobytes() == reference.tobytes()
+    joint = fiber_stack(spec, thetas, KINDS, inversion=_trivial_inversion(spec))
+    assert joint.tobytes() == fiber_stack(spec, thetas, KINDS).tobytes()
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(quotients("general"))
+@example(hexagonal())
+@example(fcc())
+@example(bcc())
+@example(subdivided(2, 4))
+@example(subdivided(3, 3))
+def test_real_fibers_of_an_inversion_have_the_complex_spectrum(spec):
+    inversion = band_symmetries(spec)[1]
+    assume(inversion is not None)
+    thetas = _random_thetas(spec, 19, count=39)
+    nv = spec.num_vertices
+    for kinds in (("schrodinger",), ("laplacian",), ("normalized",), ("schrodinger", "laplacian")):
+        real = fiber_stack(spec, thetas, kinds, inversion=inversion)
+        assert real.dtype == np.float64
+        if "normalized" not in kinds:
+            assert np.array_equal(real, np.swapaxes(real, 1, 2))
+        values = eigh_stack(real)[0]
+        expected = eigh_stack(fiber_stack(spec, thetas, kinds).astype(complex))[0]
+        tol = ROUNDING_ULPS * nv * np.finfo(float).eps * (1.0 + np.abs(expected).max())
+        assert np.abs(values - expected).max() <= tol, kinds
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda inv: dataclasses.replace(inv, perm=inv.perm[1:] + inv.perm[:1]),
+        lambda inv: dataclasses.replace(inv, shifts=((1, 0),) + inv.shifts[1:]),
+    ],
+    ids=["perm-not-an-involution", "shifts-differ-on-a-pair"],
+)
+def test_a_tampered_inversion_gives_no_real_form(monkeypatch, tamper):
+    spec = subdivided(2, 4)
+    inversion = band_symmetries(spec)[1]
+    assert inversion.perm[0] != 0 and inversion.shifts[0] == (-1, 0)
+    tampered = tamper(inversion)
+    assert not tampered.is_inversion
+    with pytest.raises(ParameterError, match="not an inversion of this graph"):
+        fiber_stack(spec, np.zeros((1, 2)), "schrodinger", inversion=tampered)
+    # A search that certified -I with such a map leaves the fibers complex.
+    find = _AutomorphismSearch.find
+    monkeypatch.setattr(
+        _AutomorphismSearch,
+        "find",
+        lambda self, matrix: tampered if matrix == tampered.matrix else find(self, matrix),
+    )
+    assert band_symmetries(spec)[1] is None
+
+
+def test_an_inversion_of_another_graph_is_refused():
+    # The identity with no shifts maps hexagonal's edge (0, 1, n) to
+    # (0, 1, -n), which is not an edge: taking the real part of its fibers
+    # would be silently wrong.
+    identity = _trivial_inversion(hexagonal())
+    with pytest.raises(ParameterError, match="does not map the graph's edges onto themselves"):
+        fiber_stack(hexagonal(), np.zeros((1, 2)), "adjacency", inversion=identity)
+
+
+def test_an_inversion_that_swaps_unequal_potentials_serves_no_schrodinger_fiber():
+    # Found on the graph without potentials, for the kinds that ignore them.
+    spec = hexagonal(q=(1.0, -1.0))
+    inversion = band_symmetries(hexagonal())[1]
+    assert inversion.perm == (1, 0)
+    assert fiber_stack(spec, np.zeros((1, 2)), "laplacian", inversion=inversion).dtype == np.float64
+    with pytest.raises(ParameterError, match="does not keep the potentials"):
+        fiber_stack(spec, np.zeros((1, 2)), "schrodinger", inversion=inversion)
 
 
 # Every non-empty subset of the kinds, in KINDS order and reversed.
@@ -366,12 +512,17 @@ def test_a_points_fiber_does_not_depend_on_its_batch(d):
         ),
     )
     thetas = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(200, d))
-    batch = fiber_stack(spec, thetas, "schrodinger")
-    # Every batch size from 1 to 199, at offsets that vary with it.
-    for size in range(1, 200):
-        start = 7 * size % (201 - size)
-        part = fiber_stack(spec, thetas[start : start + size], "schrodinger")
-        assert part.tobytes() == batch[start : start + size].tobytes(), size
+    # Its inversion fixes both vertices and shifts b by (3, -3, 1, ...), so
+    # the real fill's angles have half-integer coefficients.
+    inversion = band_symmetries(spec)[1]
+    assert inversion.perm == (0, 1) and any(inversion.shifts[1])
+    for options in ({}, {"inversion": inversion}):
+        batch = fiber_stack(spec, thetas, "schrodinger", **options)
+        # Every batch size from 1 to 199, at offsets that vary with it.
+        for size in range(1, 200):
+            start = 7 * size % (201 - size)
+            part = fiber_stack(spec, thetas[start : start + size], "schrodinger", **options)
+            assert part.tobytes() == batch[start : start + size].tobytes(), (size, options)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

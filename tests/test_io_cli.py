@@ -370,9 +370,9 @@ def _capture_grid_eigenvalues(monkeypatch, transform=lambda values: values):
     seen = {}
     solve = cli.grid_eigenvalues
 
-    def capture(spec, thetas, kind):
+    def capture(spec, thetas, kind, **options):
         seen["thetas"] = thetas
-        seen["values"] = transform(solve(spec, thetas, kind))
+        seen["values"] = transform(solve(spec, thetas, kind, **options))
         return seen["values"]
 
     monkeypatch.setattr(cli, "grid_eigenvalues", capture)
@@ -408,7 +408,7 @@ def test_cli_dispersion_rows_match_per_cell_formatting(capsys, monkeypatch, argv
     else:
         spec = parse_builtin(argv[2])
         grid = TorusGrid(spec.dimension, int(argv[-1]))
-        group = spectrum._orbit_group(spec, grid, ("schrodinger",))
+        group = spectrum._orbit_group(spec, grid, ("schrodinger",))[0]
         representatives, index, points = grid.representatives(group)
         assert seen["thetas"].tobytes() == representatives.tobytes()
         table = np.hstack([points, seen["values"][index]])

@@ -349,12 +349,19 @@ def _reference_band_bits(spec, cls, kinds, grid):
     for kind in kinds:
         bs = plain[kind][0]
         step = 2.0 * PI / bs.grid.points_per_axis
+        # The descents solve the fibers the sample solved: real ones in the
+        # basis of the graph's inversion, where the search found one.
+        inversion = spectrum._orbit_group(spec, bs.grid, kinds)[1]
         expected[kind] = []
         for n, band in enumerate(bs.bands):
             low, high, argmin, argmax = band.low, band.high, band.argmin, band.argmax
             if not exact:
-                low, argmin = oracles.reference_refine_extremum(spec, kind, n, argmin, step, False)
-                high, argmax = oracles.reference_refine_extremum(spec, kind, n, argmax, step, True)
+                low, argmin = oracles.reference_refine_extremum(
+                    spec, kind, n, argmin, step, False, inversion
+                )
+                high, argmax = oracles.reference_refine_extremum(
+                    spec, kind, n, argmax, step, True, inversion
+                )
             expected[kind].append(_bits(low, high, argmin, argmax))
     return expected
 
@@ -371,7 +378,9 @@ def _glued_hexagonal(size):
     [
         (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None, 14),
         (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None, 14),
-        (subdivided(2, 2), ("laplacian",), None, 16),
+        # Real fibers in the basis of its inversion.  Its flat bands' descents
+        # follow the last bits of those fibers, and with them the rounds.
+        (subdivided(2, 2), ("laplacian",), None, 15),
         (triangular(), ("laplacian",), TorusGrid(2, 16), 25),
         (fcc(), ("schrodinger",), TorusGrid(3, 6), 16),
         # nu = 9: D = 2, so a round can end inside a sweep that has moved.
@@ -910,16 +919,17 @@ def _hex_params(params):
 # Each graph builds and solves its band-edge sample once, and reads H at its
 # two chosen corners from that sample.  Loop graphs with a flip corner solve
 # theta = 0 and the flip corner.  fcc is not a loop graph: it has 48 band
-# symmetries and 455 orbits of the default 24^3 grid.  Grid 12 solves 868
-# theta, -theta pairs (too few for the symmetry search), so every corner is
-# in the sample; odd grid 13 solves 1,099 pairs plus its 7 appended pi
-# corners.
+# symmetries and 455 orbits of the default 24^3 grid, and an inversion, so
+# that sample is real in the inversion's basis and H is built in the vertex
+# basis at the two corners.  Grid 12 solves 868 theta, -theta pairs (too few
+# for the symmetry search), so every corner is in the sample; odd grid 13
+# solves 1,099 pairs plus its 7 appended pi corners.
 @pytest.mark.parametrize(
     "spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches",
     [
         (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, None, [2, 2], [2, 2]),
         (star(2, 3), bipartite_chain(2, 3), True, None, [2, 2], [2, 2]),
-        (fcc(), fcc(), False, None, [455, 455], [455, 455]),
+        (fcc(), fcc(), False, None, [455, 455], [455, 2, 455, 2]),
         (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 868]),
         (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 1106]),
     ],
@@ -936,7 +946,7 @@ def test_stability_reuses_the_corner_solves(
 ):
     checks, params = _stability_reference(spec_a, spec_b, precise_vs_bipartite, grid)
     solves = calls(spectrum, "eigh_stack", len)
-    fibers = calls(spectrum, "fiber_stack", lambda spec, thetas, kind: len(thetas))
+    fibers = calls(spectrum, "fiber_stack", lambda spec, thetas, kind, **options: len(thetas))
     report = stability_constants(spec_a, spec_b, grid)
     # The theta = 0 Laplacian fiber of the bipartite side is its lower corner's.
     assert solves == solve_batches
@@ -945,6 +955,17 @@ def test_stability_reuses_the_corner_solves(
         (name, float(lhs).hex(), float(rhs).hex()) for name, lhs, rhs in checks
     ]
     assert _hex_params(report.params) == _hex_params(params)
+
+
+@pytest.mark.parametrize("spec", [fcc(), fcc(q=(0.0, 0.0, 0.0, 1.0))], ids=["fcc", "fcc-q"])
+def test_extremizing_corners_are_the_vertex_basis_fibers(spec):
+    # The default sample is real, in the basis of fcc's inversion; the
+    # entrywise distances of compare read H in the vertex basis.  (With
+    # q = (1, 2, 3, 0) no corner attains every lower band edge.)
+    assert spectrum._orbit_group(spec, TorusGrid.default_for(3), ("schrodinger",))[1] is not None
+    _, points, fibers, _, _ = spectrum._extremizing_corners(spec, None, "A")
+    expected = fiber_stack(spec, np.asarray(points), "schrodinger")
+    assert fibers.dtype == expected.dtype and fibers.tobytes() == expected.tobytes()
 
 
 FLIP_SETTINGS = settings(

@@ -25,6 +25,7 @@ from graphbands.lattices import (
     decorate,
     fcc,
     hexagonal,
+    parse_builtin,
     star,
     subdivided,
     triangular,
@@ -116,7 +117,7 @@ def test_shear_is_rejected_for_hexagonal():
 )
 def test_orbit_counts_on_the_default_grids(spec, orbits):
     grid = TorusGrid.default_for(spec.dimension)
-    group = spectrum._orbit_group(spec, grid, ("schrodinger",))
+    group = spectrum._orbit_group(spec, grid, ("schrodinger",))[0]
     assert len(grid.representatives(group)[0]) == orbits
 
 
@@ -232,9 +233,31 @@ def test_orbit_map_leaves_no_reference_cycles(spec, m):
         gc.enable()
 
 
+BUILTIN_IDS = (
+    "hexagonal", "bcc", "fcc", "triangular", "subdivided(2,4)", "subdivided(3,3)", "star(2,6)", "cubic(3)"
+)
+
+
+@pytest.mark.parametrize("builtin", BUILTIN_IDS)
+def test_every_builtin_has_an_inversion(builtin):
+    spec = parse_builtin(builtin)
+    group, inversion = symmetry.band_symmetries(spec)
+    assert group == band_symmetry_group(spec)
+    assert inversion.is_inversion and inversion.matrix in group
+    assert len(inversion.perm) == spec.num_vertices
+
+
+def test_a_graph_without_minus_identity_has_no_inversion():
+    # A pendant path glued on one honeycomb vertex breaks the swap of the
+    # two sublattices, and with it every certificate of -I.
+    spec = decorate(hexagonal(), FiniteGraph(3, ((0, 1), (1, 2))), 0)
+    group, inversion = symmetry.band_symmetries(spec)
+    assert ((-1, 0), (0, -1)) not in group and inversion is None
+
+
 def test_small_grids_skip_the_search(monkeypatch):
     monkeypatch.setattr(symmetry, "band_symmetry_group", lambda spec: pytest.fail("searched"))
-    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ()
+    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ((), None)
 
 
 PROPERTY_SETTINGS = settings(
@@ -351,7 +374,7 @@ def test_a_disconnected_cover_gets_the_identity_alone(tmp_path, capsys, calls):
     grid = TorusGrid.default_for(2)
     # The default grid is above the search threshold, so the search runs.
     groups = calls(symmetry, "band_symmetry_group")
-    assert spectrum._orbit_group(spec, grid, ("schrodinger",)) == (((1, 0), (0, 1)),)
+    assert spectrum._orbit_group(spec, grid, ("schrodinger",)) == ((((1, 0), (0, 1)),), None)
     assert len(groups) == 1
 
     assert main(["dispersion", str(path)]) == 0
