@@ -27,6 +27,7 @@ from . import graphio
 from .errors import GraphbandsError, NumericError, ValidationError
 from .graph import PeriodicGraphSpec, with_potentials
 from .lattices import builtin_catalog, parse_builtin
+from .floquet import bridge_gauge
 from .spectrum import TorusGrid, _orbit_group, estimate_suite, grid_eigenvalues, stability_constants
 
 
@@ -273,8 +274,8 @@ def _cmd_dispersion(args) -> int:
     if args.path is None and args.samples is not None:
         raise ValidationError("--samples needs --path")
     spec, _ = _resolve_spec(args.input, args.builtin, args.q)
-    inversion = None
     if args.path is not None:
+        basis = bridge_gauge(spec)
         samples = 50 if args.samples is None else args.samples
         solved = _path_points(args.path, spec.dimension, samples)
         index = np.arange(len(solved))
@@ -282,13 +283,13 @@ def _cmd_dispersion(args) -> int:
     else:
         # One solve per band-symmetry orbit, copied to every point of it.
         grid = _resolve_grid(spec, args.grid)
-        group, inversion = _orbit_group(spec, grid, (args.kind,))
+        group, basis = _orbit_group(spec, grid, (args.kind,))
         solved, index, points = grid.representatives(group)
         # The grid rows are axis^d in row-major order, then the pi corners of an odd grid.
         axis = graphio.format_rows(grid.axis()[:, None])
         corners = graphio.format_rows(points[len(axis) ** grid.dimension :])
         parts = [[axis] * grid.dimension, [corners]]
-    values = grid_eigenvalues(spec, solved, args.kind, inversion=inversion)
+    values = grid_eigenvalues(spec, solved, args.kind, inversion=basis)
     # Every text is formatted, and so checked, before the first byte is written.
     value_text = graphio.format_rows(values)
     header = "# " + "\t".join(

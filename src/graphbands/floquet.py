@@ -7,25 +7,32 @@ Laplacian, Schroedinger and degree-normalized variants all derive from that
 phase sum, so `fiber_stack` builds several kinds at the same points from one
 sum, as one kind-major stack that one eigensolver call takes.
 
-A graph with an inversion (a band symmetry with matrix -I whose vertex
-map is an involution, with equal cell shifts on each swapped pair) gets
-real symmetric fibers: composed with complex conjugation the inversion is
-an antiunitary map that commutes with every H(theta) and squares to 1, so
-H(theta) is real in a basis W(theta) that it gives (module `inversion`).
-`fiber_stack` takes the inversion as a keyword and then returns matrices in
-that basis; without one it returns vertex-basis matrices.  A loop graph,
-whose crossing edges are all loops, has the trivial inversion (the
-identity, no shifts, W = I): its vertex-basis fibers are that real fill,
-where the two orientations of a loop with index n add cos <n, theta> twice
-to its diagonal entry.  Every other graph gets the complex phase sum in the
-vertex basis.  Real stacks are half the bytes of complex ones, and LAPACK
-solves them with its real symmetric eigensolver.  The real basis changes the
-eigenvalues of a graph with a nontrivial inversion in their last bits only
+Two bases make the fibers real symmetric, and LAPACK solves real stacks
+with its real symmetric eigensolver, on half the bytes.  The bridge gauge
+(`bridge_gauge`) applies when every vertex pair u != v joined by a
+cell-crossing edge is a bridge of the quotient's simple graph (loops
+dropped, parallel edges merged).  A per-theta diagonal unitary then turns
+the entry of each such pair into -|sum of exp(i <n, theta>) over its
+edges|, the hypot of the pair's cosine and sine sums (an edge inside the
+cell adds 1 to the cosine sum): across a bridge the phase of one side is
+free, so each pair's phase can be removed without touching another pair.
+Every other entry keeps its vertex-basis value.  A loop graph, whose
+crossing edges are all loops, has no such pair: its gauge is its vertex
+basis, bit for bit, where the two orientations of a loop with index n add
+cos <n, theta> twice to its diagonal entry.  A graph with an inversion (a
+band symmetry with matrix -I whose vertex map is an involution, with equal
+cell shifts on each swapped pair) is real in the basis W(theta) that the
+inversion gives (module `inversion`): composed with complex conjugation it
+is an antiunitary map that commutes with every H(theta) and squares to 1.
+`fiber_stack` takes either basis as its `inversion` keyword and then
+returns real matrices in it; without one it returns vertex-basis matrices,
+complex unless the graph is a loop graph.  Both bases change the
+eigenvalues of a graph that is not a loop graph in their last bits only
 (within a unit or two of nu * eps * (1 + |H|) of the complex solve), and
 with them the reports that sample it.
 
 The phase sum of a spec is a table (`_PhaseTable`) of angle rows and of
-the entries each value is added to, derived once per spec and inversion and
+the entries each value is added to, derived once per spec and basis and
 kept on the spec, as its other derived structure is.
 """
 
@@ -40,6 +47,9 @@ from .errors import ParameterError, PreconditionError
 from .graph import PeriodicGraphSpec, degrees
 
 TWO_PI = 2.0 * math.pi
+
+# The `inversion` of `fiber_stack` that asks for the bridge gauge.
+BRIDGE_GAUGE = "bridge gauge"
 
 
 def _theta_rows(spec: PeriodicGraphSpec, theta) -> np.ndarray:
@@ -69,7 +79,11 @@ class _PhaseTable(NamedTuple):
     its first `split` rows.  A vertex-basis table has none: its first
     `split` rows are phases exp(i <m, theta>), each valued with its
     conjugate after it, and then come the cosines of the other rows, last
-    row first; it is complex unless `split` is 0, as for a loop graph.
+    row first; it is complex unless `split` is 0, as for a loop graph.  A
+    bridge gauge's table is a vertex-basis one with `moduli` in place of
+    the phases: (ones, rows) per crossing pair, valued -hypot(ones + the
+    sum of the cosines of `rows`, the sum of their sines), the rows among
+    the first `split`.
     `degrees` and `potentials` are the diagonal terms of the kinds, per
     basis position; `potentials` is None when the basis's
     inversion does not keep them, so the sum serves no Schroedinger fiber.
@@ -84,26 +98,91 @@ class _PhaseTable(NamedTuple):
     adds: list[tuple[int, int, int]]
     degrees: np.ndarray
     potentials: np.ndarray | None
+    moduli: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
-def _vertex_table(spec: PeriodicGraphSpec) -> _PhaseTable:
-    """The phase sum in the vertex basis.
+def _cycle_pair(spec: PeriodicGraphSpec, crossing) -> tuple[int, int] | None:
+    """The first of the `crossing` pairs that lies on a cycle of the
+    quotient's simple graph, or None when each of them is a bridge of it.
+
+    One union-find pass: the pairs joined by edges inside the cell alone
+    join their ends first; then a crossing pair whose ends are joined
+    already closes a cycle, and any other joins them.  A crossing pair is
+    one edge of the simple graph however many edges join it."""
+    parent = list(range(spec.num_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for e in spec.edges:
+        if e.tail != e.head and (min(e.tail, e.head), max(e.tail, e.head)) not in crossing:
+            parent[root(e.tail)] = root(e.head)
+    for u, w in crossing:
+        a, b = root(u), root(w)
+        if a == b:
+            return u, w
+        parent[a] = b
+    return None
+
+
+def bridge_gauge(spec: PeriodicGraphSpec) -> str | None:
+    """BRIDGE_GAUGE when it makes the fibers of `spec` real (every vertex
+    pair joined by a cell-crossing edge is a bridge of the quotient's
+    simple graph; always for a loop graph), else None.  The gauge's table
+    is built to tell, and kept on the spec, so a spec that has the gauge
+    is tested once."""
+    try:
+        _phase_table(spec, BRIDGE_GAUGE)
+    except ParameterError:
+        return None
+    return BRIDGE_GAUGE
+
+
+def _vertex_table(spec: PeriodicGraphSpec, gauge: bool = False) -> _PhaseTable:
+    """The phase sum in the vertex basis, or with `gauge` in the bridge
+    gauge (ParameterError naming a crossing pair on a cycle if there is one).
 
     Each edge is filled once, in one orientation, so the result is exactly
     Hermitian: exp(i <index, theta>) at (tail, head) and its conjugate at
     (head, tail), or 1 at both for an edge inside the cell.  A crossing loop
     adds the real parts of its two terms, cos <index, theta> twice, to its
     diagonal entry.  So a loop graph's sum is real, with the bits of the
-    real table of its trivial inversion (the identity, no shifts).
+    real table of its trivial inversion (the identity, no shifts), and its
+    gauge is this same table.  In the gauge every edge of a crossing pair
+    (u, w), u < w, is a term of the pair's one modulus, its index read
+    from u to w; the pair's entries take that value alone.
     """
-    # Values: 1, then each phase followed by its conjugate, then the
-    # loops' cosines in reverse, so that loop row r is value ~r = -1 - r
-    # and one pass numbers every value.
     zero = (0,) * spec.dimension
+    # The gauge's crossing pairs (u, w), u < w, in the order of their first
+    # crossing edge, each with the terms of its modulus.
+    crossing = {}
+    if gauge:
+        for e in spec.edges:
+            if e.tail != e.head and e.index != zero:
+                crossing.setdefault((min(e.tail, e.head), max(e.tail, e.head)), [])
+        cycle = _cycle_pair(spec, crossing)
+        if cycle is not None:
+            raise ParameterError(
+                "the bridge gauge needs each vertex pair joined by a cell-crossing edge to "
+                f"be a bridge, but the pair of vertices {cycle[0]} and {cycle[1]} lies on a cycle"
+            )
+    # Values: 1, then each phase followed by its conjugate (each pair's
+    # modulus in the gauge, which has no phases), then the loops' cosines
+    # in reverse, so that loop row r is value ~r = -1 - r and one pass
+    # numbers every value.
+    values = {pair: 1 + k for k, pair in enumerate(crossing)}
     phases, loops, adds = {}, {}, []
     for e in spec.edges:
         t, h, n = e.tail, e.head, e.index
-        if n == zero:
+        pair = min(t, h), max(t, h)
+        terms = crossing.get(pair)
+        if terms is not None:
+            if not terms:
+                adds += ((t, h, values[pair]), (h, t, values[pair]))
+            terms.append(n if t < h else tuple(-x for x in n))
+        elif n == zero:
             adds += ((t, h, 0), (h, t, 0))
         elif t == h:
             r = loops.setdefault(n, len(loops))
@@ -111,20 +190,28 @@ def _vertex_table(spec: PeriodicGraphSpec) -> _PhaseTable:
         else:
             r = phases.setdefault(n, len(phases))
             adds += ((t, h, 1 + 2 * r), (h, t, 2 + 2 * r))
-    index = np.array([*phases, *loops], dtype=float).reshape(-1, spec.dimension)
+    # The gauge's rows: each crossing term's index, once.
+    rows = {}
+    moduli = tuple(
+        (terms.count(zero), tuple(rows.setdefault(n, len(rows)) for n in terms if n != zero))
+        for terms in crossing.values()
+    )
+    index = np.array([*phases, *rows, *loops], dtype=float).reshape(-1, spec.dimension)
     diagonal = np.asarray(degrees(spec), dtype=float), np.asarray(spec.potentials())
     dtype = complex if phases else float
-    return _PhaseTable(dtype, spec.num_vertices, index, len(phases), (), (1.0,), adds, *diagonal)
+    split = len(phases) + len(rows)
+    return _PhaseTable(dtype, spec.num_vertices, index, split, (), (1.0,), adds, *diagonal, moduli)
 
 
 def _phase_table(spec: PeriodicGraphSpec, inversion=None) -> _PhaseTable:
-    """The table of `spec` in the basis of `inversion`, or in the vertex
-    basis when it is None, built on first use and kept on the spec."""
+    """The table of `spec` in the basis of `inversion` (BRIDGE_GAUGE or an
+    inversion), or in the vertex basis when it is None, built on first use
+    and kept on the spec."""
     tables = spec._phase_tables
     table = tables.get(inversion)
     if table is None:
-        if inversion is None:
-            table = _vertex_table(spec)
+        if inversion is None or inversion == BRIDGE_GAUGE:
+            table = _vertex_table(spec, gauge=inversion is not None)
         else:
             from .inversion import inversion_table
 
@@ -148,7 +235,14 @@ def _edge_phase_sum(table: _PhaseTable, thetas: np.ndarray, out=None) -> np.ndar
         trig = (np.cos(angles), np.sin(angles[: table.split]) if table.split else None)
         values += [trig[sine][r] if k == 1.0 else k * trig[sine][r] for sine, r, k in table.waves]
     else:
-        if table.split:
+        if table.moduli:
+            cosines, sines = np.cos(angles[: table.split]), np.sin(angles[: table.split])
+            for ones, rows in table.moduli:
+                real, imag = cosines[rows[0]], sines[rows[0]]
+                for r in rows[1:]:
+                    real, imag = real + cosines[r], imag + sines[r]
+                values.append(-np.hypot(real + ones, imag))
+        elif table.split:
             phases = np.empty((table.split, 2, len(thetas)), dtype=complex)
             np.exp(1j * angles[: table.split], out=phases[:, 0])
             np.conj(phases[:, 0], out=phases[:, 1])
@@ -170,12 +264,14 @@ def fiber_stack(spec: PeriodicGraphSpec, thetas: np.ndarray, kind, *, inversion=
     them: then the result holds their stacks at the same points,
     kind-major, shape (K * P, nu, nu), all derived from one phase sum.
 
-    With `inversion` (a `symmetry.LatticeSymmetry` that is an inversion of
-    `spec`, see module `inversion`) the matrices are real symmetric, in
-    that inversion's basis W(theta): unitarily equivalent to the
-    vertex-basis ones, with the same eigenvalues but other entries.
-    Without one they are the vertex-basis matrices: float64 for a loop
-    graph, complex otherwise.
+    With `inversion` the matrices are real symmetric, in a basis that is
+    unitarily equivalent to the vertex basis, with the same eigenvalues but
+    other entries: BRIDGE_GAUGE for the bridge gauge (ParameterError naming
+    a cell-crossing vertex pair on a cycle when `bridge_gauge(spec)` is
+    None), or a `symmetry.LatticeSymmetry` that is an inversion of `spec`
+    for its basis W(theta) (see module `inversion`).  Without one they are
+    the vertex-basis matrices: float64 for a loop graph, whose bridge gauge
+    they are, complex otherwise.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     if not kinds:

@@ -78,10 +78,11 @@ class PeriodicGraphSpec:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         _validate(self)
-        # floquet's phase-sum tables, by inversion (None for the vertex
-        # basis), each built on first use.  A plain attribute rather than a
-        # cached_property: most specs of a command reach it once, and a
-        # cached_property's first access costs more than the dictionary.
+        # floquet's phase-sum tables, by basis (None for the vertex basis,
+        # floquet.BRIDGE_GAUGE or an inversion), each built on first use.
+        # A plain attribute rather than a cached_property: most specs of a
+        # command reach it once, and a cached_property's first access costs
+        # more than the dictionary.
         object.__setattr__(self, "_phase_tables", {})
 
     @property

@@ -13,29 +13,30 @@ shifts that an exact search finds) makes H(A^{-T} theta) unitarily
 equivalent to H(theta).  Band envelopes therefore solve one grid point per
 orbit of the group together with theta -> -theta (`TorusGrid.representatives`);
 on grids below SYMMETRY_SEARCH_MIN_POINTS, and for a graph with no symmetry
-beyond that, the orbits are the pairs theta, -theta.  Where the search
-runs and the group holds -I, the certificate of -I is looked up too: if it
-is an inversion (an involution whose shifts agree on each swapped pair),
-the sample, the --refine trials and a full-grid dispersion are built as
-real symmetric fibers in its basis (`floquet`), which LAPACK's real
-symmetric eigensolver takes; their eigenvalues, and so the band edges,
-differ from the complex solve's in the last bits.  A loop graph's fibers
-are real in the vertex basis already; any other graph, and every smaller
-sample, is solved as complex.  Every operator kind a call needs is built at
-that sample from one phase sum and solved in one eigensolver call, and
+beyond that, the orbits are the pairs theta, -theta.  The sample, the
+--refine trials and a dispersion are built as real symmetric fibers
+(`floquet`), which LAPACK's real symmetric eigensolver takes, in one of two
+bases (`_orbit_group`).  A graph whose cell-crossing vertex pairs are all
+bridges of its simple quotient graph takes the bridge gauge at every sample
+size; for a loop graph, which has no such pair, that is its vertex basis.
+Any other graph takes the basis of its inversion where the search runs and
+finds one (the certificate of -I, when it is an involution whose shifts
+agree on each swapped pair), and is solved as complex elsewhere.  Outside
+the vertex basis the eigenvalues, and so the band edges, differ from the
+complex solve's in the last bits.  Every operator kind a call needs is built
+at that sample from one phase sum and solved in one eigensolver call, and
 `stability_constants` reads H at its chosen corners from the same stack, or
-builds it there in the vertex basis when the sample is real in another
-basis.  `_refine_extrema` moves the edges of every kind off the sample
-together, in rounds of one phase sum and one solve: a round looks ahead
-up to four sweeps of each descent's trials on a small quotient and one
-trial on a large one, and gives the bits of one trial per solve.  A
-full-grid dispersion solves one point per orbit too and copies its
-eigenvalues to the rest of the orbit, through the index that
-`TorusGrid.representatives` returns.  Envelopes are the exact minima and
-maxima; the extremizer reported for a branch is the first grid point, in
-grid order, within `_rounding_tol` of the envelope, so ties between
-symmetry-equivalent points do not depend on the last bits of the
-eigensolver.
+builds it there in the vertex basis when the sample is in another basis.
+`_refine_extrema` moves the edges of every kind off the sample together, in
+rounds of one phase sum and one solve: a round looks ahead up to four sweeps
+of each descent's trials on a small quotient and one trial on a large one,
+and gives the bits of one trial per solve.  A full-grid dispersion solves
+one point per orbit too and copies its eigenvalues to the rest of the orbit,
+through the index that `TorusGrid.representatives` returns.  Envelopes are
+the exact minima and maxima; the extremizer reported for a branch is the
+first grid point, in grid order, within `_rounding_tol` of the envelope, so
+ties between symmetry-equivalent points do not depend on the last bits of
+the eigensolver.
 Branches of numerically zero width are flat bands; gaps are the maximal open
 intervals missing from the union of the open bands.  One tolerance, the
 structure's flat_tol, decides which branches are flat, which adjacent flat
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, PreconditionError
-from .floquet import TWO_PI, fiber_stack
+from .floquet import TWO_PI, bridge_gauge, fiber_stack
 from .graph import (
     PeriodicGraphSpec,
     bridge_count,
@@ -391,8 +392,9 @@ def _rounding_tol(lows, highs) -> float:
 def grid_eigenvalues(
     spec: PeriodicGraphSpec, thetas: np.ndarray, kind: str, *, inversion=None
 ) -> np.ndarray:
-    """Sorted fiber eigenvalues at every torus point, shape (P, nu); with an
-    `inversion` of `spec`, solved as real symmetric fibers (`fiber_stack`)."""
+    """Sorted fiber eigenvalues at every torus point, shape (P, nu); with
+    `inversion` (the bridge gauge or an inversion of `spec`), solved as
+    real symmetric fibers (`fiber_stack`)."""
     return eigh_stack(fiber_stack(spec, thetas, kind, inversion=inversion))[0]
 
 
@@ -546,7 +548,7 @@ def _descend_in_rounds(thetas, best, steps, nu, objective) -> None:
         live = np.count_nonzero(taken < total)
 
 
-def _refine_extrema(spec, kinds, edges, step, inversion):
+def _refine_extrema(spec, kinds, edges, step, basis):
     """Coordinate descents from grid extremizers, halving each step on a stall.
 
     edges holds the `_envelopes` of each of `kinds`; the lower (upper) edge
@@ -555,8 +557,8 @@ def _refine_extrema(spec, kinds, edges, step, inversion):
     each axis in turn; a trial that lowers its objective is taken, and a
     sweep that takes none halves the step.  Every kind is built at all of a
     round's trial points in one `fiber_stack` call, whose row of each
-    trial's own kind is solved in one `eigh_stack` call; with `inversion`
-    the stacks are real, in its basis.
+    trial's own kind is solved in one `eigh_stack` call; with `basis`
+    (`_orbit_group`) the stacks are real, in that basis.
 
     The 2 K nu descents look ahead D = _REFINE_ROUND_WORK // (live descents
     * nu^3) trials per round, at least 1 and at most 4 sweeps
@@ -579,7 +581,7 @@ def _refine_extrema(spec, kinds, edges, step, inversion):
 
     def objective(points, owner):
         at = np.arange(len(points))
-        stacks = fiber_stack(spec, points, kinds, inversion=inversion)
+        stacks = fiber_stack(spec, points, kinds, inversion=basis)
         stack = stacks[kind_of[owner] * len(points) + at]
         return signs[owner] * eigh_stack(stack)[0][at, branches[owner]]
 
@@ -594,19 +596,22 @@ def _refine_extrema(spec, kinds, edges, step, inversion):
 
 
 def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
-    """(group, inversion): the matrices of the band-symmetry group of the
-    operator `kinds`, and an inversion of the graph that certifies -I in it
-    (`symmetry.band_symmetries`), in whose basis `fiber_stack` builds real
-    fibers of `kinds`, or None; ((), None) when the grid is too small for
-    the search to pay (SYMMETRY_SEARCH_MIN_POINTS).
+    """(group, basis): the matrices of the band-symmetry group of the
+    operator `kinds`, () when the grid is too small for the search to pay
+    (SYMMETRY_SEARCH_MIN_POINTS), and the `inversion` in which
+    `fiber_stack` builds real fibers of `kinds`, or None.
 
-    Only H carries the potentials, so without "schrodinger" among `kinds`
-    the group is searched on the graph without them, which can only add
-    symmetries.  A loop graph gets no inversion: its vertex-basis fibers
-    are real already, so -I is not searched for again.
+    The basis is the bridge gauge wherever it applies
+    (`floquet.bridge_gauge`, loop graphs included), at every grid size,
+    with no -I search.  Any other graph takes, where the search runs, the
+    inversion that certifies -I in the group (`symmetry.band_symmetries`),
+    and None elsewhere.  Only H carries the potentials, so without
+    "schrodinger" among `kinds` the group is searched on the graph without
+    them, which can only add symmetries.
     """
+    basis = bridge_gauge(spec)
     if (grid.size + 2**grid.dimension) // 2 < SYMMETRY_SEARCH_MIN_POINTS:
-        return (), None
+        return (), basis
     if "schrodinger" not in kinds and any(spec.potentials()):
         spec = with_potentials(spec, (0.0,) * spec.num_vertices)
     # Imported here, on first use: importing the search with the package
@@ -614,16 +619,16 @@ def _orbit_group(spec: PeriodicGraphSpec, grid: TorusGrid, kinds) -> tuple:
     # cache, also for calls that never search.
     from .symmetry import band_symmetries, band_symmetry_group
 
-    if is_loop_graph(spec):
-        return band_symmetry_group(spec), None
+    if basis is not None:
+        return band_symmetry_group(spec), basis
     return band_symmetries(spec)
 
 
 def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     """(thetas, fibers, {kind: (structure, values)}) for each of `kinds`: the
-    sample solved, the fiber stack solved there, or None when it is real in
-    the basis of an inversion (`_orbit_group`), and the sorted eigenvalue
-    rows of each kind there.
+    sample solved, the fiber stack solved there, or None when it is not in
+    the vertex basis (`_orbit_group`; a loop graph's bridge gauge is its
+    vertex basis), and the sorted eigenvalue rows of each kind there.
 
     `cls` classifies `spec`.  With a flip corner theta* (`_loop_edge_corners`)
     every kind is a constant matrix minus a nonnegative diagonal times the
@@ -641,27 +646,27 @@ def _band_structure(spec, cls, kinds, grid, flat_tol, refine):
     """
     grid = _connected_grid(spec, grid)
     corners = _loop_edge_corners(spec, cls)
-    inversion = None
+    basis = None
     if corners is None:
-        group, inversion = _orbit_group(spec, grid, kinds)
+        group, basis = _orbit_group(spec, grid, kinds)
         thetas = grid.representatives(group)[0]
     else:
         thetas, refine = np.asarray(corners), False
     kinds = tuple(dict.fromkeys(kinds))
     laplacian_is_h = "schrodinger" in kinds and not any(spec.potentials())
     solved = tuple(kind for kind in kinds if not (laplacian_is_h and kind == "laplacian"))
-    fibers = fiber_stack(spec, thetas, solved, inversion=inversion)
+    fibers = fiber_stack(spec, thetas, solved, inversion=basis)
     rows = eigh_stack(fibers)[0].reshape(len(solved), len(thetas), -1)
     edges = [_envelopes(thetas, values) for values in rows]
     if refine:
-        edges = _refine_extrema(spec, solved, edges, TWO_PI / grid.points_per_axis, inversion)
+        edges = _refine_extrema(spec, solved, edges, TWO_PI / grid.points_per_axis, basis)
     structures = {
         kind: (_assemble_structure(kind, grid, edge, flat_tol), values)
         for kind, edge, values in zip(solved, edges, rows)
     }
     if laplacian_is_h and "laplacian" in kinds:
         structures["laplacian"] = structures["schrodinger"]
-    return thetas, fibers if inversion is None else None, structures
+    return thetas, fibers if basis is None or is_loop_graph(spec) else None, structures
 
 
 def compute_band_structure(
@@ -765,9 +770,9 @@ def _extremizing_corners(spec, grid, label):
     (resp. upper) band edge.  A graph without such a corner raises
     PreconditionError naming the graph `label` and the corner that comes
     closest.  H at the two chosen corners is read from the sample's fibers,
-    or built at them when the sample is real in an inversion's basis: the
-    entrywise distances of `stability_constants` are taken in the vertex
-    basis.
+    or built at them when the sample is in another basis than the vertex
+    basis: the entrywise distances of `stability_constants` are taken in
+    the vertex basis.
     """
     cls = classify(spec)
     thetas, fibers, structures = _band_structure(spec, cls, ("schrodinger",), grid, None, False)

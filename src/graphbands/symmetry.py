@@ -234,20 +234,17 @@ class _AutomorphismSearch:
 
 
 def band_symmetries(spec: PeriodicGraphSpec) -> tuple[tuple[Matrix, ...], LatticeSymmetry | None]:
-    """(group, inversion): `band_symmetry_group(spec)`, and the certificate
-    of -I that the same search finds when the group holds -I, if that
-    certificate is an inversion (`LatticeSymmetry.is_inversion`); else None.
+    """(group, inversion): the matrices of `band_symmetry_group(spec)`, and
+    the certificate of -I that its search finds, if that certificate is an
+    inversion (`LatticeSymmetry.is_inversion`); else None.
 
-    The search for -I runs once more even when the group got -I as a
-    product, whose certificate is not kept.  A found perm that is not an
+    The search tries -I before the candidate table, so one search gives the
+    group and the certificate; the group is the same set of matrices, listed
+    in the order that search found them.  A found perm that is not an
     involution, or shifts that differ on a swapped pair, give None, although
     another certificate of -I might be an inversion.
     """
-    group, search = _symmetry_group(spec)
-    minus = _minus_identity(spec.dimension)
-    if minus not in group:
-        return group, None
-    certificate = search.find(minus)
+    group, certificate = _symmetry_group(spec, inversion=True)
     return group, certificate if certificate is not None and certificate.is_inversion else None
 
 
@@ -268,14 +265,17 @@ def band_symmetry_group(spec: PeriodicGraphSpec) -> tuple[Matrix, ...]:
     result depends on nothing but the graph.  A graph whose cover is not
     connected gets the identity alone: its group can be infinite.
     """
-    return _symmetry_group(spec)[0]
+    return _symmetry_group(spec, inversion=False)[0]
 
 
 def _symmetry_group(
-    spec: PeriodicGraphSpec,
-) -> tuple[tuple[Matrix, ...], _AutomorphismSearch | None]:
-    """`band_symmetry_group(spec)` and the search that certified it, None
-    for a disconnected cover."""
+    spec: PeriodicGraphSpec, inversion: bool
+) -> tuple[tuple[Matrix, ...], LatticeSymmetry | None]:
+    """`band_symmetry_group(spec)` and the certificate its search found for
+    -I, None when it searched none.  With `inversion` it tries -I first, so
+    that the certificate is found unless -I is no symmetry; else -I is
+    searched only where the table holds it, when no product gave it before
+    (in 3-D the cube of an element of order 6 does)."""
     d = spec.dimension
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     if not is_connected_periodic(spec):
@@ -284,12 +284,17 @@ def _symmetry_group(
     search = _AutomorphismSearch(spec)
     generators: list[Matrix] = []
     failed: set[Matrix] = set()
-    for matrix in _candidate_matrices(d):
+    minus = _minus_identity(d)
+    certified = None
+    for matrix in ((minus,) if inversion else ()) + _candidate_matrices(d):
         if matrix in group or matrix in failed:
             continue
-        if search.find(matrix) is None:
+        certificate = search.find(matrix)
+        if certificate is None:
             failed.update(_matmul(matrix, h) for h in group)
             continue
+        if matrix == minus:
+            certified = certificate
         generators.append(matrix)
         # Dimino's closure: the group grows by whole cosets H.r of the old
         # group H until every coset representative times every generator
@@ -303,7 +308,7 @@ def _symmetry_group(
             group.update(dict.fromkeys(_matmul(r, h) for h in old))
             _check_group_size(d, len(group))
             pending.extend(p for p in (_matmul(g, r) for g in generators) if p not in group)
-    return tuple(group), search
+    return tuple(group), certified
 
 
 def _check_group_size(d: int, size: int) -> None:

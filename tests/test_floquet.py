@@ -18,13 +18,22 @@ from graphbands import (
     fiber_eigenvalues,
     oriented_edges,
 )
-from graphbands.floquet import KINDS, _edge_phase_sum, _phase_table, fiber_stack
+from graphbands.floquet import (
+    BRIDGE_GAUGE,
+    KINDS,
+    _edge_phase_sum,
+    _phase_table,
+    bridge_gauge,
+    fiber_stack,
+)
 from graphbands.linalg import eigh_stack
 from graphbands.spectrum import grid_eigenvalues
 from graphbands.lattices import (
+    FiniteGraph,
     bcc,
     bipartite_chain,
     cubic,
+    decorate,
     fcc,
     hexagonal,
     parse_builtin,
@@ -409,14 +418,17 @@ def _trivial_inversion(spec):
 )
 def test_the_trivial_inversion_fill_of_a_loop_graph_is_the_per_edge_fill_bit_for_bit(spec):
     # A loop graph's fibers are the real fill of the trivial inversion (the
-    # identity, no shifts): the vertex basis, with the per-edge fill's bits.
+    # identity, no shifts) and its bridge gauge: the vertex basis, with the
+    # per-edge fill's bits.
     thetas = _random_thetas(spec, 18, count=40)
     reference = _per_edge_loop_fill(spec, thetas)
-    for inversion in (None, _trivial_inversion(spec)):
+    assert bridge_gauge(spec) == BRIDGE_GAUGE
+    for inversion in (None, _trivial_inversion(spec), BRIDGE_GAUGE):
         adjacency = fiber_stack(spec, thetas, "adjacency", inversion=inversion)
         assert adjacency.dtype == np.float64 and adjacency.tobytes() == reference.tobytes()
-    joint = fiber_stack(spec, thetas, KINDS, inversion=_trivial_inversion(spec))
-    assert joint.tobytes() == fiber_stack(spec, thetas, KINDS).tobytes()
+    for inversion in (_trivial_inversion(spec), BRIDGE_GAUGE):
+        joint = fiber_stack(spec, thetas, KINDS, inversion=inversion)
+        assert joint.tobytes() == fiber_stack(spec, thetas, KINDS).tobytes()
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -429,10 +441,15 @@ def test_the_trivial_inversion_fill_of_a_loop_graph_is_the_per_edge_fill_bit_for
 def test_real_fibers_of_an_inversion_have_the_complex_spectrum(spec):
     inversion = band_symmetries(spec)[1]
     assume(inversion is not None)
-    thetas = _random_thetas(spec, 19, count=39)
+    _check_real_basis_spectrum(spec, inversion, _random_thetas(spec, 19, count=39))
+
+
+def _check_real_basis_spectrum(spec, basis, thetas):
+    """Real symmetric fibers in `basis` have the eigenvalues of the complex
+    vertex-basis solve, within the rounding tolerance, for every kind."""
     nv = spec.num_vertices
     for kinds in (("schrodinger",), ("laplacian",), ("normalized",), ("schrodinger", "laplacian")):
-        real = fiber_stack(spec, thetas, kinds, inversion=inversion)
+        real = fiber_stack(spec, thetas, kinds, inversion=basis)
         assert real.dtype == np.float64
         if "normalized" not in kinds:
             assert np.array_equal(real, np.swapaxes(real, 1, 2))
@@ -440,6 +457,53 @@ def test_real_fibers_of_an_inversion_have_the_complex_spectrum(spec):
         expected = eigh_stack(fiber_stack(spec, thetas, kinds).astype(complex))[0]
         tol = ROUNDING_ULPS * nv * np.finfo(float).eps * (1.0 + np.abs(expected).max())
         assert np.abs(values - expected).max() <= tol, kinds
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(quotients("general"))
+@example(hexagonal())
+@example(fcc())
+@example(bcc())
+@example(decorate(hexagonal(), FiniteGraph(3, ((0, 1), (1, 2))), 0))
+def test_real_fibers_of_the_bridge_gauge_have_the_complex_spectrum(spec):
+    assume(bridge_gauge(spec) is not None)
+    _check_real_basis_spectrum(spec, BRIDGE_GAUGE, _random_thetas(spec, 23, count=39))
+
+
+# A triangle whose one crossing edge closes a cycle through two edges inside
+# the cell.
+CROSSING_TRIANGLE = PeriodicGraphSpec(
+    1,
+    tuple(VertexInfo(label) for label in "abc"),
+    (EdgeRecord(0, 1, (0,)), EdgeRecord(1, 2, (0,)), EdgeRecord(2, 0, (1,))),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, pair",
+    [(subdivided(2, 4), (3, 8)), (CROSSING_TRIANGLE, (0, 2))],
+    ids=["subdivided", "triangle"],
+)
+def test_the_bridge_gauge_refuses_a_crossing_pair_on_a_cycle(spec, pair):
+    # Around a cycle the phases of the crossing pairs cannot all be removed.
+    assert bridge_gauge(spec) is None
+    with pytest.raises(ParameterError, match=f"vertices {pair[0]} and {pair[1]} lies on a cycle"):
+        fiber_stack(spec, np.zeros((1, spec.dimension)), "adjacency", inversion=BRIDGE_GAUGE)
+
+
+def test_the_bridge_gauge_entry_of_a_crossing_pair_is_minus_its_modulus():
+    # hexagonal's pair joins edges with indices 0, e1 and e2: its entry is
+    # -|1 + exp(i theta_1) + exp(i theta_2)|, the hypot of the cosine sum
+    # (the crossing edges' cosines, then 1) and the sine sum, and the
+    # diagonal is unchanged.
+    thetas = _random_thetas(hexagonal(), 5)
+    gauge = fiber_stack(hexagonal(), thetas, "adjacency", inversion=BRIDGE_GAUGE)
+    vertex = fiber_stack(hexagonal(), thetas, "adjacency")
+    cosines, sines = np.cos(thetas.T), np.sin(thetas.T)
+    modulus = np.hypot(cosines[0] + cosines[1] + 1.0, sines[0] + sines[1])
+    assert np.allclose(np.abs(vertex[:, 0, 1]), modulus, rtol=0, atol=1e-14)
+    assert np.array_equal(gauge[:, 0, 1], -modulus) and np.array_equal(gauge[:, 1, 0], -modulus)
+    assert not gauge[:, 0, 0].any() and not gauge[:, 1, 1].any()
 
 
 @pytest.mark.parametrize(
@@ -516,7 +580,7 @@ def test_a_points_fiber_does_not_depend_on_its_batch(d):
     # the real fill's angles have half-integer coefficients.
     inversion = band_symmetries(spec)[1]
     assert inversion.perm == (0, 1) and any(inversion.shifts[1])
-    for options in ({}, {"inversion": inversion}):
+    for options in ({}, {"inversion": inversion}, {"inversion": BRIDGE_GAUGE}):
         batch = fiber_stack(spec, thetas, "schrodinger", **options)
         # Every batch size from 1 to 199, at offsets that vary with it.
         for size in range(1, 200):

@@ -1180,10 +1180,32 @@ def test_cli_analyze_refine_flag(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("fcc", "star(3,4)"), ("fcc", "fcc", "--grid", "13")],
+    ids=["fcc-star", "fcc-grid-13"],
+)
+def test_compare_reads_the_vertex_basis_at_the_corners_of_a_gauged_sample(capsys, argv):
+    # fcc's samples are real in its bridge gauge; its corners and H there,
+    # and so c_total, are those of the vertex-basis solve, to the bit.
+    code, out, _ = run_cli(capsys, "compare", *argv)
+    assert code == 0
+    pi = (3.141592653589793,) * 3
+    assert json.loads(out)["params"] == {
+        "c_total": 60 if "star(3,4)" in argv else 0,
+        "theta_minus_a": [0, 0, 0],
+        "theta_plus_a": list(pi),
+        "theta_minus_b": [0, 0, 0],
+        "theta_plus_b": list(pi),
+    }
+
+
+@pytest.mark.parametrize(
     "argv, count",
     [
-        (("--builtin", "hexagonal", "--q", "1,-1"), 14),
-        (("--builtin", "fcc", "--q", "1,2,3,0", "--grid", "6"), 16),
+        # Real fibers in the bridge gauge: the descents follow their last
+        # bits, and with them the rounds.
+        (("--builtin", "hexagonal", "--q", "1,-1"), 12),
+        (("--builtin", "fcc", "--q", "1,2,3,0", "--grid", "6"), 15),
         (("--builtin", "triangular", "--grid", "16"), 25),
         (("--builtin", "hexagonal", "--kind", "normalized", "--grid", "12"), 12),
     ],

@@ -376,13 +376,15 @@ def _glued_hexagonal(size):
 @pytest.mark.parametrize(
     "spec, kinds, grid, count",
     [
-        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None, 14),
-        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None, 14),
-        # Real fibers in the basis of its inversion.  Its flat bands' descents
-        # follow the last bits of those fibers, and with them the rounds.
+        # Real fibers in the bridge gauge (hexagonal, fcc) or in the basis of
+        # an inversion (subdivided(2,2)): the descents, its flat bands' in
+        # particular, follow the last bits of those fibers, and with them
+        # the rounds.
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger",), None, 12),
+        (with_potentials(hexagonal(), (1.0, -1.0)), ("schrodinger", "laplacian"), None, 12),
         (subdivided(2, 2), ("laplacian",), None, 15),
         (triangular(), ("laplacian",), TorusGrid(2, 16), 25),
-        (fcc(), ("schrodinger",), TorusGrid(3, 6), 16),
+        (fcc(), ("schrodinger",), TorusGrid(3, 6), 15),
         # nu = 9: D = 2, so a round can end inside a sweep that has moved.
         (subdivided(2, 4), ("laplacian",), TorusGrid(2, 7), 84),
         # nu = 16: 32 descents * 16^3 exceed a round's work, so D = 1 and
@@ -916,22 +918,21 @@ def _hex_params(params):
     }
 
 
-# Each graph builds and solves its band-edge sample once, and reads H at its
-# two chosen corners from that sample.  Loop graphs with a flip corner solve
-# theta = 0 and the flip corner.  fcc is not a loop graph: it has 48 band
-# symmetries and 455 orbits of the default 24^3 grid, and an inversion, so
-# that sample is real in the inversion's basis and H is built in the vertex
-# basis at the two corners.  Grid 12 solves 868 theta, -theta pairs (too few
-# for the symmetry search), so every corner is in the sample; odd grid 13
-# solves 1,099 pairs plus its 7 appended pi corners.
+# Each graph builds and solves its band-edge sample once.  Loop graphs with
+# a flip corner solve theta = 0 and the flip corner, and read H at their two
+# chosen corners from that sample.  fcc is not a loop graph: its samples are
+# real in the bridge gauge, so H is built in the vertex basis at the two
+# corners.  It has 48 band symmetries and 455 orbits of the default 24^3
+# grid; grid 12 solves 868 theta, -theta pairs (too few for the symmetry
+# search), and odd grid 13 solves 1,099 pairs plus its 7 appended pi corners.
 @pytest.mark.parametrize(
     "spec_a, spec_b, precise_vs_bipartite, grid, solve_batches, fiber_batches",
     [
         (star(2, 3, q=(0.3, -0.2, 0.1)), star(2, 3), False, None, [2, 2], [2, 2]),
         (star(2, 3), bipartite_chain(2, 3), True, None, [2, 2], [2, 2]),
         (fcc(), fcc(), False, None, [455, 455], [455, 2, 455, 2]),
-        (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 868]),
-        (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 1106]),
+        (fcc(), fcc(), False, TorusGrid(3, 12), [868, 868], [868, 2, 868, 2]),
+        (fcc(), fcc(), False, TorusGrid(3, 13), [1106, 1106], [1106, 2, 1106, 2]),
     ],
     ids=[
         "star-q-vs-star",
@@ -957,10 +958,39 @@ def test_stability_reuses_the_corner_solves(
     assert _hex_params(report.params) == _hex_params(params)
 
 
+# bench_set's decorated hexagonal graph: a path of three vertices glued on
+# the honeycomb, with distinct potentials, so it has no inversion.
+DECORATED_HEXAGONAL = with_potentials(
+    decorate(hexagonal(), FiniteGraph(3, ((0, 1), (1, 2))), 0), np.linspace(-2.0, 2.0, 4)
+)
+
+
+@pytest.mark.parametrize(
+    "spec, grid, dtype",
+    [
+        (DECORATED_HEXAGONAL, TorusGrid(2, 12), np.float64),
+        (DECORATED_HEXAGONAL, None, np.float64),
+        (hexagonal(q=(1.0, -1.0)), TorusGrid(2, 12), np.float64),
+        (hexagonal(q=(1.0, -1.0)), None, np.float64),
+        (subdivided(2, 4), TorusGrid(2, 12), np.complex128),
+    ],
+    ids=[
+        "decorated-12", "decorated-default", "hexagonal-q-12", "hexagonal-q-default", "subdivided-12"
+    ],
+)
+def test_samples_are_real_in_the_bridge_gauge_at_every_size(calls, spec, grid, dtype):
+    # The gauge needs no search, so a sample too small to search is real
+    # too; subdivided(2,4)'s crossing pairs lie on cycles, and its inversion
+    # is looked up only where the search runs.
+    solved = calls(spectrum, "eigh_stack", lambda stack: stack.dtype)
+    verify_gap_bound(spec, grid)
+    assert solved == [dtype]
+
+
 @pytest.mark.parametrize("spec", [fcc(), fcc(q=(0.0, 0.0, 0.0, 1.0))], ids=["fcc", "fcc-q"])
 def test_extremizing_corners_are_the_vertex_basis_fibers(spec):
-    # The default sample is real, in the basis of fcc's inversion; the
-    # entrywise distances of compare read H in the vertex basis.  (With
+    # The default sample is real, in fcc's bridge gauge; the entrywise
+    # distances of compare read H in the vertex basis.  (With
     # q = (1, 2, 3, 0) no corner attains every lower band edge.)
     assert spectrum._orbit_group(spec, TorusGrid.default_for(3), ("schrodinger",))[1] is not None
     _, points, fibers, _, _ = spectrum._extremizing_corners(spec, None, "A")

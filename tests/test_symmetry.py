@@ -16,6 +16,7 @@ from graphbands import EdgeRecord, NumericError, PeriodicGraphSpec, TorusGrid, V
 from graphbands import graphio, spectrum
 from graphbands import symmetry
 from graphbands.cli import main
+from graphbands.floquet import BRIDGE_GAUGE
 from graphbands.symmetry import _AutomorphismSearch, _candidate_matrices, band_symmetry_group
 from graphbands.lattices import (
     FiniteGraph,
@@ -242,7 +243,10 @@ BUILTIN_IDS = (
 def test_every_builtin_has_an_inversion(builtin):
     spec = parse_builtin(builtin)
     group, inversion = symmetry.band_symmetries(spec)
-    assert group == band_symmetry_group(spec)
+    # The same matrices, identity first, in the order of a search that
+    # tries -I first.
+    searched = band_symmetry_group(spec)
+    assert group[0] == searched[0] and set(group) == set(searched)
     assert inversion.is_inversion and inversion.matrix in group
     assert len(inversion.perm) == spec.num_vertices
 
@@ -257,7 +261,11 @@ def test_a_graph_without_minus_identity_has_no_inversion():
 
 def test_small_grids_skip_the_search(monkeypatch):
     monkeypatch.setattr(symmetry, "band_symmetry_group", lambda spec: pytest.fail("searched"))
-    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ((), None)
+    monkeypatch.setattr(symmetry, "band_symmetries", lambda spec: pytest.fail("searched"))
+    # fcc takes the bridge gauge at every sample size; subdivided(3,3) has
+    # no real basis without the search.
+    assert spectrum._orbit_group(fcc(), TorusGrid(3, 12), ("schrodinger",)) == ((), BRIDGE_GAUGE)
+    assert spectrum._orbit_group(subdivided(3, 3), TorusGrid(3, 12), ("laplacian",)) == ((), None)
 
 
 PROPERTY_SETTINGS = settings(
@@ -374,7 +382,8 @@ def test_a_disconnected_cover_gets_the_identity_alone(tmp_path, capsys, calls):
     grid = TorusGrid.default_for(2)
     # The default grid is above the search threshold, so the search runs.
     groups = calls(symmetry, "band_symmetry_group")
-    assert spectrum._orbit_group(spec, grid, ("schrodinger",)) == ((((1, 0), (0, 1)),), None)
+    identity = ((1, 0), (0, 1))
+    assert spectrum._orbit_group(spec, grid, ("schrodinger",)) == ((identity,), BRIDGE_GAUGE)
     assert len(groups) == 1
 
     assert main(["dispersion", str(path)]) == 0
